@@ -6,10 +6,11 @@ Run from the root of a checkout; the library is imported from src/ of
 that checkout.  With --trace 0 the run measures the end-to-end metrics
 of the workload with tracing off.  With --trace 1 it is the separate
 traced run: one traced pass of every workload (per-layer metrics are
-read from the workload that exercises the layer) plus traced and
-untraced passes of the named workload for the tracing overhead.  Every
-output is checked; the last line of stdout is one JSON object
-{"correct", "attempted", "failed", "metrics"}.  See bench/README.md.
+read from the workload that exercises the layer), and for the named
+workload pairs of traced and untraced passes on the same inputs in one
+worker, for the tracing overhead.  Every output is checked; the last
+line of stdout is one JSON object {"correct", "attempted", "failed",
+"metrics"}.  See bench/README.md.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import statistics
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from time import perf_counter
 
@@ -30,8 +32,8 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 WORK = BENCH / "_work"
 DEFAULT_SEED = 1
-SETUP_SPAWNS = 15
-TRACE_PAIRS = 3
+SETUP_SPAWNS = 12  # before the timed phase, and as many after it
+TRACE_PAIRS = 4
 WORKER_TIMEOUT = 150
 
 # -S: no site module, so packages installed beside pcgroups (and .pth
@@ -60,19 +62,31 @@ def run_worker(workload, seed, seconds, trace, min_passes=1, max_passes=10_000,
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def measure_setup(graph_files):
-    """Wall time of a fresh interpreter that imports pcgroups and loads the
-    workload's graphs: what a CLI call pays before any work.  One warm-up
-    spawn (it may compile bytecode), then the median of SETUP_SPAWNS."""
+def setup_times(graph_files, spawns):
+    """Wall times of fresh interpreters that import pcgroups and load the
+    workload's graphs: what a CLI call pays before any work.
+
+    The wait blocks in waitpid, and a watchdog thread kills a spawn that
+    hangs.  subprocess's wait with a timeout would poll instead, at
+    intervals growing to 50 ms, and round each time up to the next poll:
+    a spawn of 0.11 s then reads 0.115 or 0.165 s."""
     cmd = [sys.executable, "-S", "-c", SETUP_CODE, str(ROOT / "src")]
     cmd += [str(p) for p in graph_files]
     times = []
-    for i in range(SETUP_SPAWNS + 1):
+    for _ in range(spawns):
         t0 = perf_counter()
-        subprocess.run(cmd, cwd=ROOT, check=True, timeout=WORKER_TIMEOUT)
-        if i:
-            times.append(perf_counter() - t0)
-    return statistics.median(times)
+        proc = subprocess.Popen(cmd, cwd=ROOT)
+        watchdog = threading.Timer(WORKER_TIMEOUT, proc.kill)
+        watchdog.start()
+        try:
+            returncode = proc.wait()
+        finally:
+            watchdog.cancel()
+            watchdog.join()
+        times.append(perf_counter() - t0)
+        if returncode:
+            raise subprocess.CalledProcessError(returncode, cmd)
+    return times
 
 
 def tail(latencies, pct):
@@ -117,6 +131,11 @@ def latency_metrics(passes, key, wl):
 # end-to-end run
 
 
+def scaled(p):
+    """A pass's request latencies, scaled to the reference machine speed."""
+    return [x * calibrate.REFERENCE_S / k for x, k in zip(p["latencies"], p["kernel"])]
+
+
 def timed_run(wl, seed, seconds):
     if wl.fresh_per_pass:
         results = []
@@ -127,8 +146,7 @@ def timed_run(wl, seed, seconds):
         results = [run_worker(wl.name, seed, seconds, 0, wl.min_passes)]
     passes = [p for r in results for p in r["passes"]]
     for p in passes:
-        p["scaled"] = [x * calibrate.REFERENCE_S / k
-                       for x, k in zip(p["latencies"], p["kernel"])]
+        p["scaled"] = scaled(p)
     metrics, beyond, windows = latency_metrics(passes, "scaled", wl)
     unscaled, _, _ = latency_metrics(passes, "latencies", wl)
     metrics["peak_rss_mb"] = (statistics.median(r["rss_mb"] for r in results), "MB")
@@ -146,14 +164,14 @@ def timed_run(wl, seed, seconds):
 
 
 def _layer(wname, qual, key):
-    return (wname, lambda L: L[qual][key] if qual in L else 0)
+    return (wname, lambda L, counts: L[qual][key] if qual in L else 0)
 
 
-def _info_sum(wname, qual, fn=lambda x: x):
-    return (wname, lambda L: sum(fn(i) for i in L[qual]["info"]) if qual in L else 0)
+def _count(wname, key):
+    return (wname, lambda L, counts: counts.get(key, 0))
 
 
-def _minimal_form_slope(L):
+def _minimal_form_slope(L, counts):
     rec = L.get("words.minimal_form")
     if not rec:
         return 0.0
@@ -161,7 +179,7 @@ def _minimal_form_slope(L):
     return loglog_slope(*zip(*pts)) if len(pts) >= 2 else 0.0
 
 
-def _k_growth(L):
+def _k_growth(L, counts):
     """Growth of enumerate_composed time per step of k on the n=5, d=3 rows
     (k >= 4, where the alpha-vector loop dominates)."""
     rec = L.get("census.enumerate_composed")
@@ -172,19 +190,16 @@ def _k_growth(L):
     return math.exp(slope(*zip(*pts))) if len(pts) >= 2 else 0.0
 
 
-def _alpha_vectors(ndk):
-    """Exponent vectors walked: 3^k - 1 per engine call, four engine calls."""
-    return 4 * (3 ** ndk[2] - 1)
-
-
 W, C, J, G = "words-long", "check-short", "conjugacy", "census-grid"
 
 # Per-layer metric -> (unit, source workload, extractor over that
-# workload's traced layer summary).
+# workload's traced layer summary and counts).
 PER_LAYER = {
     "words.minimal_form.calls": ("count", *_layer(W, "words.minimal_form", "calls")),
     "words.minimal_form.self_ms": ("ms", *_layer(W, "words.minimal_form", "self_ms")),
-    "words.minimal_form.letters_in": ("count", *_info_sum(W, "words.minimal_form")),
+    # letters the rewriting engine (reduce_letters) takes in, from
+    # minimal_form and from every other caller in the pass
+    "words.minimal_form.letters_in": ("count", *_count(W, "reduce_letters_in")),
     "words.minimal_form.l_slope": ("1", W, _minimal_form_slope),
     "cosets.strip_divisors.calls": ("count", *_layer(W, "cosets.strip_divisors", "calls")),
     "cosets.strip_divisors.self_ms": ("ms", *_layer(W, "cosets.strip_divisors", "self_ms")),
@@ -210,7 +225,7 @@ PER_LAYER = {
     "words.support.self_ms": ("ms", *_layer(C, "words.support", "self_ms")),
     "words.is_cyclically_minimal.calls": ("count", *_layer(C, "words.is_cyclically_minimal", "calls")),
     "words.is_cyclically_minimal.self_ms": ("ms", *_layer(C, "words.is_cyclically_minimal", "self_ms")),
-    "freiheitssatz.minimal_form_per_verdict": ("1", C, lambda L: (
+    "freiheitssatz.minimal_form_per_verdict": ("1", C, lambda L, _: (
         L["words.minimal_form"]["calls"] / L["freiheitssatz.magnus_verdict"]["calls"]
         if "words.minimal_form" in L and L.get("freiheitssatz.magnus_verdict", {}).get("calls")
         else 0.0)),
@@ -220,11 +235,13 @@ PER_LAYER = {
     "words.cyclic_reduce.self_ms": ("ms", *_layer(J, "words.cyclic_reduce", "self_ms")),
     "census.enumerate_composed.calls": ("count", *_layer(G, "census.enumerate_composed", "calls")),
     "census.enumerate_composed.self_ms": ("ms", *_layer(G, "census.enumerate_composed", "self_ms")),
-    "census.enumerate_composed.alpha_vectors": ("count", *_info_sum(G, "census.enumerate_composed", _alpha_vectors)),
+    # exponent vectors the composed-word engine walks (_alpha_vectors yields)
+    "census.enumerate_composed.alpha_vectors": ("count", *_count(G, "alpha_vectors")),
     "census.enumerate_composed.k_growth": ("1", G, _k_growth),
     "census.enumerate_LH.calls": ("count", *_layer(G, "census.enumerate_LH", "calls")),
     "census.enumerate_LH.self_ms": ("ms", *_layer(G, "census.enumerate_LH", "self_ms")),
-    "census.enumerate_LH.forms": ("count", *_info_sum(G, "census.enumerate_LH")),
+    # normal forms the census enumerators materialise
+    "census.enumerate_LH.forms": ("count", *_count(G, "forms")),
     "census.enumerate_LHU.calls": ("count", *_layer(G, "census.enumerate_LHU", "calls")),
     "census.enumerate_LHU.self_ms": ("ms", *_layer(G, "census.enumerate_LHU", "self_ms")),
     "census.density.calls": ("count", *_layer(G, "census.density", "calls")),
@@ -236,25 +253,28 @@ PER_LAYER = {
 
 
 def traced_run(wl, seed, seconds, workloads):
-    """One traced pass of every workload, each in a fresh interpreter.  The
-    tracing overhead compares traced and untraced passes of the named
-    workload: at least one pair, more while --seconds last."""
-    deadline = perf_counter() + seconds
+    """One traced pass of every other workload, each in a fresh
+    interpreter; then one worker for the named workload that runs pairs of
+    traced and untraced passes on the same inputs, at least TRACE_PAIRS
+    and more while --seconds last.  The tracing overhead is the median
+    over pairs of traced / untraced pass time, both scaled by the
+    calibration kernel like the end-to-end latencies."""
+    start = perf_counter()
     traced = {}
     for name in workloads:
-        traced[name] = run_worker(name, seed, 0, 1, 1, 1,
-                                  spans=WORK / f"spans-{name}-{seed}.jsonl")
-    on = traced[wl.name]["passes"][0]["seconds"]
-    ratios = []
-    while True:
-        off = run_worker(wl.name, seed, 0, 0, 1, 1)["passes"][0]["seconds"]
-        ratios.append(on / off)
-        if len(ratios) >= TRACE_PAIRS or perf_counter() >= deadline:
-            break
-        on = run_worker(wl.name, seed, 0, 1, 1, 1)["passes"][0]["seconds"]
+        if name != wl.name:
+            traced[name] = run_worker(name, seed, 0, 1, 1, 1,
+                                      spans=WORK / f"spans-{name}-{seed}.jsonl")
+    left = max(0.0, seconds - (perf_counter() - start))
+    traced[wl.name] = run_worker(wl.name, seed, left, 1, 2 * TRACE_PAIRS,
+                                 spans=WORK / f"spans-{wl.name}-{seed}.jsonl")
+    pairs = {}
+    for p in traced[wl.name]["passes"]:
+        pairs.setdefault(p["inputs"], {})[p["traced"]] = sum(scaled(p))
+    ratios = [pair[True] / pair[False] for pair in pairs.values()]
     metrics = {}
     for metric, (unit, source, fn) in PER_LAYER.items():
-        metrics[metric] = (fn(traced[source]["layers"]), unit)
+        metrics[metric] = (fn(traced[source]["layers"], traced[source]["counts"]), unit)
     metrics["graphs.load_graph.busy_ms"] = (
         sum(r["layers"].get("graphs.load_graph", {}).get("busy_ms", 0.0)
             for r in traced.values()), "ms")
@@ -297,23 +317,32 @@ def main(argv=None):
         results, metrics, notes = traced_run(wl, args.seed, args.seconds,
                                              list(WORKLOADS))
     else:
-        setup_s = measure_setup(WORK / "graphs" / f"{n}.txt" for n in wl.graphs)
+        # Set-up is timed in spawns before and after the timed phase, so a
+        # stretch of faster or slower machine does not set the whole median.
+        files = [WORK / "graphs" / f"{n}.txt" for n in wl.graphs]
+        setup_times(files, 1)  # warm-up: may compile bytecode
+        setup = setup_times(files, SETUP_SPAWNS)
         results, metrics, notes = timed_run(wl, args.seed, args.seconds)
-        metrics["setup_s"] = (setup_s, "s")
+        setup += setup_times(files, SETUP_SPAWNS)
+        metrics["setup_s"] = (statistics.median(setup), "s")
 
     attempted = sum(p["attempted"] for r in results for p in r["passes"])
     failed = sum(p["failed"] for r in results for p in r["passes"])
     errors = [e for r in results for e in r["errors"]]
     problems = []
-    # Byte-identical reruns: every pass 0 of a workload digests the same,
-    # and at the default seed the digest is the recorded one.
+    # Byte-identical reruns: every pass of a workload on the same inputs
+    # (traced or not, in any worker) digests the same, and at the default
+    # seed the digest of the first inputs is the recorded one.
     expected = json.loads((BENCH / "expected_digests.json").read_text())
+    digests = {}
     for r in results:
-        want = expected.get(r["workload"]) if args.seed == DEFAULT_SEED else None
-        same = [q["digest"] for q in results if q["workload"] == r["workload"]]
-        if (want and r["digest"] != want) or len(set(same)) != 1:
-            problems.append(f"{r['workload']}: output digest {r['digest']} "
-                            f"differs from {want or same}")
+        for p in r["passes"]:
+            digests.setdefault((r["workload"], p["inputs"]), set()).add(p["digest"])
+    for (name, inputs), found in digests.items():
+        want = expected.get(name) if args.seed == DEFAULT_SEED and inputs == 0 else None
+        if len(found) != 1 or (want and found != {want}):
+            problems.append(f"{name}: outputs on inputs {inputs} digest "
+                            f"{sorted(found)}, expected {want or 'one digest'}")
     correct = failed == 0 and not errors and not problems
 
     for name, (value, unit) in metrics.items():
@@ -321,7 +350,7 @@ def main(argv=None):
     print(f"failed_ratio {failed / attempted:.6g} 1  ({failed}/{attempted})")
     for key, value in notes.items():
         print(f"# {key}: {value}")
-    print(f"# digest: {results[0]['digest']}")
+    print(f"# digest: {sorted(digests[wl.name, 0])}")
     for p in errors + problems:
         print(f"# problem: {p}")
     print(json.dumps({

@@ -5,8 +5,9 @@
 For a few requests of every workload: the real output must pass the
 workload's check, and each deliberately corrupted copy of it must fail
 the check and change the pass digest.  The tracer must record a listed
-name that the library lacks as missing instead of failing.  Exits 0 when
-every case behaves, 1 otherwise.
+name that the library lacks as missing instead of failing, and its
+counters must count the library's work while active and only then.
+Exits 0 when every case behaves, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import pcgroups  # noqa: E402
 
-from tracer import TARGETS, Tracer  # noqa: E402
+from pcgroups import census  # noqa: E402
+from tracer import COUNTERS, TARGETS, Tracer  # noqa: E402
 from workloads import WORKLOADS, digest  # noqa: E402
 
 
@@ -93,10 +95,23 @@ def main():
                 if digest([wl.render(bad)]) == good_digest:
                     failures.append(f"{name}: corrupted output keeps the digest")
 
-    tracer = Tracer()
-    tracer.install({**TARGETS, "words.no_such_function": None})
-    if tracer.missing != ["words.no_such_function"]:
+    tracer = Tracer({**TARGETS, "words.no_such_function": None},
+                    {**COUNTERS, "census.no_such_helper": ("x", "yields")})
+    if tracer.missing != ["words.no_such_function", "census.no_such_helper"]:
         failures.append(f"tracer missing list is {tracer.missing}")
+    # enumerate_composed runs its engine four times; each walks the
+    # 3^k - 1 signed compositions of 1..k
+    tracer.install()
+    tracer.active = True
+    census.enumerate_composed(5, 1, 3)
+    tracer.active = False
+    census.enumerate_composed(5, 1, 3)
+    tracer.uninstall()
+    if tracer.counts["alpha_vectors"] != 4 * (3 ** 3 - 1):
+        failures.append(f"tracer counted {tracer.counts['alpha_vectors']} "
+                        f"alpha vectors, not {4 * (3 ** 3 - 1)}")
+    if hasattr(census._alpha_vectors, "__wrapped__"):
+        failures.append("uninstall left a counter wrapper bound")
 
     for f in failures:
         print("FAIL", f)

@@ -5,8 +5,12 @@ library: each wrapper is bound in place of the original in every loaded
 pcgroups module that holds it, so calls between modules (and within one
 module) get their own span with the caller's span as parent.  A span is
 [name, start, end, parent index, request id, info]; info is a per-target
-size (letters in, forms made, ...) taken after the clock stops.  Nothing
-is written until the run ends.
+size (letters in, (n, d, k), ...) taken after the clock stops.  Listed
+private internals get no span; the work they do is counted instead
+(vectors yielded, forms made, letters taken in), so the counts move when
+the library does less of that work.  Nothing is written until the run
+ends.  uninstall() puts the originals back, for untraced passes in the
+same interpreter.
 """
 
 from __future__ import annotations
@@ -33,10 +37,6 @@ def _ndk(args, kwargs, result):
     return list(args[:3])
 
 
-def _forms(args, kwargs, result):
-    return result["l_H"]
-
-
 # Qualified name (module.function) -> info extractor or None.
 TARGETS = {
     "graphs.load_graph": None,
@@ -57,42 +57,101 @@ TARGETS = {
     "freiheitssatz.check_amalgam": None,
     "census.census_row": None,
     "census.density": None,
-    "census.enumerate_LH": _forms,
+    "census.enumerate_LH": None,
     "census.enumerate_LHU": None,
     "census.enumerate_composed": _ndk,
 }
 
 
+def _count_yields(counts, key, items):
+    for item in items:
+        counts[key] += 1
+        yield item
+
+
+# Private internal (module.function) -> (count key, what is counted):
+#   yields   items the generator yields
+#   levels   forms in the list of levels the enumerator returns
+#   letters  letters of the word (second argument) taken in
+COUNTERS = {
+    "census._alpha_vectors": ("alpha_vectors", "yields"),
+    "census._iter_general_forms": ("forms", "levels"),
+    "census._iter_square_forms": ("forms", "levels"),
+    "words.reduce_letters": ("reduce_letters_in", "letters"),
+}
+
+
 class Tracer:
-    def __init__(self):
+    """Wrappers for `targets` (spans) and `counters` (counts).  A listed
+    name the library no longer has is recorded in self.missing instead of
+    failing the run.  install() and uninstall() bind the wrappers or the
+    originals; wrappers record only while self.active is set."""
+
+    def __init__(self, targets=TARGETS, counters=COUNTERS):
+        self.targets = targets
         self.spans = []
         self.stack = []
         self.request = None
         self.active = False
         self.missing = []
-
-    def install(self, targets=TARGETS):
-        """Wrap every target; a name the library no longer has is recorded
-        in self.missing instead of failing the run."""
+        self.counts = {key: 0 for key, _ in counters.values()}
+        self.bindings = []  # (module, attribute, original, wrapper)
         for qual, info in targets.items():
-            modname, func = qual.split(".")
-            try:
-                module = importlib.import_module("pcgroups." + modname)
-            except ImportError:
-                self.missing.append(qual)
+            self._bind(qual, lambda original, q=qual, i=info: self._wrap(q, original, i))
+        for qual, (key, kind) in counters.items():
+            self._bind(qual, lambda original, k=key, c=kind: self._count(k, c, original))
+
+    def _bind(self, qual, make_wrapper):
+        modname, func = qual.split(".")
+        try:
+            module = importlib.import_module("pcgroups." + modname)
+        except ImportError:
+            self.missing.append(qual)
+            return
+        original = getattr(module, func, None)
+        if not callable(original):
+            self.missing.append(qual)
+            return
+        wrapper = make_wrapper(original)
+        for mod in list(sys.modules.values()):
+            name = getattr(mod, "__name__", "")
+            if name != "pcgroups" and not name.startswith("pcgroups."):
                 continue
-            original = getattr(module, func, None)
-            if not callable(original):
-                self.missing.append(qual)
-                continue
-            wrapper = self._wrap(qual, original, info)
-            for mod in list(sys.modules.values()):
-                name = getattr(mod, "__name__", "")
-                if name != "pcgroups" and not name.startswith("pcgroups."):
-                    continue
-                for attr, value in list(vars(mod).items()):
-                    if value is original:
-                        setattr(mod, attr, wrapper)
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    self.bindings.append((mod, attr, original, wrapper))
+
+    def install(self):
+        for mod, attr, _, wrapper in self.bindings:
+            setattr(mod, attr, wrapper)
+
+    def uninstall(self):
+        for mod, attr, original, _ in self.bindings:
+            setattr(mod, attr, original)
+
+    def reset(self):
+        """Forget the spans and counts recorded so far."""
+        self.spans.clear()
+        for key in self.counts:
+            self.counts[key] = 0
+
+    def _count(self, key, kind, original):
+        counts = self.counts
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            if not self.active:
+                return result
+            if kind == "yields":
+                return _count_yields(counts, key, result)
+            if kind == "levels":
+                counts[key] += sum(len(level) for level in result)
+            else:
+                counts[key] += len(args[1])
+            return result
+
+        counted.__wrapped__ = original
+        return counted
 
     def _wrap(self, qual, original, info):
         spans, stack = self.spans, self.stack
@@ -137,7 +196,7 @@ class Tracer:
                 covered[parent] += end - start
         out = {qual: {"calls": 0, "busy_ms": 0.0, "self_ms": 0.0,
                       "info": [], "durations_ms": []}
-               for qual in TARGETS if qual not in self.missing}
+               for qual in self.targets if qual not in self.missing}
         for i, (name, start, end, parent, _, info) in enumerate(spans):
             rec = out[name]
             dur = end - start
