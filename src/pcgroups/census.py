@@ -31,16 +31,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+from .cosets import maln_support, oriented_symbol
 from .errors import BadAlphabet, BadParameter, BadSeed, BudgetExceeded, NonIntegralFormula
 from .graphs import cycle_with_chord
 from .words import (
     Word,
-    canon_letters,
-    invert_letters,
     is_cyclically_minimal_letters,
-    left_divisor_letters,
-    word_key,
-    _letter_key,
+    lexmin_letters,
+    split_letters,
 )
 
 ENUMERATED = "ENUMERATED"
@@ -67,12 +65,9 @@ def _chord_graph(n):
 
 @lru_cache(maxsize=32)
 def _h_adj(n):
-    """1-based cycle adjacency for generators a1..a_{n-1}."""
-    m = n - 1
-    adj = [frozenset()] * (m + 1)
-    for i in range(1, m + 1):
-        adj[i] = frozenset(((i % m) + 1, ((i - 2) % m) + 1))
-    return tuple(adj)
+    """1-based cycle adjacency for generators a1..a_{n-1}: the chorded
+    cycle without t."""
+    return _chord_graph(n).induced([f"a{i}" for i in range(1, n)])._adj_idx
 
 
 def _wrap(n, i):
@@ -194,62 +189,6 @@ def _iter_square_forms(dmax):
     return levels
 
 
-def _has_left_u_divisor(n, adj, w):
-    u_gens = (1, n - 1)
-    return any(abs(y) in u_gens for y in left_divisor_letters(adj, w))
-
-
-def _h_thick(n, w):
-    """Membership of a minimal form in U union Maln(U) over the cycle.
-
-    U is generated by the chord ends a1 and a_{n-1}; by the support
-    criterion, w outside U qualifies iff its support leaves both a2 and
-    a_{n-2} behind as the only neighbours in play.
-    """
-    m = n - 1
-    supp = {abs(x) for x in w}
-    if supp <= {1, m}:
-        return True
-    outside = supp - {1, m}
-    return any(x != 2 for x in outside) and any(x != m - 1 for x in outside)
-
-
-def _h_symbol(n, adj, w):
-    """Signed double-coset symbol of a minimal form, U the chord parabolic."""
-    u_gens = (1, n - 1)
-    cur = tuple(w)
-    while True:
-        cands = sorted((y for y in left_divisor_letters(adj, cur)
-                        if abs(y) in u_gens), key=_letter_key)
-        if not cands:
-            break
-        cur = _strip_first(adj, cur, cands[0])
-    while True:
-        inv = invert_letters(cur)
-        cands = sorted((-y for y in left_divisor_letters(adj, inv)
-                        if abs(y) in u_gens), key=_letter_key)
-        if not cands:
-            break
-        cur = invert_letters(_strip_first(adj, inv, -cands[0]))
-    core = canon_letters(adj, cur)
-    if not core:
-        return SYM_ID
-    inv = canon_letters(adj, invert_letters(core))
-    if word_key(core) <= word_key(inv):
-        return (core, 1)
-    return (inv, -1)
-
-
-def _strip_first(adj, w, y):
-    for p in range(len(w)):
-        if w[p] == y:
-            ax = abs(y)
-            nbrs = adj[ax]
-            if all(abs(w[q]) != ax and abs(w[q]) in nbrs for q in range(p)):
-                return w[:p] + w[p + 1:]
-    raise ValueError
-
-
 class HData:
     """Enumerated slot data for one (n, dmax).
 
@@ -285,21 +224,24 @@ class _SlotData:
     """Per-d slot populations with symbols and thickness flags."""
 
     def __init__(self, hdata, d):
-        n, adj = hdata.n, hdata.adj
-        m = n - 1
+        adj = hdata.adj
+        u_idx = frozenset((1, hdata.n - 1))  # U: the chord ends a1, a_{n-1}
         self.first_list, self.first_sym, self.first_thick = [], [], []
         self.mid_list, self.mid_sym, self.mid_thick = [], [], []
         self.u_count = 0
         self.cyc_min_count = 0
         for w in hdata.forms(d):
-            sym = _h_symbol(n, adj, w)
-            thick = _h_thick(n, w)
+            left, core, _ = split_letters(adj, w, u_idx)
+            sym = oriented_symbol(adj, lexmin_letters(adj, core))
+            supp = {abs(x) for x in w}
+            in_u = supp <= u_idx
+            thick = in_u or maln_support(adj, supp, u_idx)
             self.first_list.append(w)
             self.first_sym.append(sym)
             self.first_thick.append(thick)
-            if {abs(x) for x in w} <= {1, m}:
+            if in_u:
                 self.u_count += 1
-            if not _has_left_u_divisor(n, adj, w):
+            if not left:
                 self.mid_list.append(w)
                 self.mid_sym.append(sym)
                 self.mid_thick.append(thick)

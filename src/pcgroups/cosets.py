@@ -16,15 +16,12 @@ from .words import (
     NormalForm,
     Word,
     as_word,
-    canon_letters,
-    left_divisor_letters,
+    invert_letters,
     lexmin_letters,
     reduce_letters,
-    right_divisor_letters,
-    strip_back_letter,
-    strip_front_letter,
+    split_letters,
     support,
-    _letter_key,
+    word_key,
 )
 
 
@@ -57,46 +54,26 @@ def parabolic_member(ctx: ParabolicContext, w) -> bool:
     return support(ctx.graph, as_word(ctx.graph, w)) <= set(ctx.subset)
 
 
-def _strip_side(adj, letters, yidx, *, front):
-    """Greedily strip single parabolic letters from one side.
-
-    Returns (stripped_letter_list, remainder).  Ties are broken by the
-    letter order, which makes the factorisation deterministic.
-    """
-    stripped = []
-    cur = letters
-    while True:
-        if front:
-            divisors = left_divisor_letters(adj, cur)
-        else:
-            divisors = right_divisor_letters(adj, cur)
-        cands = sorted((y for y in divisors if abs(y) in yidx), key=_letter_key)
-        if not cands:
-            return stripped, cur
-        y = cands[0]
-        if front:
-            cur = strip_front_letter(adj, cur, y)
-            stripped.append(y)
-        else:
-            cur = strip_back_letter(adj, cur, y)
-            stripped.insert(0, y)
-
-
 def strip_divisors(ctx: ParabolicContext, w) -> DoubleCosetRep:
     """Factor w = left . core . right with left, right in the parabolic and
     core without parabolic divisors on either side.  Left-greedy: the
     maximal left divisor is taken first."""
     g = ctx.graph
     adj = g._adj_idx
-    letters = canon_letters(adj, as_word(g, w).idx)
-    yidx = ctx.subset_idx
-    left, rest = _strip_side(adj, letters, yidx, front=True)
-    right, core = _strip_side(adj, rest, yidx, front=False)
-    return DoubleCosetRep(
-        left=NormalForm(Word(g, canon_letters(adj, tuple(left)))),
-        core=NormalForm(Word(g, lexmin_letters(adj, core))),
-        right=NormalForm(Word(g, canon_letters(adj, tuple(right)))),
-    )
+    parts = split_letters(adj, reduce_letters(adj, as_word(g, w).idx),
+                          ctx.subset_idx)
+    left, core, right = (NormalForm(Word(g, lexmin_letters(adj, p)))
+                         for p in parts)
+    return DoubleCosetRep(left=left, core=core, right=right)
+
+
+def oriented_symbol(adj, core):
+    """Positively oriented double-coset symbol of a canonical core:
+    (core, 1) or (canonical core^{-1}, -1), whichever is lex-smaller."""
+    inv = lexmin_letters(adj, invert_letters(core))
+    if word_key(core) <= word_key(inv):
+        return (core, 1)
+    return (inv, -1)
 
 
 def double_coset_rep(ctx: ParabolicContext, w) -> NormalForm:
@@ -104,26 +81,27 @@ def double_coset_rep(ctx: ParabolicContext, w) -> NormalForm:
     return strip_divisors(ctx, w).core
 
 
+def maln_support(adj, supp, bidx) -> bool:
+    """Support criterion for Maln(<B>), B a nonempty clique given by its
+    generator indices bidx: an element with support supp (generator
+    indices) lies in Maln(<B>) iff supp is not inside B and for every b
+    in B some generator of supp outside B fails to commute with b."""
+    outside = supp - bidx
+    return bool(outside) and not any(outside <= adj[b] for b in bidx)
+
+
 def in_maln(g: CommutationGraph, B, w) -> bool:
     """Membership of w in Maln(<B>) = {x : x^{-1}<B>x meets <B> trivially}.
 
-    Requires B to be a nonempty clique; then w (not itself in <B>) is
-    malnormal-positioned iff for every b in B some generator in
-    supp(w) \\ B fails to commute with b.  Elements of <B> are excluded by
-    the definition.
+    Requires B to be a nonempty clique; then the support criterion of
+    maln_support decides.  Elements of <B> are excluded by the
+    definition.
     """
     B = set(B)
     if not B:
         raise NotAClique("B must be nonempty")
     if not is_clique(g, B):
         raise NotAClique(f"{sorted(B)} is not a clique")
-    red = reduce_letters(g._adj_idx, as_word(g, w).idx)
-    supp = {g.name(abs(x)) for x in red}
-    if supp <= B:
-        return False
-    outside = supp - B
-    for b in B:
-        nbrs = g.neighbours(b)
-        if not any(x not in nbrs for x in outside):
-            return False
-    return True
+    adj = g._adj_idx
+    supp = {abs(x) for x in reduce_letters(adj, as_word(g, w).idx)}
+    return maln_support(adj, supp, frozenset(g.index(b) for b in B))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cosets import double_coset_rep, in_maln, parabolic
+from .cosets import in_maln, oriented_symbol
 from .errors import LinkNotClique, NoSplitFound
 from .graphs import CommutationGraph, is_clique
 from .words import (
@@ -20,8 +20,8 @@ from .words import (
     as_word,
     canon_letters,
     format_word,
-    invert_letters,
-    word_key,
+    lexmin_letters,
+    split_letters,
 )
 
 
@@ -69,36 +69,21 @@ def _chunk_in_u(chunk, u_idx) -> bool:
 def hnn_factorize(g: CommutationGraph, t, w) -> HnnWord:
     """Reduced factorisation of the element of w with respect to t.
 
-    The word is canonicalised first; a geodesic admits no pinch
-    t^e u t^{-e} with u in U, since such a pinch would shorten it.  A
-    defensive Britton pass (leftmost pinch first) guards factorisations
-    assembled by other routes.
+    The chunks are the t-free factors of the canonical form, so each is
+    canonical.  A geodesic admits no pinch t^e u t^{-e} with u in U,
+    since such a pinch would shorten it, so the factorisation is
+    reduced.
     """
     t_idx = g.index(t)
-    adj = g._adj_idx
-    letters = canon_letters(adj, as_word(g, w).idx)
     chunks = [[]]
     exps = []
-    for x in letters:
+    for x in canon_letters(g._adj_idx, as_word(g, w).idx):
         if abs(x) == t_idx:
             exps.append(1 if x > 0 else -1)
             chunks.append([])
         else:
             chunks[-1].append(x)
-    chunks = [canon_letters(adj, tuple(c)) for c in chunks]
-    u_idx = _u_indices(g, t)
-    changed = True
-    while changed and len(exps) >= 2:
-        changed = False
-        for i in range(1, len(exps)):
-            if exps[i] == -exps[i - 1] and _chunk_in_u(chunks[i], u_idx):
-                merged = canon_letters(
-                    adj, chunks[i - 1] + chunks[i] + chunks[i + 1])
-                chunks[i - 1:i + 2] = [merged]
-                del exps[i - 1:i + 1]
-                changed = True
-                break
-    return HnnWord(g, t, tuple(chunks), tuple(exps))
+    return HnnWord(g, t, tuple(map(tuple, chunks)), tuple(exps))
 
 
 def t_length(h: HnnWord) -> int:
@@ -150,20 +135,18 @@ class SigmaWord:
 
 
 def coset_symbol(g: CommutationGraph, t, chunk):
-    """Signed double-coset symbol of an H-chunk, or None for chunks in U.
+    """Signed double-coset symbol of a canonical H-chunk, or None for
+    chunks in U.
 
     The positive orientation of each symbol is the lex-smaller of the
     representative and its inverse, so symbols are identified up to the
     D+/D- pairing.
     """
-    ctx = parabolic(g, g.neighbours(t))
-    core = double_coset_rep(ctx, Word(g, tuple(chunk))).idx
+    adj = g._adj_idx
+    _, core, _ = split_letters(adj, chunk, _u_indices(g, t))
     if not core:
         return None
-    inv = canon_letters(g._adj_idx, invert_letters(core))
-    if word_key(core) <= word_key(inv):
-        return (core, 1)
-    return (inv, -1)
+    return oriented_symbol(adj, lexmin_letters(adj, core))
 
 
 def _free_reduce_units(units):

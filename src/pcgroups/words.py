@@ -5,20 +5,29 @@ CommutationGraph.  Internally letters are nonzero ints: generator i
 (1-based, in declaration order) is +i, its inverse is -i.
 
 Canonical form: the lexicographically least geodesic under the letter
-order (generator index, then sign with + before -).  It is computed by
-repeatedly deleting cancellable pairs x...x^{-1} whose intermediate
-letters all commute with x (leftmost pair first; termination by length),
-then greedily linearising the dependence order of the remaining letters.
-All geodesics of one element differ only by commutations, so the result
-is a class invariant.
+order (generator index, then sign with + before -).  One letter engine
+computes it and serves every layer above:
+
+* reduce_letters: one left-to-right pass; each letter cancels the last
+  kept letter it does not commute with when that letter is its inverse
+  (Wrathall 1988), which leaves a geodesic;
+* lexmin_letters: the dependence order of a geodesic, linearised by
+  popping the least ready letter from a heap (Anisimov-Knuth 1979);
+* split_letters: one pass per side peels the maximal left and right
+  divisors over a vertex subset (the parabolic double-coset split).
+
+All geodesics of one element differ only by commutations, so the
+canonical form is a class invariant.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import (
+    BudgetExceeded,
     NotCyclicallyMinimal,
     UnknownGenerator,
     WordSyntaxError,
@@ -27,6 +36,10 @@ from .errors import (
 from .graphs import CommutationGraph, complement_components
 
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
+
+# Most letters parse_word expands one word into; `name^k` counts |k|.
+# A longer word raises BudgetExceeded before its letters are built.
+MAX_WORD_LETTERS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -46,72 +59,60 @@ def invert_letters(w):
 
 
 def reduce_letters(adj, w):
-    """Delete cancellable pairs until the word is a minimal form.
+    """Minimal form of w in one left-to-right pass.
 
-    adj is the 1-based index adjacency of the graph.  A pair (i, j) is
-    cancellable when w[j] == -w[i] and every letter strictly between
-    commutes with w[i] (same generator counts as commuting).  By the
-    cancellation property of pc groups, a word with no such pair is
-    geodesic.
+    adj is the 1-based index adjacency of the graph.  Each letter x looks
+    back to the last kept letter it does not commute with (a letter of
+    the same generator counts as not commuting): if that letter is
+    x^{-1} the two cancel, otherwise x is kept.  By the cancellation
+    property of pc groups the kept word stays geodesic at every step.
     """
-    w = list(w)
-    found = True
-    while found:
-        found = False
-        for i in range(len(w)):
-            x = w[i]
-            ax = abs(x)
-            nbrs = adj[ax]
-            for j in range(i + 1, len(w)):
-                y = w[j]
-                if y == -x:
-                    del w[j]
-                    del w[i]
-                    found = True
-                    break
-                ay = abs(y)
-                if ay != ax and ay not in nbrs:
-                    break
-            if found:
-                break
-    return tuple(w)
+    out = []
+    for x in w:
+        nbrs = adj[abs(x)]
+        j = len(out) - 1
+        while j >= 0 and abs(out[j]) in nbrs:
+            j -= 1
+        if j >= 0 and out[j] == -x:
+            del out[j]
+        else:
+            out.append(x)
+    return tuple(out)
 
 
 def lexmin_letters(adj, w):
     """Lex-least commutation-equivalent word of a minimal form w.
 
-    Positions p < q are dependent when their letters share a generator or
-    the generators do not commute; dependent pairs keep their order.  The
-    greedy smallest-available-letter linearisation of this partial order
-    is the lexicographic minimum over the class.
+    Each position depends on the last earlier occurrence of every
+    generator that equals its own or does not commute with it; dependent
+    positions keep their order.  Popping the least ready letter from a
+    heap keyed by (generator, sign) linearises this partial order
+    greedily, which gives the lexicographic minimum over the class.
+    Equal letters are dependent, so no two ready letters tie.
     """
     m = len(w)
     if m <= 1:
         return tuple(w)
-    rem = list(range(m))
+    last = {}  # generator -> its last position so far
+    succ = [[] for _ in range(m)]
+    npred = [0] * m
+    for q, x in enumerate(w):
+        nbrs = adj[abs(x)]
+        for gen, p in last.items():
+            if gen not in nbrs:
+                succ[p].append(q)
+                npred[q] += 1
+        last[abs(x)] = q
+    heap = [(abs(w[q]), w[q] < 0, q) for q in range(m) if not npred[q]]
+    heapify(heap)
     out = []
-    while rem:
-        best = None
-        best_key = None
-        for p in rem:
-            x = w[p]
-            ax = abs(x)
-            nbrs = adj[ax]
-            blocked = False
-            for q in rem:
-                if q >= p:
-                    break
-                ay = abs(w[q])
-                if ay == ax or ay not in nbrs:
-                    blocked = True
-                    break
-            if not blocked:
-                k = (ax, x < 0)
-                if best is None or k < best_key:
-                    best = p
-                    best_key = k
-        rem.remove(best)
-        out.append(w[best])
+    while heap:
+        p = heappop(heap)[2]
+        out.append(w[p])
+        for q in succ[p]:
+            npred[q] -= 1
+            if not npred[q]:
+                heappush(heap, (abs(w[q]), w[q] < 0, q))
     return tuple(out)
 
 
@@ -119,21 +120,41 @@ def canon_letters(adj, w):
     return lexmin_letters(adj, reduce_letters(adj, w))
 
 
+def _peel(adj, w, yidx):
+    """(side, kept): a letter over yidx joins the side when every letter
+    kept before it commutes with it."""
+    side, kept, kept_gens = [], [], set()
+    for x in w:
+        if abs(x) in yidx and kept_gens <= adj[abs(x)]:
+            side.append(x)
+        else:
+            kept.append(x)
+            kept_gens.add(abs(x))
+    return side, kept
+
+
+def split_letters(adj, w, yidx):
+    """Split a minimal form w as left . core . right, length-additively.
+
+    left is the maximal left divisor of w over the generators yidx, and
+    right the maximal right divisor over yidx of what remains, so core
+    has no left or right divisor over yidx.  The three parts are
+    subsequences of w, geodesic but not linearised.
+    """
+    left, rest = _peel(adj, w, yidx)
+    right, core = _peel(adj, reversed(rest), yidx)
+    return tuple(left), tuple(reversed(core)), tuple(reversed(right))
+
+
 def left_divisor_letters(adj, w):
-    """Single letters x with w = x . w' length-additively (w minimal)."""
+    """Single letters x with w = x . w' length-additively (w minimal):
+    the letters that commute with every letter before them."""
     out = set()
-    for p in range(len(w)):
-        x = w[p]
-        ax = abs(x)
-        nbrs = adj[ax]
-        ok = True
-        for q in range(p):
-            ay = abs(w[q])
-            if ay == ax or ay not in nbrs:
-                ok = False
-                break
-        if ok:
+    seen = set()
+    for x in w:
+        if seen <= adj[abs(x)]:
             out.add(x)
+        seen.add(abs(x))
     return out
 
 
@@ -184,7 +205,7 @@ def cyclic_core_letters(adj, w):
     return u, v
 
 
-def conjugacy_class_closure(adj, core, limit=None):
+def conjugacy_class_closure(adj, core):
     """All canonical forms related to the cyclically minimal `core` by
     chains of rotations g = y . v -> v . y.  Single-letter rotations
     generate every split because u can be peeled one letter at a time."""
@@ -198,8 +219,6 @@ def conjugacy_class_closure(adj, core, limit=None):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-                if limit is not None and len(seen) > limit:
-                    raise RuntimeError("conjugacy closure exceeded limit")
     return seen
 
 
@@ -277,7 +296,9 @@ def as_word(g: CommutationGraph, w) -> Word:
 def parse_word(text: str, g: CommutationGraph) -> Word:
     """Parse whitespace-separated tokens `name` or `name^k` (k nonzero).
 
-    The bare token `1` denotes the identity and must appear alone.
+    The bare token `1` denotes the identity and must appear alone.  A
+    word of more than MAX_WORD_LETTERS letters after expansion raises
+    BudgetExceeded.
     """
     tokens = text.split()
     if tokens == ["1"]:
@@ -297,6 +318,9 @@ def parse_word(text: str, g: CommutationGraph) -> Word:
             raise ZeroExponent(f"zero exponent in {tok!r}")
         i = g.index(name)
         letter = i if k > 0 else -i
+        if len(idx) + abs(k) > MAX_WORD_LETTERS:
+            raise BudgetExceeded(
+                f"word longer than {MAX_WORD_LETTERS} letters")
         idx.extend([letter] * abs(k))
     return Word(g, tuple(idx))
 

@@ -95,6 +95,21 @@ def all_words(n_gens, length):
     return product(letters, repeat=length)
 
 
+def random_graph(rng, max_vertices=12):
+    """Seeded random graph on 2..max_vertices vertices v0, v1, ... with an
+    edge density drawn from 0.2, 0.5 and 0.8."""
+    n = rng.randrange(2, max_vertices + 1)
+    names = [f"v{i}" for i in range(n)]
+    p = rng.choice((0.2, 0.5, 0.8))
+    return build_graph(names, [(names[i], names[j]) for i in range(n)
+                               for j in range(i + 1, n) if rng.random() < p])
+
+
+def random_letters(rng, n_gens, length):
+    return tuple(rng.randrange(1, n_gens + 1) * rng.choice((1, -1))
+                 for _ in range(length))
+
+
 def conjugacy_partition(graph, max_len):
     """Partition the ball of radius max_len into conjugacy classes by BFS
     over single-generator conjugations, never leaving the ball.

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pcgroups.cli import run
+from pcgroups.words import MAX_WORD_LETTERS
 
 C5P_TEXT = """vertices t a1 a2 a3 a4
 edge t a1
@@ -103,6 +104,12 @@ def test_domain_error_exit_code(c5p, capsys):
     assert "error:" in capsys.readouterr().err
     assert run(["check", "--graph", c5p, "--word", "a2 t a2^-1",
                 "--n", "3"]) == 1
+
+
+def test_word_budget_exit_code(ab, capsys):
+    assert run(["normalize", "--graph", ab,
+                "--word", f"a^{MAX_WORD_LETTERS + 1}"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

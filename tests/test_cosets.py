@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pcgroups.cosets import (
@@ -11,12 +13,14 @@ from pcgroups.errors import NotAClique
 from pcgroups.graphs import build_graph, cycle_with_chord
 from pcgroups.words import (
     equal,
+    left_divisor_letters,
     minimal_form,
+    right_divisor_letters,
     support,
     word_from_idx,
 )
 
-from oracles import all_words
+from oracles import all_words, random_graph, random_letters
 
 C5P = cycle_with_chord(5)
 U_CTX = parabolic(C5P, {"a1", "a4"})
@@ -119,3 +123,25 @@ def test_double_coset_invariance_small():
             for v in u_ball[:9]:
                 other = word_from_idx(C5P, u + w + v)
                 assert double_coset_rep(U_CTX, other).idx == d.idx
+
+
+def test_strip_divisors_invariants_on_random_graphs():
+    rng = random.Random(61)
+    for _ in range(400):
+        g = random_graph(rng)
+        Y = set(rng.sample(g.vertices, rng.randrange(0, len(g) + 1)))
+        yidx = {g.index(v) for v in Y}
+        w = random_letters(rng, len(g), rng.randrange(0, 61))
+        word = word_from_idx(g, w)
+        rep = strip_divisors(parabolic(g, Y), word)
+        assert support(g, rep.left.word) <= Y
+        assert support(g, rep.right.word) <= Y
+        core = rep.core.idx
+        assert not any(abs(x) in yidx
+                       for x in left_divisor_letters(g._adj_idx, core))
+        assert not any(abs(x) in yidx
+                       for x in right_divisor_letters(g._adj_idx, core))
+        assert (len(rep.left) + len(rep.core) + len(rep.right)
+                == len(minimal_form(g, word)))
+        product = word_from_idx(g, rep.left.idx + core + rep.right.idx)
+        assert equal(g, word, product)

@@ -15,9 +15,15 @@ from pcgroups.hnn import (
     t_length,
     unique_position_factorization,
 )
-from pcgroups.words import equal, minimal_form, parse_word, word_from_idx
+from pcgroups.words import (
+    canon_letters,
+    equal,
+    minimal_form,
+    parse_word,
+    word_from_idx,
+)
 
-from oracles import all_words
+from oracles import all_words, random_graph, random_letters
 
 C5P = cycle_with_chord(5)
 
@@ -41,6 +47,26 @@ def test_factorize_single_t():
 def test_factorize_irreducible():
     h = fact("t a2 t^-1")
     assert t_length(h) == 2
+
+
+def test_factorize_invariants_on_random_graphs():
+    # chunks are canonical and the factorisation is reduced: no inner
+    # chunk between opposite t-exponents lies in U = <lk(t)>
+    rng = random.Random(62)
+    for _ in range(400):
+        g = random_graph(rng)
+        t = rng.choice(g.vertices)
+        u_idx = {g.index(v) for v in g.neighbours(t)}
+        w = random_letters(rng, len(g), rng.randrange(0, 61))
+        h = hnn_factorize(g, t, word_from_idx(g, w))
+        assert len(h.chunks) == len(h.exps) + 1
+        for chunk in h.chunks:
+            assert canon_letters(g._adj_idx, chunk) == chunk
+            assert g.index(t) not in {abs(x) for x in chunk}
+        for i in range(1, len(h.exps)):
+            if h.exps[i] == -h.exps[i - 1]:
+                assert not all(abs(x) in u_idx for x in h.chunks[i])
+        assert equal(g, h.to_word(), word_from_idx(g, w))
 
 
 def test_t_length_examples():

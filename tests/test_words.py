@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcgroups.errors import (
+    BudgetExceeded,
     NotCyclicallyMinimal,
     UnknownGenerator,
     WordSyntaxError,
@@ -13,6 +14,7 @@ from pcgroups.errors import (
 )
 from pcgroups.graphs import build_graph, cycle_with_chord
 from pcgroups.words import (
+    MAX_WORD_LETTERS,
     block_decomposition,
     canon_letters,
     conjugate_test,
@@ -26,7 +28,13 @@ from pcgroups.words import (
     word_from_idx,
 )
 
-from oracles import all_words, catalog, closure_canonical
+from oracles import (
+    all_words,
+    catalog,
+    closure_canonical,
+    random_graph,
+    random_letters,
+)
 
 FREE2 = build_graph(["a", "b"], [])
 AB = build_graph(["a", "b"], [("a", "b")])
@@ -51,6 +59,17 @@ def test_parse_errors():
         parse_word("a 1", FREE2)
     with pytest.raises(WordSyntaxError):
         parse_word("a^", FREE2)
+
+
+def test_parse_word_letter_budget():
+    # budget + 1 letters in one token, then two tokens that only
+    # together pass the budget; a broken check builds about 10^6 letters
+    with pytest.raises(BudgetExceeded):
+        parse_word(f"a^{MAX_WORD_LETTERS + 1}", FREE2)
+    half = MAX_WORD_LETTERS // 2 + 1
+    with pytest.raises(BudgetExceeded):
+        parse_word(f"a^{half} b^-{half}", FREE2)
+    assert len(parse_word(f"a^{MAX_WORD_LETTERS}", FREE2)) == MAX_WORD_LETTERS
 
 
 def test_format_groups_runs():
@@ -264,3 +283,59 @@ def test_block_decomposition_product_and_supports():
         for s1, s2 in itertools.combinations(supports, 2):
             assert not (s1 & s2)
             assert all(g.adjacent(u, v) for u in s1 for v in s2)
+
+
+# ---------------------------------------------------------------------------
+# long words: the engine against closed-form answers and invariances
+
+
+def test_long_words_free_group_is_free_reduction():
+    rng = random.Random(41)
+    for n in (1, 2, 3, 5):
+        g = build_graph([f"x{i}" for i in range(n)], [])
+        for length in (50, 100, 200, 400):
+            w = random_letters(rng, n, length)
+            stack = []
+            for x in w:
+                if stack and stack[-1] == -x:
+                    stack.pop()
+                else:
+                    stack.append(x)
+            assert minimal_form(g, word_from_idx(g, w)).idx == tuple(stack)
+
+
+def test_long_words_free_abelian_is_exponent_sum_form():
+    rng = random.Random(42)
+    for n in (1, 3, 6):
+        names = [f"x{i}" for i in range(n)]
+        g = build_graph(names, list(itertools.combinations(names, 2)))
+        for length in (50, 100, 200, 400):
+            w = random_letters(rng, n, length)
+            expected = []
+            for i in range(1, n + 1):
+                e = sum(1 if x == i else -1 for x in w if abs(x) == i)
+                expected.extend([i if e > 0 else -i] * abs(e))
+            assert minimal_form(g, word_from_idx(g, w)).idx == tuple(expected)
+
+
+def test_long_words_invariant_under_swaps_and_inserted_pairs():
+    rng = random.Random(43)
+    for _ in range(12):
+        g = random_graph(rng)
+        adj = g._adj_idx
+        for length in (25, 100, 400):
+            w = random_letters(rng, len(g), length)
+            nf = minimal_form(g, word_from_idx(g, w))
+            moved = list(w)
+            for _ in range(length):
+                i = rng.randrange(len(moved) - 1)
+                if abs(moved[i + 1]) in adj[abs(moved[i])]:
+                    moved[i], moved[i + 1] = moved[i + 1], moved[i]
+            for _ in range(length // 10):
+                x = random_letters(rng, len(g), 1)[0]
+                i = rng.randrange(len(moved) + 1)
+                moved[i:i] = [x, -x]
+            assert minimal_form(g, word_from_idx(g, moved)).idx == nf.idx
+            assert minimal_form(g, nf.word).idx == nf.idx
+            inverse = tuple(-x for x in reversed(w))
+            assert minimal_form(g, word_from_idx(g, w + inverse)).idx == ()
