@@ -26,16 +26,26 @@ import io
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from .cosets import maln_support, oriented_symbol
-from .errors import BadAlphabet, BadParameter, BadSeed, BudgetExceeded, NonIntegralFormula
+from .errors import (
+    BadAlphabet,
+    BadParameter,
+    BadSeed,
+    BudgetExceeded,
+    NonIntegralFormula,
+    WordSyntaxError,
+)
 from .graphs import cycle_with_chord
 from .words import (
+    MAX_WORD_LETTERS,
     Word,
+    bounded_int,
     is_cyclically_minimal_letters,
     lexmin_letters,
     split_letters,
@@ -74,20 +84,33 @@ def _wrap(n, i):
     return (i - 1) % (n - 1) + 1
 
 
+_H_TOKEN_RE = re.compile(r"a([0-9]+)(?:\^([+-]?[0-9]+))?\Z")
+
+
 def parse_h_word(n, text):
-    """Parse `a2 a1^-3 ...` over the cycle generators into signed ints."""
+    """Parse `a2 a1^-3 ...` over the cycle generators into signed ints.
+
+    Same letter budget as words.parse_word: a word of more than
+    MAX_WORD_LETTERS letters after expansion raises BudgetExceeded before
+    the token that crosses it is expanded.
+    """
     _check_n(n)
     out = []
     for tok in text.split():
         if tok == "1":
             continue
-        name, _, exp = tok.partition("^")
-        k = int(exp) if exp else 1
+        name = tok.partition("^")[0]
         if not name.startswith("a"):
             raise BadAlphabet(f"bad generator {name!r}")
-        i = int(name[1:])
-        if not 1 <= i <= n - 1:
-            raise BadAlphabet(f"generator {name!r} out of range for n={n}")
+        m = _H_TOKEN_RE.match(tok)
+        if not m:
+            raise WordSyntaxError(f"bad token {tok[:40]!r}")
+        i = bounded_int(m.group(1), n)
+        if i is None or not 1 <= i <= n - 1:
+            raise BadAlphabet(f"generator {name[:40]!r} out of range for n={n}")
+        k = 1 if m.group(2) is None else bounded_int(m.group(2), MAX_WORD_LETTERS)
+        if k is None or len(out) + abs(k) > MAX_WORD_LETTERS:
+            raise BudgetExceeded(f"word longer than {MAX_WORD_LETTERS} letters")
         out.extend([i if k > 0 else -i] * abs(k))
     return tuple(out)
 
@@ -471,14 +494,55 @@ def _alpha_vectors(l, r):
             yield tuple(x * s for x, s in zip(p, signs))
 
 
-def _divisor_periods(alpha):
-    """Proper divisors p of len(alpha) on which alpha is p-periodic."""
-    r = len(alpha)
-    out = []
-    for p in range(1, r):
-        if r % p == 0 and all(alpha[i] == alpha[i % p] for i in range(r)):
-            out.append(p)
-    return out
+def _composition_count(total, parts):
+    """Number of ordered compositions of `total` into `parts` positive
+    parts (the empty composition of 0 counts once)."""
+    if parts and total:
+        return math.comb(total - 1, parts - 1)
+    return int(total == parts)
+
+
+def _vector_count(l, r):
+    """Signed exponent vectors of t-length l with r blocks."""
+    return _composition_count(l, r) << r
+
+
+def _balanced_count(l, r):
+    """Signed exponent vectors of t-length l with r blocks whose sum is
+    -1, 0 or 1: j negative blocks summing to s, the rest to l - s."""
+    return sum(math.comb(r, j) * _composition_count(s, j)
+               * _composition_count(l - s, r - j)
+               for s in {l // 2, (l + 1) // 2} for j in range(r + 1))
+
+
+def _mobius(m):
+    """The Mobius function of m >= 1, by trial division."""
+    sign, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
+def _unrank_alpha(l, r, index):
+    """The vector at `index` in the order _alpha_vectors(l, r) yields:
+    compositions head first, then signs in product((1, -1)) order."""
+    index, sign_index = divmod(index, 1 << r)
+    parts, rest = [], l
+    for left in range(r, 1, -1):
+        head = 1
+        while index >= (c := _composition_count(rest - head, left - 1)):
+            index -= c
+            head += 1
+        parts.append(head)
+        rest -= head
+    parts.append(rest)
+    return tuple(-x if sign_index >> (r - 1 - i) & 1 else x
+                 for i, x in enumerate(parts))
 
 
 def _pattern_period_count(first, mid, p, q):
@@ -489,48 +553,36 @@ def _pattern_period_count(first, mid, p, q):
     return m1 * m2 ** (p - 1)
 
 
-def _formal_power_count(alpha, first, mid):
-    """Tuples whose formal sigma pattern is a proper power, for one
-    exponent vector.
-
-    Pattern = the cyclic sequence of (slot symbol, exponent) pairs; it is
-    a proper power iff it has a period on a proper divisor.  All-trivial
-    symbol patterns collapse to a pure t-power, which is a proper power
-    iff the total exponent has absolute value at least 2.
-    """
-    r = len(alpha)
-    trivial = first.get(SYM_ID, 0) * mid.get(SYM_ID, 0) ** (r - 1)
-    periods = _divisor_periods(alpha)
-    if periods:
-        maximal = [p for p in periods
-                   if not any(p != q and q % p == 0 for q in periods)]
-        count = 0
-        for mask in range(1, 1 << len(maximal)):
-            chosen = [maximal[i] for i in range(len(maximal)) if mask >> i & 1]
-            g = chosen[0]
-            for p in chosen[1:]:
-                g = math.gcd(g, p)
-            sign = -1 if bin(mask).count("1") % 2 == 0 else 1
-            count += sign * _pattern_period_count(first, mid, g, r // g)
-    else:
-        count = 0
-    pure_t_power = abs(sum(alpha)) >= 2
-    count += (int(pure_t_power) - int(bool(periods))) * trivial
-    return count
-
-
 def _composed_engine(first, mid, k):
     """Total and proper-power tallies over all type (ii) tuples with the
-    given slot populations, t-length budget k."""
-    tot_f = sum(first.values())
-    tot_m = sum(mid.values())
+    given slot populations, t-length budget k.
+
+    A tuple is a (symbol, exponent) pattern of r blocks; it is a proper
+    power iff the pattern is not primitive.  Per (l, r) block, J(q)
+    counts the patterns with period q | r: q-periodic exponent vectors
+    (those of t-length l*q/r with q blocks, when r/q divides l) times
+    q-periodic symbol patterns.  Mobius inversion over the divisors of r
+    gives the primitive ones.  All-trivial symbol patterns collapse to a
+    pure t-power, a proper power iff |sum(alpha)| >= 2, so they are
+    recounted by that rule instead.
+    """
     total = 0
     powers = 0
-    for l in range(1, k + 1):
-        for r in range(1, l + 1):
-            for alpha in _alpha_vectors(l, r):
-                total += tot_f * tot_m ** (r - 1)
-                powers += _formal_power_count(alpha, first, mid)
+    for r in range(1, k + 1):
+        trivial = first.get(SYM_ID, 0) * mid.get(SYM_ID, 0) ** (r - 1)
+        periods = {q: (_mobius(r // q), _pattern_period_count(first, mid, q, r // q))
+                   for q in range(1, r + 1) if r % q == 0}
+        for l in range(r, k + 1):
+            block = _vector_count(l, r) * periods[r][1]
+            primitive_alpha = primitive = 0
+            for q, (mu, patterns) in periods.items():
+                if mu and l % (r // q) == 0:
+                    vectors = mu * _vector_count(l * q // r, q)
+                    primitive_alpha += vectors
+                    primitive += vectors * patterns
+            total += block
+            powers += (block - primitive
+                       + trivial * (primitive_alpha - _balanced_count(l, r)))
     return total, powers
 
 
@@ -705,13 +757,13 @@ def census_row(n, d, k, mode="exhaustive", samples=None, seed=None) -> CensusRow
     _check_n(n)
     if d < 0 or k < 0:
         raise BadParameter("d and k must be nonnegative")
-    lh = enumerate_LH(n, d)
+    l_hs = [len(lev) for lev in _hdata(n, d).forms_by_len]
     lhu = enumerate_LHU(n, d)
     comp = enumerate_composed(n, d, k)
     enums = {
         "source": ENUMERATED,
-        "l_H": lh["l_H"],
-        "l_HS": lh["l_HS"],
+        "l_H": sum(l_hs),
+        "l_HS": l_hs,
         "l_U": enumerate_LU(d),
         "l_HU": lhu["l_HU"],
         "a": lhu["a"], "b": lhu["b"], "c": lhu["c"],
@@ -762,37 +814,37 @@ def _sample_zy(n, d, k, samples, seed):
     hd = _hdata(n, max(d, 1))
     slot = hd.slot(d)
     rng = random.Random(seed)
-    m = n - 1
     l_u = enumerate_LU(d)
     firsts = [(s, th) for s, th in zip(slot.first_sym, slot.first_thick)
               if s != SYM_ID]
     mids = [(s, th) for s, th in zip(slot.mid_sym, slot.mid_thick)
             if s != SYM_ID]
-    strata = [("L0", None, slot.cyc_min_count), ("L1", None, 2 * k * l_u)]
+    off_l2 = slot.cyc_min_count + 2 * k * l_u
+    # the type (ii) stratum in (l, r) blocks, each of _vector_count(l, r)
+    # exponent vectors that carry `per_vector` slot tuples apiece
+    blocks = []
     for l in range(1, k + 1):
         for r in range(1, l + 1):
-            for alpha in _alpha_vectors(l, r):
-                strata.append(("L2", alpha,
-                               len(firsts) * len(mids) ** (r - 1)))
-    weights = [w for (_, _, w) in strata]
-    total = sum(weights)
+            per_vector = len(firsts) * len(mids) ** (r - 1)
+            blocks.append((l, r, per_vector, _vector_count(l, r) * per_vector))
+    total = off_l2 + sum(size for (*_, size) in blocks)
     if total == 0:
         raise BadParameter("empty census universe")
     hits = 0
     for _ in range(samples):
-        x = rng.randrange(total)
-        for (kind, alpha, w) in strata:
-            if x < w:
-                break
-            x -= w
-        if kind != "L2":
+        x = rng.randrange(total) - off_l2
+        if x < 0:
             continue  # zY is false off the type (ii) stratum
+        for (l, r, per_vector, size) in blocks:
+            if x < size:
+                break
+            x -= size
+        alpha = _unrank_alpha(l, r, x // per_vector)
         syms = [rng.choice(firsts)]
-        syms += [rng.choice(mids) for _ in range(len(alpha) - 1)]
+        syms += [rng.choice(mids) for _ in range(r - 1)]
         if not all(th for (_, th) in syms):
             continue
         pairs = tuple((s, a) for (s, _), a in zip(syms, alpha))
-        r = len(pairs)
         power = any(r % p == 0 and all(pairs[i] == pairs[i % p] for i in range(r))
                     for p in range(1, r))
         if not power:

@@ -42,6 +42,20 @@ _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 MAX_WORD_LETTERS = 10**6
 
 
+def bounded_int(text, bound):
+    """Value of a numeral (optional sign, digits), or None when its
+    absolute value exceeds `bound`.  A long numeral with more significant
+    digits than `bound` has is refused before int() sees it, so no input
+    reaches Python's limit on integer-string length."""
+    if len(text) > 10:
+        digits = text.lstrip("+-").lstrip("0")
+        if len(digits) > len(str(bound)):
+            return None
+        text = ("-" if text.startswith("-") else "") + (digits or "0")
+    value = int(text)
+    return value if abs(value) <= bound else None
+
+
 # ---------------------------------------------------------------------------
 # low-level machinery on int-encoded letter tuples
 
@@ -313,9 +327,12 @@ def parse_word(text: str, g: CommutationGraph) -> Word:
         name, exp = m.group(1), m.group(2)
         if name not in g:
             raise UnknownGenerator(f"unknown generator {name!r}")
-        k = 1 if exp is None else int(exp)
+        k = 1 if exp is None else bounded_int(exp, MAX_WORD_LETTERS)
+        if k is None:
+            raise BudgetExceeded(
+                f"exponent in {tok[:40]!r} exceeds {MAX_WORD_LETTERS} letters")
         if k == 0:
-            raise ZeroExponent(f"zero exponent in {tok!r}")
+            raise ZeroExponent(f"zero exponent in {tok[:40]!r}")
         i = g.index(name)
         letter = i if k > 0 else -i
         if len(idx) + abs(k) > MAX_WORD_LETTERS:

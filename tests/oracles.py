@@ -5,11 +5,15 @@ moves (swap a commuting pair, cancel an adjacent inverse pair), restarting
 from any shorter word found; the shortest stratum of the closure is the
 geodesic class and its lexicographic minimum is the oracle's canonical
 form.  Cayley-graph distances come from breadth-first search keyed by
-those canonical forms.
+those canonical forms.  The census reference walks every signed exponent
+vector one by one, where the library counts them in closed form.
 """
 
+import math
+import random
 from itertools import product
 
+from pcgroups import census
 from pcgroups.graphs import (
     CommutationGraph,
     build_graph,
@@ -141,6 +145,98 @@ def conjugacy_partition(graph, max_len):
         for member in cls:
             class_of[member] = cid
     return oracle, class_of
+
+
+# ---------------------------------------------------------------------------
+# census: the type (ii) tallies and the sampler by walking every exponent
+# vector, the reference for the closed-form block counts
+
+
+def _divisor_periods(alpha):
+    """Proper divisors p of len(alpha) on which alpha is p-periodic."""
+    r = len(alpha)
+    out = []
+    for p in range(1, r):
+        if r % p == 0 and all(alpha[i] == alpha[i % p] for i in range(r)):
+            out.append(p)
+    return out
+
+
+def _formal_power_count(alpha, first, mid):
+    """Tuples whose formal sigma pattern is a proper power, for one
+    exponent vector.
+
+    Pattern = the cyclic sequence of (slot symbol, exponent) pairs; it is
+    a proper power iff it has a period on a proper divisor.  All-trivial
+    symbol patterns collapse to a pure t-power, which is a proper power
+    iff the total exponent has absolute value at least 2.
+    """
+    r = len(alpha)
+    trivial = first.get(census.SYM_ID, 0) * mid.get(census.SYM_ID, 0) ** (r - 1)
+    periods = _divisor_periods(alpha)
+    count = 0
+    if periods:
+        maximal = [p for p in periods
+                   if not any(p != q and q % p == 0 for q in periods)]
+        for mask in range(1, 1 << len(maximal)):
+            chosen = [maximal[i] for i in range(len(maximal)) if mask >> i & 1]
+            g = chosen[0]
+            for p in chosen[1:]:
+                g = math.gcd(g, p)
+            sign = -1 if bin(mask).count("1") % 2 == 0 else 1
+            count += sign * census._pattern_period_count(first, mid, g, r // g)
+    pure_t_power = abs(sum(alpha)) >= 2
+    count += (int(pure_t_power) - int(bool(periods))) * trivial
+    return count
+
+
+def alpha_walk_engine(first, mid, k):
+    """census._composed_engine by walking all 2*3^(l-1) vectors per l."""
+    tot_f = sum(first.values())
+    tot_m = sum(mid.values())
+    total = powers = 0
+    for l in range(1, k + 1):
+        for r in range(1, l + 1):
+            for alpha in census._alpha_vectors(l, r):
+                total += tot_f * tot_m ** (r - 1)
+                powers += _formal_power_count(alpha, first, mid)
+    return total, powers
+
+
+def alpha_walk_sample_zy(n, d, k, samples, seed):
+    """census._sample_zy with one stratum per exponent vector."""
+    slot = census._hdata(n, max(d, 1)).slot(d)
+    rng = random.Random(seed)
+    firsts = [(s, th) for s, th in zip(slot.first_sym, slot.first_thick)
+              if s != census.SYM_ID]
+    mids = [(s, th) for s, th in zip(slot.mid_sym, slot.mid_thick)
+            if s != census.SYM_ID]
+    strata = [("L0", None, slot.cyc_min_count),
+              ("L1", None, 2 * k * census.enumerate_LU(d))]
+    for l in range(1, k + 1):
+        for r in range(1, l + 1):
+            for alpha in census._alpha_vectors(l, r):
+                strata.append(("L2", alpha, len(firsts) * len(mids) ** (r - 1)))
+    total = sum(w for (_, _, w) in strata)
+    hits = 0
+    for _ in range(samples):
+        x = rng.randrange(total)
+        for (kind, alpha, w) in strata:
+            if x < w:
+                break
+            x -= w
+        if kind != "L2":
+            continue
+        syms = [rng.choice(firsts)]
+        syms += [rng.choice(mids) for _ in range(len(alpha) - 1)]
+        if not all(th for (_, th) in syms):
+            continue
+        pairs = tuple((s, a) for (s, _), a in zip(syms, alpha))
+        r = len(pairs)
+        hits += not any(r % p == 0 and all(pairs[i] == pairs[i % p]
+                                           for i in range(r))
+                        for p in range(1, r))
+    return hits
 
 
 def catalog():

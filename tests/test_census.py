@@ -10,14 +10,33 @@ from pcgroups.errors import (
     BadSeed,
     BudgetExceeded,
     NonIntegralFormula,
+    WordSyntaxError,
 )
-from pcgroups.words import canon_letters
+from pcgroups.words import MAX_WORD_LETTERS, canon_letters
+
+from oracles import alpha_walk_engine, alpha_walk_sample_zy
 
 
 def test_parse_h_word():
     assert C.parse_h_word(5, "a2 a1^-3") == (2, -1, -1, -1)
     with pytest.raises(BadAlphabet):
         C.parse_h_word(5, "a9")
+
+
+def test_parse_h_word_syntax_and_budget():
+    for bad in ("ax", "a1^x", "a1^", "a1^2^3"):
+        with pytest.raises(WordSyntaxError):
+            C.parse_h_word(5, bad)
+    with pytest.raises(BadAlphabet):
+        C.parse_h_word(5, "a" + "1" * 5000)
+    assert len(C.parse_h_word(5, f"a1^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
+    half = MAX_WORD_LETTERS // 2 + 1
+    for text in (f"a1^{MAX_WORD_LETTERS + 1}", f"a1^{half} a2^-{half}",
+                 "a1^" + "1" * 5000, "a1^-" + "1" * 5000):
+        with pytest.raises(BudgetExceeded):
+            C.parse_h_word(5, text)
+    # leading zeros are not significant digits
+    assert C.parse_h_word(5, "a0002^" + "0" * 5000 + "3") == (2, 2, 2)
 
 
 def test_is_normal_form_general():
@@ -134,6 +153,53 @@ def test_composition_counts():
             assert len(found) == comb(total - 1, parts - 1)
             assert all(sum(p) == total and min(p) >= 1 for p in found)
             assert len(set(found)) == len(found)
+
+
+def test_composed_engine_matches_alpha_walk():
+    # all four slot conventions against the walk over every exponent vector
+    for n, dmax, kmax in ((5, 3, 8), (6, 2, 6), (7, 2, 4)):
+        for d in range(dmax + 1):
+            slot = C._hdata(n, max(d, 1)).slot(d)
+            for thick_only, strict in product((False, True), repeat=2):
+                first, mid = slot.tallies(thick_only=thick_only, strict=strict)
+                for k in range(kmax + 1):
+                    assert (C._composed_engine(first, mid, k)
+                            == alpha_walk_engine(first, mid, k)), \
+                        (n, d, k, thick_only, strict)
+
+
+def test_unrank_alpha_matches_vector_order():
+    for l in range(1, 10):
+        for r in range(1, l + 1):
+            vectors = list(C._alpha_vectors(l, r))
+            assert len(vectors) == C._vector_count(l, r)
+            assert [C._unrank_alpha(l, r, i)
+                    for i in range(len(vectors))] == vectors
+
+
+def test_sample_matches_alpha_walk_sampler():
+    for n, d, k in ((5, 3, 7), (5, 2, 5), (6, 2, 3), (7, 2, 3)):
+        for seed in range(1, 6):
+            assert (C._sample_zy(n, d, k, 300, seed)
+                    == alpha_walk_sample_zy(n, d, k, 300, seed)), (n, d, k, seed)
+
+
+def test_census_row_large_k_matches_formulas():
+    row = C.census_row(5, 3, 30)
+    assert row.enumerated["l2"] == row.formula["l2"]
+    assert row.enumerated["z2"] == row.formula["z2"]
+
+
+def test_census_row_skips_the_general_system_at_n5(monkeypatch):
+    def refuse(n, dmax):
+        raise AssertionError("general system built")
+
+    C._hdata.cache_clear()
+    monkeypatch.setattr(C, "_iter_general_forms", refuse)
+    try:
+        assert C.census_row(5, 2, 2).enumerated["l_HS"] == [1, 8, 40]
+    finally:
+        C._hdata.cache_clear()
 
 
 def test_strict_tallies_match_per_word_classification():

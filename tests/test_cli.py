@@ -112,6 +112,12 @@ def test_word_budget_exit_code(ab, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_huge_exponent_exit_code(ab, capsys):
+    # more digits than Python's integer-string limit
+    assert run(["normalize", "--graph", ab, "--word", "a^" + "1" * 5000]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["normalize", "--word", "a"])

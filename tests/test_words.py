@@ -72,6 +72,15 @@ def test_parse_word_letter_budget():
     assert len(parse_word(f"a^{MAX_WORD_LETTERS}", FREE2)) == MAX_WORD_LETTERS
 
 
+def test_parse_word_huge_exponent():
+    # past Python's 4300-digit integer-string limit: a budget error, and
+    # leading zeros do not count as digits
+    for exp in ("1" * 5000, "-" + "1" * 5000):
+        with pytest.raises(BudgetExceeded):
+            parse_word(f"a^{exp}", FREE2)
+    assert len(parse_word("a^" + "0" * 5000 + "2", FREE2)) == 2
+
+
 def test_format_groups_runs():
     g = build_graph(["a", "b"], [])
     w = parse_word("a a a b^-1 b^-1 a", g)
