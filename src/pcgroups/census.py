@@ -40,6 +40,7 @@ from .errors import (
     BudgetExceeded,
     NonIntegralFormula,
     WordSyntaxError,
+    ZeroExponent,
 )
 from .graphs import cycle_with_chord
 from .words import (
@@ -90,9 +91,9 @@ _H_TOKEN_RE = re.compile(r"a([0-9]+)(?:\^([+-]?[0-9]+))?\Z")
 def parse_h_word(n, text):
     """Parse `a2 a1^-3 ...` over the cycle generators into signed ints.
 
-    Same letter budget as words.parse_word: a word of more than
-    MAX_WORD_LETTERS letters after expansion raises BudgetExceeded before
-    the token that crosses it is expanded.
+    Same letter budget and ZeroExponent as words.parse_word: a word of
+    more than MAX_WORD_LETTERS letters after expansion raises
+    BudgetExceeded before the token that crosses it is expanded.
     """
     _check_n(n)
     out = []
@@ -111,6 +112,8 @@ def parse_h_word(n, text):
         k = 1 if m.group(2) is None else bounded_int(m.group(2), MAX_WORD_LETTERS)
         if k is None or len(out) + abs(k) > MAX_WORD_LETTERS:
             raise BudgetExceeded(f"word longer than {MAX_WORD_LETTERS} letters")
+        if k == 0:
+            raise ZeroExponent(f"zero exponent in {tok[:40]!r}")
         out.extend([i if k > 0 else -i] * abs(k))
     return tuple(out)
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import ConflictingVerdicts, NotCyclicallyMinimal, TNotInSupport
+from .errors import (BadParameter, ConflictingVerdicts, NotCyclicallyMinimal,
+                     TNotInSupport)
 from .graphs import (
     CommutationGraph,
     central_vertices,
@@ -165,7 +166,9 @@ class FreiReport:
         return "\n".join(lines)
 
 
-def _require_cyclically_minimal(g, s):
+def _relator_root(g, s, n):
+    if n < 1:
+        raise BadParameter(f"relator exponent n must be >= 1, got {n}")
     nf = minimal_form(g, s)
     if not is_cyclically_minimal(g, nf.word):
         raise NotCyclicallyMinimal(
@@ -185,7 +188,7 @@ def check_theorem_main(g: CommutationGraph, s, t, n: int) -> TheoremMainRecord:
     EMBEDS only when every hypothesis holds, including the cyclic
     thickness variant, and n >= 3.
     """
-    nf = _require_cyclically_minimal(g, s)
+    nf = _relator_root(g, s, n)
     supp = support(g, nf.word)
     if t not in supp:
         raise TNotInSupport(f"{t} does not occur in {format_word(nf.word)}")
@@ -201,11 +204,12 @@ def check_theorem_main(g: CommutationGraph, s, t, n: int) -> TheoremMainRecord:
         cyc_thick = None
     not_in_star = not (supp <= star(g, t))
     t_root = is_t_root(g, t, h)
-    ok = lk_clique and bool(thick) and bool(cyc_thick) and not_in_star and t_root
-    verdict = EMBEDS if (ok and n >= 3) else UNKNOWN
-    return TheoremMainRecord(
+    rec = TheoremMainRecord(
         t=t, lk_clique=lk_clique, t_thick=thick, cyclically_t_thick=cyc_thick,
-        not_in_star=not_in_star, t_root=t_root, verdict=verdict)
+        not_in_star=not_in_star, t_root=t_root, verdict=UNKNOWN)
+    if rec.hypotheses_hold() and n >= 3:
+        rec.verdict = EMBEDS
+    return rec
 
 
 def _abelian_relation_witness(g, nf, n, t, x):
@@ -229,7 +233,7 @@ def check_amalgam(g: CommutationGraph, s, n: int):
     Returns (record, conclusions, order, word_problem, conjugacy_problem);
     the last three are None when this route proves nothing about them.
     """
-    nf = _require_cyclically_minimal(g, s)
+    nf = _relator_root(g, s, n)
     supp = support(g, nf.word)
     if not supp:
         rec = AmalgamRecord(False, False, False, None)
@@ -337,7 +341,7 @@ def magnus_verdict(g: CommutationGraph, s, n: int, t=None) -> FreiReport:
     splits off its centre as a direct factor and the verdict is computed
     on the complement and lifted.
     """
-    nf = _require_cyclically_minimal(g, s)
+    nf = _relator_root(g, s, n)
     supp = support(g, nf.word)
     candidates = [t] if t is not None else sorted(supp, key=g.index)
     per_t = []

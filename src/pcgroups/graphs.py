@@ -278,4 +278,8 @@ def parse_graph(text: str) -> CommutationGraph:
 
 def load_graph(path) -> CommutationGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_graph(text)

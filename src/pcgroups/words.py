@@ -60,10 +60,6 @@ def bounded_int(text, bound):
 # low-level machinery on int-encoded letter tuples
 
 
-def _letter_key(x):
-    return (abs(x), x < 0)
-
-
 def word_key(w):
     return tuple((abs(x), x < 0) for x in w)
 
@@ -176,22 +172,6 @@ def right_divisor_letters(adj, w):
     return {-x for x in left_divisor_letters(adj, invert_letters(w))}
 
 
-def strip_front_letter(adj, w, y):
-    """Remove the first occurrence of y that is visible from the left."""
-    for p in range(len(w)):
-        if w[p] == y:
-            ax = abs(y)
-            nbrs = adj[ax]
-            if all(abs(w[q]) != ax and abs(w[q]) in nbrs for q in range(p)):
-                return w[:p] + w[p + 1:]
-        # keep scanning: a blocked occurrence may be followed by a visible one
-    raise ValueError(f"{y} is not a left divisor")
-
-
-def strip_back_letter(adj, w, y):
-    return invert_letters(strip_front_letter(adj, invert_letters(w), -y))
-
-
 def is_cyclically_minimal_letters(adj, w):
     lds = left_divisor_letters(adj, w)
     if not lds:
@@ -202,17 +182,19 @@ def is_cyclically_minimal_letters(adj, w):
 
 def cyclic_core_letters(adj, w):
     """Split a canonical minimal form as u^{-1} . v . u with v cyclically
-    minimal; returns (u_letters, v_letters), both canonical."""
-    cur = w
-    ys = []
+    minimal; returns (u_letters, v_letters), both canonical.  A left
+    (right) divisor letter is the first (last) occurrence of its generator,
+    so each step drops two letters by index."""
+    cur, ys = w, []
     while True:
-        lds = left_divisor_letters(adj, cur)
         rds = right_divisor_letters(adj, cur)
-        cands = sorted((y for y in lds if -y in rds), key=_letter_key)
-        if not cands:
+        y = min((y for y in left_divisor_letters(adj, cur) if -y in rds),
+                key=lambda y: (abs(y), y < 0), default=None)
+        if y is None:
             break
-        y = cands[0]
-        cur = strip_back_letter(adj, strip_front_letter(adj, cur, y), -y)
+        p = cur.index(y)
+        q = len(cur) - 1 - cur[::-1].index(-y)
+        cur = cur[:p] + cur[p + 1:q] + cur[q + 1:]
         ys.append(y)
     u = canon_letters(adj, tuple(-y for y in reversed(ys)))
     v = lexmin_letters(adj, cur)
@@ -229,7 +211,8 @@ def conjugacy_class_closure(adj, core):
     while stack:
         cur = stack.pop()
         for y in left_divisor_letters(adj, cur):
-            nxt = lexmin_letters(adj, strip_front_letter(adj, cur, y) + (y,))
+            p = cur.index(y)
+            nxt = lexmin_letters(adj, cur[:p] + cur[p + 1:] + (y,))
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -264,7 +247,6 @@ class NormalForm:
     """Canonical minimal form of a group element."""
 
     word: Word
-    canonical: bool = True
 
     @property
     def idx(self):
@@ -405,31 +387,36 @@ def cyclic_reduce(g: CommutationGraph, w) -> CyclicDecomposition:
     return CyclicDecomposition(NormalForm(Word(g, u)), NormalForm(Word(g, v)))
 
 
+def _blocks(g, core):
+    """Letters of a cyclically minimal tuple over each connected component
+    of the complement graph on its support, each canonical, in the order
+    of complement_components.  The blocks commute with one another."""
+    blocks = []
+    for comp in complement_components(g, {g.name(abs(x)) for x in core}):
+        comp_idx = {g.index(name) for name in comp}
+        blocks.append(lexmin_letters(
+            g._adj_idx, tuple(x for x in core if abs(x) in comp_idx)))
+    return blocks
+
+
 def block_decomposition(g: CommutationGraph, v) -> list:
     """Factor a cyclically minimal element along the connected components
     of the complement graph on its support."""
     nf = minimal_form(g, v)
-    adj = g._adj_idx
-    if not is_cyclically_minimal_letters(adj, nf.idx):
+    if not is_cyclically_minimal_letters(g._adj_idx, nf.idx):
         raise NotCyclicallyMinimal(f"{format_word(nf.word)} is not cyclically minimal")
-    comps = complement_components(g, support(g, nf.word))
-    factors = []
-    for comp in comps:
-        comp_idx = {g.index(name) for name in comp}
-        sub = tuple(x for x in nf.idx if abs(x) in comp_idx)
-        factors.append(NormalForm(Word(g, lexmin_letters(adj, sub))))
-    return factors
+    return [NormalForm(Word(g, b)) for b in _blocks(g, nf.idx)]
 
 
 def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
-    """Conjugacy via cyclic reduction and the rotation closure of the core."""
-    adj = g._adj_idx
-    c1 = cyclic_reduce(g, w1).core.idx
-    c2 = cyclic_reduce(g, w2).core.idx
-    if len(c1) != len(c2):
+    """Conjugacy via cyclic reduction, then block by block: a rotation
+    moves a left-divisor letter of the core, which commutes with every
+    other block, so two cores are conjugate iff their blocks pair up by
+    support and each pair lies in one block's rotation closure."""
+    b1 = _blocks(g, cyclic_reduce(g, w1).core.idx)
+    b2 = _blocks(g, cyclic_reduce(g, w2).core.idx)
+    if ([({abs(x) for x in b}, len(b)) for b in b1]
+            != [({abs(x) for x in b}, len(b)) for b in b2]):
         return False
-    if {abs(x) for x in c1} != {abs(x) for x in c2}:
-        return False
-    if c1 == c2:
-        return True
-    return c2 in conjugacy_class_closure(adj, c1)
+    return all(x == y or y in conjugacy_class_closure(g._adj_idx, x)
+               for x, y in zip(b1, b2))

@@ -11,6 +11,7 @@ from pcgroups.errors import (
     BudgetExceeded,
     NonIntegralFormula,
     WordSyntaxError,
+    ZeroExponent,
 )
 from pcgroups.words import MAX_WORD_LETTERS, canon_letters
 
@@ -29,6 +30,9 @@ def test_parse_h_word_syntax_and_budget():
             C.parse_h_word(5, bad)
     with pytest.raises(BadAlphabet):
         C.parse_h_word(5, "a" + "1" * 5000)
+    for zero in ("a1^0", "a2 a1^-0"):
+        with pytest.raises(ZeroExponent):
+            C.parse_h_word(5, zero)
     assert len(C.parse_h_word(5, f"a1^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
     half = MAX_WORD_LETTERS // 2 + 1
     for text in (f"a1^{MAX_WORD_LETTERS + 1}", f"a1^{half} a2^-{half}",

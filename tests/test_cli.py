@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pcgroups.cli import run
 from pcgroups.words import MAX_WORD_LETTERS
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 C5P_TEXT = """vertices t a1 a2 a3 a4
 edge t a1
@@ -122,6 +128,25 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["normalize", "--word", "a"])
     assert exc.value.code == 2
+
+
+def test_exponent_below_one_exit_code(c5p, capsys):
+    for n in ("0", "-3"):
+        assert run(["check", "--graph", c5p, "--word", "a2 a3 t",
+                    "--n", n]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
+
+def test_graph_file_not_utf8(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"vertices a \xff\xfe\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcgroups.cli", "normalize", "--graph",
+         str(path), "--word", "a"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_missing_graph_file(capsys):

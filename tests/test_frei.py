@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pcgroups.errors import NotCyclicallyMinimal, TNotInSupport
+from pcgroups.errors import BadParameter, NotCyclicallyMinimal, TNotInSupport
 from pcgroups.freiheitssatz import (
     DECIDABLE,
     DOES_NOT_EMBED,
@@ -143,6 +143,17 @@ def test_requires_cyclically_minimal():
         magnus_verdict(P4, "a c a^-1", 3)
     with pytest.raises(TNotInSupport):
         check_theorem_main(P4, "c t", "b", 3)
+
+
+def test_exponent_must_be_positive():
+    for n in (0, -3):
+        with pytest.raises(BadParameter):
+            magnus_verdict(P4, "c t", n)
+        with pytest.raises(BadParameter):
+            check_theorem_main(P4, "c t", "t", n)
+        with pytest.raises(BadParameter):
+            check_amalgam(P4, "c t", n)
+    assert magnus_verdict(P4, "c t", 1).n == 1
 
 
 def test_amalgam_trivial_part_embeds():

@@ -17,6 +17,7 @@ from pcgroups.words import (
     MAX_WORD_LETTERS,
     block_decomposition,
     canon_letters,
+    conjugacy_class_closure,
     conjugate_test,
     cyclic_reduce,
     equal,
@@ -160,6 +161,56 @@ def test_conjugate_test_needs_rotation_of_noncanonical_split():
     # minimal form bac of abc; guards the closure construction
     g = build_graph(["a", "b", "c"], [("a", "b")])
     assert conjugate_test(g, "a b c", "a c b")
+
+
+def test_conjugate_test_matches_whole_core_closure():
+    # block by block against the rotation closure of the whole core
+    rng = random.Random(44)
+    for _ in range(400):
+        g = random_graph(rng)
+        adj = g._adj_idx
+        w = random_letters(rng, len(g), rng.randrange(0, 25))
+        u = random_letters(rng, len(g), rng.randrange(0, 6))
+        u_inv = tuple(-x for x in reversed(u))
+        c1 = cyclic_reduce(g, word_from_idx(g, w)).core.idx
+        assert conjugate_test(g, word_from_idx(g, w),
+                              word_from_idx(g, u_inv + w + u))
+        if c1:  # invert one core letter: same length and support
+            p = rng.randrange(len(c1))
+            other = u_inv + c1[:p] + (-c1[p],) + c1[p + 1:] + u
+        else:
+            other = random_letters(rng, len(g), len(w))
+        for w2 in (other, random_letters(rng, len(g), len(w))):
+            c2 = cyclic_reduce(g, word_from_idx(g, w2)).core.idx
+            assert (conjugate_test(g, word_from_idx(g, w),
+                                   word_from_idx(g, w2))
+                    == (c2 in conjugacy_class_closure(adj, c1)))
+
+
+def test_conjugate_test_on_block_joins():
+    # b free pairs x_i, y_i, letters of different pairs commuting: the
+    # whole-core closure of the b-block core below has 6^b forms
+    rng = random.Random(45)
+    for b in range(1, 9):
+        names = [f"{c}{i}" for i in range(b) for c in "xy"]
+        g = build_graph(names, [(u, v) for u, v in
+                                itertools.combinations(names, 2)
+                                if u[1:] != v[1:]])
+        blocks = [[f"x{i}", f"x{i}", f"y{i}", f"x{i}", f"y{i}^-1",
+                   f"y{i}^-1"] for i in range(b)]
+        w = " ".join(t for blk in blocks for t in blk)
+        u = [rng.choice(names) + rng.choice(("", "^-1")) for _ in range(4)]
+        u_inv = [t[:-3] if t.endswith("^-1") else t + "^-1"
+                 for t in reversed(u)]
+        turned = []
+        for blk in blocks:
+            r = rng.randrange(6)
+            turned += blk[r:] + blk[:r]
+        assert conjugate_test(g, w, " ".join(u_inv + turned + u))
+        # invert the leading x-run of the last block: the exponent sum of
+        # x_{b-1} changes, the core's length and support do not
+        flipped = turned[:-6] + [f"x{b - 1}^-1", f"x{b - 1}^-1"] + blocks[-1][2:]
+        assert not conjugate_test(g, w, " ".join(u_inv + flipped + u))
 
 
 # ---------------------------------------------------------------------------
