@@ -1,14 +1,19 @@
 """Census of normal forms over the chorded-cycle family of graphs.
 
 For the n-cycle-with-chord graph the subgroup over A0 = {a1..a_{n-1}} is
-the pc group of the (n-1)-cycle.  This module enumerates its normal
-forms (two systems: the square system for n = 5, where the subgroup is a
+the pc group of the (n-1)-cycle.  This module counts its normal forms
+(two systems: the square system for n = 5, where the subgroup is a
 product of two free groups, and the prohibited-subword system for all
 n >= 5), the derived slot sets (no-left-divisor forms, the rank-two free
 abelian parabolic over the chord ends, thickness, coset symbols), and
 the composed words of bounded t-length built from them; it validates the
-closed counting formulas and bounds against the enumeration and
-classifies composed words by the four embedding-theorem hypotheses.
+closed counting formulas and bounds against the counts and classifies
+composed words by the four embedding-theorem hypotheses.
+
+The normal forms are never built: census_slots counts them over their
+automaton, level by level, by the few properties the census reads, so
+the cost is linear in d.  The "ENUMERATED" values are these exact
+counts; sample mode unranks the forms it draws from the same counts.
 
 Counting conventions.  The closed product formulas for type (ii) words
 count tuples whose first slot ranges over *all* bounded-length subgroup
@@ -27,12 +32,13 @@ import json
 import math
 import random
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .cosets import maln_support, oriented_symbol
+from . import census_slots as slots
 from .errors import (
     BadAlphabet,
     BadParameter,
@@ -42,47 +48,14 @@ from .errors import (
     WordSyntaxError,
     ZeroExponent,
 )
-from .graphs import cycle_with_chord
-from .words import (
-    MAX_WORD_LETTERS,
-    Word,
-    bounded_int,
-    is_cyclically_minimal_letters,
-    lexmin_letters,
-    split_letters,
-)
+from .words import MAX_WORD_LETTERS, Word, bounded_int
 
 ENUMERATED = "ENUMERATED"
 FORMULA = "FORMULA"
 
-SYM_ID = ((), 1)  # coset symbol of the identity
-
-_FORM_BUDGET = 3_000_000
-
 
 # ---------------------------------------------------------------------------
-# the cycle subgroup: adjacency, normal forms, slot classification
-
-
-def _check_n(n):
-    if n < 5:
-        raise BadParameter(f"census needs n >= 5, got {n}")
-
-
-@lru_cache(maxsize=32)
-def _chord_graph(n):
-    return cycle_with_chord(n)
-
-
-@lru_cache(maxsize=32)
-def _h_adj(n):
-    """1-based cycle adjacency for generators a1..a_{n-1}: the chorded
-    cycle without t."""
-    return _chord_graph(n).induced([f"a{i}" for i in range(1, n)])._adj_idx
-
-
-def _wrap(n, i):
-    return (i - 1) % (n - 1) + 1
+# the cycle subgroup: words and normal forms
 
 
 _H_TOKEN_RE = re.compile(r"a([0-9]+)(?:\^([+-]?[0-9]+))?\Z")
@@ -95,7 +68,7 @@ def parse_h_word(n, text):
     more than MAX_WORD_LETTERS letters after expansion raises
     BudgetExceeded before the token that crosses it is expanded.
     """
-    _check_n(n)
+    slots.check_n(n)
     out = []
     for tok in text.split():
         if tok == "1":
@@ -131,170 +104,17 @@ def is_normal_form(n, w, square=False) -> bool:
     (b may be 0, subscripts wrap around the cycle).  Square mode (n = 5
     only): a reduced word over {a2, a4} followed by one over {a1, a3}.
     """
-    _check_n(n)
+    slots.check_n(n)
     w = tuple(w)
     _check_alphabet(n, w)
-    if square:
-        if n != 5:
-            raise BadParameter("square normal forms exist only for n = 5")
-        boundary = 0
-        while boundary < len(w) and abs(w[boundary]) in (2, 4):
-            boundary += 1
-        if any(abs(x) not in (1, 3) for x in w[boundary:]):
-            return False
-        return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
-    for q in range(len(w)):
-        if q and w[q] == -w[q - 1]:
-            return False
-        i = abs(w[q])
-        below, above = _wrap(n, i - 1), _wrap(n, i + 1)
-        p = q - 1
-        while p >= 0 and abs(w[p]) == below:
-            p -= 1
-        if p >= 0 and abs(w[p]) == above:
+    if square and n != 5:
+        raise BadParameter("square normal forms exist only for n = 5")
+    state = slots.START
+    for y in w:
+        state = slots.step(n, square, state, y)
+        if state is None:
             return False
     return True
-
-
-def _iter_general_forms(n, dmax):
-    """All prohibited-subword normal forms of length <= dmax, by length.
-
-    Prefixes of normal forms are normal (the pattern is contiguous), so
-    depth-first extension with suffix checks is exhaustive.
-    """
-    m = n - 1
-    levels = [[()]]
-    letters = [s * i for i in range(1, m + 1) for s in (1, -1)]
-    total = 1
-    for _ in range(dmax):
-        nxt = []
-        for w in levels[-1]:
-            last = w[-1] if w else 0
-            for y in letters:
-                if last == -y:
-                    continue
-                j = abs(y)
-                below, above = _wrap(n, j - 1), _wrap(n, j + 1)
-                p = len(w) - 1
-                while p >= 0 and abs(w[p]) == below:
-                    p -= 1
-                if p >= 0 and abs(w[p]) == above:
-                    continue
-                nxt.append(w + (y,))
-        total += len(nxt)
-        if total > _FORM_BUDGET:
-            raise BudgetExceeded(f"more than {_FORM_BUDGET} normal forms")
-        levels.append(nxt)
-    return levels
-
-
-def _iter_free_words(gens, dmax):
-    levels = [[()]]
-    letters = [s * i for i in gens for s in (1, -1)]
-    for _ in range(dmax):
-        nxt = []
-        for w in levels[-1]:
-            last = w[-1] if w else 0
-            nxt.extend(w + (y,) for y in letters if last != -y)
-        levels.append(nxt)
-    return levels
-
-
-def _iter_square_forms(dmax):
-    """Square normal forms over the 4-cycle, by length (n = 5 only)."""
-    if dmax > 0 and 1 + 8 * dmax * 3 ** (dmax - 1) > _FORM_BUDGET:
-        raise BudgetExceeded(f"more than {_FORM_BUDGET} normal forms")
-    first = _iter_free_words((2, 4), dmax)
-    second = _iter_free_words((1, 3), dmax)
-    levels = [[] for _ in range(dmax + 1)]
-    for p in range(dmax + 1):
-        for w1 in first[p]:
-            for q in range(dmax + 1 - p):
-                for w2 in second[q]:
-                    levels[p + q].append(w1 + w2)
-    return levels
-
-
-class HData:
-    """Enumerated slot data for one (n, dmax).
-
-    forms_by_len holds the working normal-form system (square for n = 5,
-    general otherwise); per-element thickness, coset symbols and
-    derived subsets are computed lazily per length bound.
-    """
-
-    def __init__(self, n, dmax):
-        _check_n(n)
-        self.n = n
-        self.dmax = dmax
-        self.adj = _h_adj(n)
-        if n == 5:
-            self.forms_by_len = _iter_square_forms(dmax)
-        else:
-            self.forms_by_len = _iter_general_forms(n, dmax)
-        self._slots = {}
-
-    def forms(self, d):
-        out = []
-        for lev in self.forms_by_len[:d + 1]:
-            out.extend(lev)
-        return out
-
-    def slot(self, d):
-        if d not in self._slots:
-            self._slots[d] = _SlotData(self, d)
-        return self._slots[d]
-
-
-class _SlotData:
-    """Per-d slot populations with symbols and thickness flags."""
-
-    def __init__(self, hdata, d):
-        adj = hdata.adj
-        u_idx = frozenset((1, hdata.n - 1))  # U: the chord ends a1, a_{n-1}
-        self.first_list, self.first_sym, self.first_thick = [], [], []
-        self.mid_list, self.mid_sym, self.mid_thick = [], [], []
-        self.u_count = 0
-        self.cyc_min_count = 0
-        for w in hdata.forms(d):
-            left, core, _ = split_letters(adj, w, u_idx)
-            sym = oriented_symbol(adj, lexmin_letters(adj, core))
-            supp = {abs(x) for x in w}
-            in_u = supp <= u_idx
-            thick = in_u or maln_support(adj, supp, u_idx)
-            self.first_list.append(w)
-            self.first_sym.append(sym)
-            self.first_thick.append(thick)
-            if in_u:
-                self.u_count += 1
-            if not left:
-                self.mid_list.append(w)
-                self.mid_sym.append(sym)
-                self.mid_thick.append(thick)
-            if is_cyclically_minimal_letters(adj, w):
-                self.cyc_min_count += 1
-
-    def tallies(self, *, thick_only, strict):
-        """Symbol -> count maps for the first and the later slots."""
-        first, mid = {}, {}
-        for w, s, th in zip(self.first_list, self.first_sym, self.first_thick):
-            if thick_only and not th:
-                continue
-            if strict and s == SYM_ID:
-                continue
-            first[s] = first.get(s, 0) + 1
-        for w, s, th in zip(self.mid_list, self.mid_sym, self.mid_thick):
-            if thick_only and not th:
-                continue
-            if strict and s == SYM_ID:
-                continue
-            mid[s] = mid.get(s, 0) + 1
-        return first, mid
-
-
-@lru_cache(maxsize=32)
-def _hdata(n, dmax):
-    return HData(n, dmax)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +122,14 @@ def _hdata(n, dmax):
 
 
 def enumerate_LH(n, d):
-    """Exhaustive normal-form counts: totals and by exact length.
+    """Normal-form counts, totals and by exact length, counted over the
+    normal-form automaton.
 
-    For n = 5 both systems are generated; their per-length counts must
-    agree (each is in bijection with the subgroup elements).
+    For n = 5 the general system is counted too; its per-length counts
+    must agree with the square system's (each is in bijection with the
+    subgroup elements).
     """
-    hd = _hdata(n, d)
-    by_len = [len(lev) for lev in hd.forms_by_len[:d + 1]]
+    by_len = list(slots.counts(n, d).l_hs)
     out = {
         "n": n, "d": d,
         "l_H": sum(by_len),
@@ -316,7 +137,8 @@ def enumerate_LH(n, d):
         "source": ENUMERATED,
     }
     if n == 5:
-        general = [len(lev) for lev in _iter_general_forms(5, d)]
+        general = [sum(t.values())
+                   for t in slots.automaton(5, False).upto(d)[:d + 1]]
         out["l_HS_general"] = general
         out["l_H_general"] = sum(general)
     return out
@@ -325,48 +147,26 @@ def enumerate_LH(n, d):
 def enumerate_LHU(n, d):
     """Counts over the no-left-divisor forms: total, first-letter split
     (interior letters / a2 / a_{n-2}) and the non-thick count e(d)."""
-    hd = _hdata(n, d)
-    slot = hd.slot(d)
-    m = n - 1
-    a = b = c = 0
-    e = 0
-    by_len = [0] * (d + 1)
-    for w, th in zip(slot.mid_list, slot.mid_thick):
-        by_len[len(w)] += 1
-        if not th:
-            e += 1
-        if w:
-            i = abs(w[0])
-            if i == 2:
-                b += 1
-            elif i == m - 1:
-                c += 1
-            elif 3 <= i <= m - 2:
-                a += 1
+    counts = slots.counts(n, d)
+    a, b, c = counts.abc
     return {
         "n": n, "d": d,
-        "l_HU": len(slot.mid_list),
-        "l_HU_S": by_len,
+        "l_HU": sum(counts.l_hu_s),
+        "l_HU_S": list(counts.l_hu_s),
         "a": a, "b": b, "c": c,
-        "e": e,
+        "e": counts.e,
         "source": ENUMERATED,
     }
 
 
 def enumerate_LU(d):
     """|{a_{n-1}^x a1^y : |x| + |y| <= d}|, independent of n >= 5."""
-    count = 0
-    for x in range(-d, d + 1):
-        for y in range(-d, d + 1):
-            if abs(x) + abs(y) <= d:
-                count += 1
-    return count
+    return sum(2 * (d - abs(x)) + 1 for x in range(-d, d + 1))
 
 
 def enumerate_e_prime(n, d):
     """Elements of L_H(d) outside U union Maln(U)."""
-    slot = _hdata(n, d).slot(d)
-    return sum(1 for th in slot.first_thick if not th)
+    return slots.counts(n, d).e_prime
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +236,13 @@ def tpower_bound(a, b, c, k):
     summed over t-length l = 1..k with parameters a, b, c."""
     if a <= c:
         raise BadParameter("bound needs a > c")
-    sa, sc = math.sqrt(a), math.sqrt(c)
-    total = 0.0
-    for l in range(1, k + 1):
-        total += (2 ** l * sa * b * c ** ((l + 1) / 2) / (a - c)) * (sa + sc) ** (l - 1)
+    try:
+        sa, sc = math.sqrt(a), math.sqrt(c)
+        total = 0.0
+        for l in range(1, k + 1):
+            total += (2 ** l * sa * b * c ** ((l + 1) / 2) / (a - c)) * (sa + sc) ** (l - 1)
+    except OverflowError:  # as when a product of finite terms overflows
+        return math.inf
     return total
 
 
@@ -531,6 +334,7 @@ def _mobius(m):
     return -sign if m > 1 else sign
 
 
+@lru_cache(maxsize=4096)
 def _unrank_alpha(l, r, index):
     """The vector at `index` in the order _alpha_vectors(l, r) yields:
     compositions head first, then signs in product((1, -1)) order."""
@@ -548,17 +352,17 @@ def _unrank_alpha(l, r, index):
                  for i, x in enumerate(parts))
 
 
-def _pattern_period_count(first, mid, p, q):
+def _pattern_period_count(groups, p, q):
     """Symbol patterns of length p*q with period p: the first slot and its
     repeats share a symbol, every other position repeats independently."""
-    m1 = sum(c * mid.get(s, 0) ** (q - 1) for s, c in first.items())
-    m2 = sum(c ** q for c in mid.values())
+    m1 = sum(count * first * mid ** (q - 1) for count, first, mid in groups)
+    m2 = sum(count * mid ** q for count, _, mid in groups)
     return m1 * m2 ** (p - 1)
 
 
-def _composed_engine(first, mid, k):
+def _composed_engine(groups, trivial, k):
     """Total and proper-power tallies over all type (ii) tuples with the
-    given slot populations, t-length budget k.
+    slot populations of census_slots.tally, t-length budget k.
 
     A tuple is a (symbol, exponent) pattern of r blocks; it is a proper
     power iff the pattern is not primitive.  Per (l, r) block, J(q)
@@ -572,8 +376,8 @@ def _composed_engine(first, mid, k):
     total = 0
     powers = 0
     for r in range(1, k + 1):
-        trivial = first.get(SYM_ID, 0) * mid.get(SYM_ID, 0) ** (r - 1)
-        periods = {q: (_mobius(r // q), _pattern_period_count(first, mid, q, r // q))
+        all_trivial = trivial[0] * trivial[1] ** (r - 1)
+        periods = {q: (_mobius(r // q), _pattern_period_count(groups, q, r // q))
                    for q in range(1, r + 1) if r % q == 0}
         for l in range(r, k + 1):
             block = _vector_count(l, r) * periods[r][1]
@@ -585,7 +389,7 @@ def _composed_engine(first, mid, k):
                     primitive += vectors * patterns
             total += block
             powers += (block - primitive
-                       + trivial * (primitive_alpha - _balanced_count(l, r)))
+                       + all_trivial * (primitive_alpha - _balanced_count(l, r)))
     return total, powers
 
 
@@ -596,67 +400,24 @@ def enumerate_composed(n, d, k):
     L_H^U(d) -- reproduces the closed product formulas.  Strict: every
     slot nontrivial -- the honest disjoint word set.
     """
-    slot = _hdata(n, max(d, 1)).slot(d)
-    l_u = enumerate_LU(d)
-    l1 = 2 * k * l_u
+    cyc_min = slots.counts(n, d).cyc_min
+    l1 = 2 * k * enumerate_LU(d)
     out = {"n": n, "d": d, "k": k, "l1": l1, "source": ENUMERATED}
 
-    first_a, mid_a = slot.tallies(thick_only=False, strict=False)
-    out["l2"], p_a = _composed_engine(first_a, mid_a, k)
-    out["z4_false_l2"] = p_a
+    def engine(thick_only, strict):
+        return _composed_engine(
+            *slots.tally(n, d, thick_only=thick_only, strict=strict), k)
 
-    first_t, mid_t = slot.tallies(thick_only=True, strict=False)
-    out["z2_l2"], thick_powers = _composed_engine(first_t, mid_t, k)
-
-    first_s, mid_s = slot.tallies(thick_only=False, strict=True)
-    out["l2_strict"], out["tpowers_strict"] = _composed_engine(first_s, mid_s, k)
-
-    first_ts, mid_ts = slot.tallies(thick_only=True, strict=True)
-    z2_strict, p_ts = _composed_engine(first_ts, mid_ts, k)
+    out["l2"], out["z4_false_l2"] = engine(False, False)
+    out["z2_l2"], _ = engine(True, False)
+    out["l2_strict"], out["tpowers_strict"] = engine(False, True)
+    z2_strict, p_ts = engine(True, True)
     out["z2_l2_strict"] = z2_strict
     out["zY_strict"] = z2_strict - p_ts
     out["z4_l2_strict"] = out["l2_strict"] - out["tpowers_strict"]
-    out["l_d0"] = slot.cyc_min_count
-    out["l_dk"] = slot.cyc_min_count + l1 + out["l2_strict"]
+    out["l_d0"] = cyc_min
+    out["l_dk"] = cyc_min + l1 + out["l2_strict"]
     return out
-
-
-def iter_strict_composed(n, d, k, limit=200_000):
-    """Materialise the strict composed set as letter tuples over the
-    chorded-cycle graph (vertex 1 is t; a_i maps to index i+1), with the
-    stratum label."""
-    hd = _hdata(n, max(d, 1))
-    slot = hd.slot(d)
-    count = 0
-
-    def lift(w):
-        return tuple((abs(x) + 1) * (1 if x > 0 else -1) for x in w)
-
-    for w in slot.first_list:
-        if is_cyclically_minimal_letters(hd.adj, w):
-            count += 1
-            yield ("L0", lift(w))
-    m = n - 1
-    u_list = [w for w in slot.first_list if {abs(x) for x in w} <= {1, m}]
-    for l in range(1, k + 1):
-        for sign in (1, -1):
-            for u in u_list:
-                count += 1
-                yield ("L1", lift(u) + (sign,) * l)
-    firsts = [w for w, s in zip(slot.first_list, slot.first_sym) if s != SYM_ID]
-    mids = [w for w, s in zip(slot.mid_list, slot.mid_sym) if s != SYM_ID]
-    for l in range(1, k + 1):
-        for r in range(1, l + 1):
-            for alpha in _alpha_vectors(l, r):
-                for combo in product(firsts, *([mids] * (r - 1))):
-                    letters = []
-                    for chunk, e in zip(combo, alpha):
-                        letters.extend(lift(chunk))
-                        letters.extend((1 if e > 0 else -1,) * abs(e))
-                    count += 1
-                    if count > limit:
-                        raise BudgetExceeded(f"materialisation over {limit}")
-                    yield ("L2", tuple(letters))
 
 
 def classify_Z(n, w):
@@ -670,7 +431,7 @@ def classify_Z(n, w):
     from .graphs import star as _star
     from .words import support as _support
 
-    g = _chord_graph(n)
+    g = slots.chord_graph(n)
     word = w if isinstance(w, Word) else Word(g, tuple(w))
     h = _hnn.hnn_factorize(g, "t", word)
     z1 = _hnn.t_length(h) >= 1
@@ -757,10 +518,10 @@ def census_row(n, d, k, mode="exhaustive", samples=None, seed=None) -> CensusRow
     """One census row.  Exhaustive mode classifies by the exact factorised
     tallies; sample mode estimates the density by stratified uniform
     sampling driven by the exact stratum sizes."""
-    _check_n(n)
+    slots.check_n(n)
     if d < 0 or k < 0:
         raise BadParameter("d and k must be nonnegative")
-    l_hs = [len(lev) for lev in _hdata(n, d).forms_by_len]
+    l_hs = list(slots.counts(n, d).l_hs)
     lhu = enumerate_LHU(n, d)
     comp = enumerate_composed(n, d, k)
     enums = {
@@ -813,41 +574,46 @@ def census_row(n, d, k, mode="exhaustive", samples=None, seed=None) -> CensusRow
 
 
 def _sample_zy(n, d, k, samples, seed):
-    """Uniform sampling over the strict set via exact stratum sizes."""
-    hd = _hdata(n, max(d, 1))
-    slot = hd.slot(d)
+    """Uniform sampling over the strict set via exact stratum sizes.
+
+    A slot is drawn as an index into the forms outside U (first slot) or
+    the nontrivial ones without a left divisor in U (later slots), and
+    census_slots.form unranks it; choice over the range of indices makes
+    the same draw as choice over the list of forms.  Symbols are read
+    only for all-thick tuples.
+    """
+    counts = slots.counts(n, d)
     rng = random.Random(seed)
     l_u = enumerate_LU(d)
-    firsts = [(s, th) for s, th in zip(slot.first_sym, slot.first_thick)
-              if s != SYM_ID]
-    mids = [(s, th) for s, th in zip(slot.mid_sym, slot.mid_thick)
-            if s != SYM_ID]
-    off_l2 = slot.cyc_min_count + 2 * k * l_u
+    firsts = range(sum(counts.l_hs) - l_u)
+    mids = range(sum(counts.l_hu_s) - 1)
+    off_l2 = counts.cyc_min + 2 * k * l_u
     # the type (ii) stratum in (l, r) blocks, each of _vector_count(l, r)
-    # exponent vectors that carry `per_vector` slot tuples apiece
-    blocks = []
+    # exponent vectors that carry `per_vector` slot tuples apiece; `ends`
+    # holds the cumulative block sizes
+    blocks, ends, end = [], [], 0
     for l in range(1, k + 1):
         for r in range(1, l + 1):
             per_vector = len(firsts) * len(mids) ** (r - 1)
-            blocks.append((l, r, per_vector, _vector_count(l, r) * per_vector))
-    total = off_l2 + sum(size for (*_, size) in blocks)
+            blocks.append((l, r, per_vector, end))
+            end += _vector_count(l, r) * per_vector
+            ends.append(end)
+    total = off_l2 + end
     if total == 0:
         raise BadParameter("empty census universe")
+    form, symbol, choice = slots.form, slots.symbol, rng.choice
     hits = 0
     for _ in range(samples):
         x = rng.randrange(total) - off_l2
         if x < 0:
             continue  # zY is false off the type (ii) stratum
-        for (l, r, per_vector, size) in blocks:
-            if x < size:
-                break
-            x -= size
-        alpha = _unrank_alpha(l, r, x // per_vector)
-        syms = [rng.choice(firsts)]
-        syms += [rng.choice(mids) for _ in range(r - 1)]
-        if not all(th for (_, th) in syms):
+        l, r, per_vector, start = blocks[bisect_right(ends, x)]
+        alpha = _unrank_alpha(l, r, (x - start) // per_vector)
+        drawn = [form(n, 0, choice(firsts))]
+        drawn += [form(n, 1, choice(mids)) for _ in range(r - 1)]
+        if not all(thick for (_, thick) in drawn):
             continue
-        pairs = tuple((s, a) for (s, _), a in zip(syms, alpha))
+        pairs = tuple((symbol(n, w), a) for (w, _), a in zip(drawn, alpha))
         power = any(r % p == 0 and all(pairs[i] == pairs[i % p] for i in range(r))
                     for p in range(1, r))
         if not power:

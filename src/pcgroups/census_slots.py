@@ -1,0 +1,329 @@
+"""Slot data of the census, counted over the normal-form automaton.
+
+For the n-cycle-with-chord graph the subgroup over a1..a_{n-1} is the
+pc group of the (n-1)-cycle, and U is the rank-two free abelian
+parabolic over the chord ends a1, a_{n-1}.  The census reads, for the
+normal forms of length <= d, how many there are by length, which have
+a left divisor in U, which are thick, which are cyclically minimal, and
+the double-coset symbols with their slot counts.  The forms are never
+built: the prohibited factor a_{i+1}^e a_{i-1}^b a_i^d is local, so
+they are a regular language (so is the square system of n = 5), and one
+cached transfer-matrix pass (Flajolet-Sedgewick, Analytic Combinatorics,
+ch. V) counts them level by level by these properties, in time linear
+in d.  Sample mode unranks the forms it draws from the same counts.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from types import SimpleNamespace
+
+from .cosets import maln_support
+from .errors import BadParameter, BudgetExceeded
+from .graphs import cycle_with_chord
+from .words import lexmin_letters, split_letters
+
+# automaton steps (states x letters, summed over levels) one system may
+# spend reaching its chunk budget d
+WORK_BUDGET = 3_000_000
+
+
+def check_n(n):
+    if n < 5:
+        raise BadParameter(f"census needs n >= 5, got {n}")
+
+
+@lru_cache(maxsize=32)
+def chord_graph(n):
+    return cycle_with_chord(n)
+
+
+@lru_cache(maxsize=32)
+def h_adj(n):
+    """1-based cycle adjacency for generators a1..a_{n-1}: the chorded
+    cycle without t."""
+    return chord_graph(n).induced([f"a{i}" for i in range(1, n)])._adj_idx
+
+
+def wrap(n, i):
+    return (i - 1) % (n - 1) + 1
+
+
+START = (0, False, 0, 0, 0, 0, 0, 3)  # automaton state of the empty word
+
+
+def step(n, square, state, y):
+    """The state after letter y, or None if y may not follow (see
+    _Automaton)."""
+    last, flag, l1, lm, r1, rm, fl, cls = state
+    m, j, g = n - 1, abs(y), abs(last)
+    if last == -y or (square and g in (1, 3) and j in (2, 4)):
+        return None
+    if last and not square:
+        if g == wrap(n, j + 1) or (flag and g == wrap(n, j - 1)):
+            return None
+        flag = flag if j == g else g == wrap(n, j + 2)
+    sign = 1 if y > 0 else -1
+    near_1, near_m = j in (2, m), j in (m - 1, 1)  # commute with a1, a_{n-1}
+    if l1 == 0:
+        l1 = sign if j == 1 else 0 if near_1 else 2
+    if lm == 0:
+        lm = sign if j == m else 0 if near_m else 2
+    r1 = sign if j == 1 else r1 if near_1 else 0
+    rm = sign if j == m else rm if near_m else 0
+    inner = 2 < j < m - 1
+    fl = 4 if inner or fl == 4 else fl | (j == 2) | (j == m - 1) << 1
+    if not last:
+        cls = 0 if inner else 1 if j == 2 else 2 if j == m - 1 else 3
+    if l1 in (1, -1) or lm in (1, -1):
+        cls = 3
+    return (y, flag, l1, lm, r1, rm, fl, cls)
+
+
+def _signature(state):
+    """What the census reads of a form: whether it has no left divisor in
+    U; whether it is thick; whether a1 is a left and a1^-1 a right
+    divisor; whether a_{n-1} and a_{n-1}^-1 are too; r for a nontrivial
+    U-core, None for other forms; and the first letter's class."""
+    _, _, l1, lm, r1, rm, fl, cls = state
+    free, x = l1 in (0, 2) and lm in (0, 2), l1 == 1 and r1 == -1
+    r = None
+    if free and fl and r1 == rm == 0:
+        r = (fl in (2, 3, 4)) + (fl in (1, 3, 4))
+    return (free, fl in (0, 3, 4), x, x and lm == 1 and rm == -1, r, cls)
+
+
+class _Automaton:
+    """The working normal-form system, counted level by level.
+
+    A state is (last, flag, l1, lm, r1, rm, fl, cls):
+    - last: the last letter (0 at first); flag: whether the generator
+      before the last run is |last|+2, which forbids |last|+1;
+    - l1, lm: the left status of a1 and a_{n-1}, the generators of U: 0
+      while every letter commutes with it, its sign once it is a left
+      divisor, 2 once a letter that does not commute with it came first;
+    - r1, rm: the sign of its last occurrence while only letters that
+      commute with it follow (a right divisor), else 0;
+    - fl: the generators outside U that occur: bit 1 a2, bit 2 a_{n-2},
+      4 (alone) any of a3..a_{n-3}; a form is thick iff fl is 0, 3 or 4,
+      inside U or in Maln(U) by maln_support;
+    - cls: the first letter's a/b/c class 0, 1 or 2, or 3 for none and
+      once U has a left divisor.
+    tallies[l] counts the forms of length l by _signature.
+    """
+
+    def __init__(self, n, square):
+        self.n, self.square = n, square
+        self.letters = tuple(s * i for i in range(1, n) for s in (1, -1))
+        self.states, self.ids = [START], {START: 0}
+        self.sigs = [_signature(START)]
+        self.succ = {}
+        self.frontier, self.level_states = {0: 1}, [(0,)]
+        self.tallies = [{self.sigs[0]: 1}]
+        self.work = 0
+        self.paths = ({}, {})  # per slot kind: (state, j) -> completions
+
+    def _successors(self, s):
+        """(letter, state id) pairs in letter order, computed once."""
+        if s not in self.succ:
+            self.succ[s] = []
+            for y in self.letters:
+                t = step(self.n, self.square, self.states[s], y)
+                if t is not None:
+                    if t not in self.ids:
+                        self.ids[t] = len(self.states)
+                        self.states.append(t)
+                        self.sigs.append(_signature(t))
+                    self.succ[s].append((y, self.ids[t]))
+        return self.succ[s]
+
+    def upto(self, d):
+        """The tallies, counted at least to level d.
+
+        Level l + 1 costs (states at l) x (letters) steps, and every level
+        past the first has a state per last letter; the sum to d is checked
+        at that minimum before each level, so a d over WORK_BUDGET raises
+        BudgetExceeded before any work is wasted.
+        """
+        width = len(self.letters)
+        while len(self.tallies) <= d:
+            cost = len(self.frontier) * width
+            ahead = (d - len(self.tallies)) * width * width
+            if self.work + cost + ahead > WORK_BUDGET:
+                raise BudgetExceeded(
+                    f"census needs more than {WORK_BUDGET} automaton steps")
+            self.work += cost
+            nxt, tally = {}, {}
+            for s, c in self.frontier.items():
+                for _, t in self._successors(s):
+                    nxt[t] = nxt.get(t, 0) + c
+            for t, c in nxt.items():
+                tally[self.sigs[t]] = tally.get(self.sigs[t], 0) + c
+            self.frontier = nxt
+            self.level_states.append(tuple(nxt))
+            self.tallies.append(tally)
+        return self.tallies
+
+    def unrank(self, kind, ell, index):
+        """The level-ell form at `index` in slot list `kind` (see form),
+        in letter order a1, a1^-1, a2, ... as the enumeration meets them."""
+        paths = self.paths[kind]
+        for i in range(ell, -1, -1):
+            for s in self.level_states[i]:
+                j = ell - i
+                if (s, j) in paths:
+                    continue
+                if j:
+                    paths[s, j] = sum(paths[t, j - 1] for _, t in self.succ[s])
+                else:  # outside U; later slots: no left divisor in U
+                    paths[s, 0] = int(self.states[s][6] != 0
+                                      and (not kind or self.sigs[s][0]))
+        s, word = 0, []
+        for j in range(ell - 1, -1, -1):
+            for y, t in self.succ[s]:
+                if index < paths[t, j]:
+                    break
+                index -= paths[t, j]
+            word.append(y)
+            s = t
+        return tuple(word)
+
+
+@lru_cache(maxsize=32)
+def automaton(n, square):
+    return _Automaton(n, square)
+
+
+def _free_word(letters, length, rank):
+    """The reduced word at `rank` among those of `length` over the two
+    generators of `letters`, in depth-first letter order."""
+    out = []
+    for pos in range(length):
+        q, rank = divmod(rank, 3 ** (length - 1 - pos))
+        out.append([y for y in letters if not out or y != -out[-1]][q])
+    return tuple(out)
+
+
+def _square_unrank(kind, ell, index):
+    """_Automaton.unrank for the square system, which orders a level by
+    the length p of the {a2, a4} part and then by the two parts, reduced
+    words in letter order.  The later slots take the parts that are empty
+    or led by a2 and by a3: the first half of the first part's words and
+    the second half of the second's.  The first slot takes every pair but
+    a4^{+-p} a1^{+-q}, the forms inside U, whose parts rank 3^p - 1 or
+    last, and 0 or 3^(q-1)."""
+    for p in range(ell + 1):
+        n1, n2 = (4 * 3 ** (x - 1) if x else 1 for x in (p, ell - p))
+        if kind:
+            skip = n2 // 2
+            size = (n1 + 1) // 2 * (n2 - skip)
+        else:
+            excluded = sorted({x * n2 + y for x in (3 ** p - 1, n1 - 1)
+                               for y in (0, n2 // 4)})
+            size = n1 * n2 - len(excluded)
+        if index < size:
+            break
+        index -= size
+    if kind:
+        r1, r2 = divmod(index, n2 - skip)
+        r2 += skip
+    else:
+        for x in excluded:
+            index += x <= index
+        r1, r2 = divmod(index, n2)
+    return (_free_word((2, -2, 4, -4), p, r1)
+            + _free_word((1, -1, 3, -3), ell - p, r2))
+
+
+@lru_cache(maxsize=4096)
+def form(n, kind, index):
+    """(form, thick) at `index` in a slot list: kind 0 the first slot (the
+    forms outside U), kind 1 the later slots (nontrivial, no left divisor
+    in U), by length and then in the working system's enumeration order."""
+    auto = automaton(n, n == 5)
+    ell = 0
+    while True:
+        level = auto.upto(ell)[ell]
+        if kind:
+            size = sum(c for sig, c in level.items() if sig[0]) if ell else 0
+        else:
+            size = sum(level.values()) - (4 * ell if ell else 1)  # less U
+        if index < size:
+            break
+        index -= size
+        ell += 1
+    w = (_square_unrank if n == 5 else auto.unrank)(kind, ell, index)
+    thick = maln_support(h_adj(n), {abs(x) for x in w}, frozenset((1, n - 1)))
+    return w, thick
+
+
+@lru_cache(maxsize=4096)
+def symbol(n, w):
+    """The double-coset symbol of a form outside U, as its canonical
+    U-core: distinct U-cores never share a symbol."""
+    adj = h_adj(n)
+    return lexmin_letters(adj, split_letters(adj, w, frozenset((1, n - 1)))[1])
+
+
+@lru_cache(maxsize=32)
+def counts(n, d):
+    """The slot data of (n, d), summed from the automaton tallies: the
+    forms by length (l_hs) and those without a left divisor in U (l_hu_s),
+    the latter's split by first letter a3..a_{n-3} / a2 / a_{n-2} (abc),
+    the non-thick ones among those (e) and among all forms (e_prime), the
+    cyclically minimal forms (cyc_min) and the nontrivial U-cores by
+    (length, r, thick) (cores).
+
+    A form is cyclically reducible iff some g^e is a left and g^-e a right
+    divisor.  Left divisors commute, so at most two (an edge) are bad, and
+    the cycle's symmetries and the inversions a_i -> a_i^-1 keep length:
+    by inclusion-exclusion a level loses 2(n-1) X - 4(n-1) Y forms, X and
+    Y counting the bad a1^+1 and the bad pair a1^+1, a_{n-1}^+1.
+    """
+    check_n(n)
+    l_hs, l_hu_s, abc = [], [], [0, 0, 0, 0]  # by class; 3 is dropped
+    e = e_prime = cyc_min = 0
+    cores = {}
+    for ell, level in enumerate(automaton(n, n == 5).upto(d)[:d + 1]):
+        forms = free = x = y = 0
+        for (noleft, thick, bad, bad2, r, cls), c in level.items():
+            forms += c
+            x, y = x + bad * c, y + bad2 * c
+            e_prime += (not thick) * c
+            if noleft:
+                free += c
+                e += (not thick) * c
+                abc[cls] += c
+            if r is not None:
+                cores[ell, r, thick] = cores.get((ell, r, thick), 0) + c
+        l_hs.append(forms)
+        l_hu_s.append(free)
+        cyc_min += forms - 2 * (n - 1) * (x - 2 * y)
+    return SimpleNamespace(l_hs=tuple(l_hs), l_hu_s=tuple(l_hu_s),
+                           abc=tuple(abc[:3]), e=e, e_prime=e_prime,
+                           cyc_min=cyc_min, cores=cores)
+
+
+def _ball(r, s):
+    """Elements of length <= s in a free abelian group of rank r <= 2."""
+    return (1, 2 * s + 1, 1 + 2 * s * (s + 1))[r]
+
+
+def tally(n, d, *, thick_only, strict):
+    """Groups (N, first, mid) of N symbols with `first` forms each in the
+    first slot and `mid` in a later one, and the identity symbol's (first,
+    mid), (0, 0) when strict drops it.
+
+    A nontrivial U-core c of length l is one symbol, with the forms u.c.v:
+    u over U, v over the r generators of U that do not commute with c.
+    With s = d - l a later slot (u = 1) has _ball(r, s) of them, the first
+    the sum over |u| = j of 4j (1 at j = 0) times _ball(r, s - j).
+    """
+    groups = [(count, sum((4 * j if j else 1) * _ball(r, d - ell - j)
+                          for j in range(d - ell + 1)), _ball(r, d - ell))
+              for (ell, r, thick), count in counts(n, d).cores.items()
+              if thick or not thick_only]
+    if strict:
+        return groups, (0, 0)
+    trivial = (_ball(2, d), 1)  # the identity's forms are U itself
+    return groups + [(1, *trivial)], trivial

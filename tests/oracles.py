@@ -5,20 +5,29 @@ moves (swap a commuting pair, cancel an adjacent inverse pair), restarting
 from any shorter word found; the shortest stratum of the closure is the
 geodesic class and its lexicographic minimum is the oracle's canonical
 form.  Cayley-graph distances come from breadth-first search keyed by
-those canonical forms.  The census reference walks every signed exponent
-vector one by one, where the library counts them in closed form.
+those canonical forms.  The census reference builds every normal form
+and walks every signed exponent vector one by one, where the library
+counts both in closed form or over the normal-form automaton.
 """
 
 import math
 import random
+from functools import lru_cache
 from itertools import product
 
-from pcgroups import census
+from pcgroups import census, census_slots
+from pcgroups.cosets import maln_support, oriented_symbol
+from pcgroups.errors import BudgetExceeded
 from pcgroups.graphs import (
     CommutationGraph,
     build_graph,
     cycle_with_chord,
     plain_cycle,
+)
+from pcgroups.words import (
+    is_cyclically_minimal_letters,
+    lexmin_letters,
+    split_letters,
 )
 
 
@@ -148,8 +157,190 @@ def conjugacy_partition(graph, max_len):
 
 
 # ---------------------------------------------------------------------------
-# census: the type (ii) tallies and the sampler by walking every exponent
-# vector, the reference for the closed-form block counts
+# census: the normal-form enumerator and the walk over every exponent
+# vector, the reference for the automaton counts and the closed-form
+# block counts of pcgroups.census
+
+SYM_ID = ((), 1)  # coset symbol of the identity
+
+FORM_BUDGET = 3_000_000
+
+
+def iter_general_forms(n, dmax):
+    """All prohibited-subword normal forms of length <= dmax, by length.
+
+    Prefixes of normal forms are normal (the pattern is contiguous), so
+    depth-first extension with suffix checks is exhaustive.
+    """
+    m = n - 1
+    levels = [[()]]
+    letters = [s * i for i in range(1, m + 1) for s in (1, -1)]
+    total = 1
+    for _ in range(dmax):
+        nxt = []
+        for w in levels[-1]:
+            last = w[-1] if w else 0
+            for y in letters:
+                if last == -y:
+                    continue
+                j = abs(y)
+                below = census_slots.wrap(n, j - 1)
+                above = census_slots.wrap(n, j + 1)
+                p = len(w) - 1
+                while p >= 0 and abs(w[p]) == below:
+                    p -= 1
+                if p >= 0 and abs(w[p]) == above:
+                    continue
+                nxt.append(w + (y,))
+        total += len(nxt)
+        if total > FORM_BUDGET:
+            raise BudgetExceeded(f"more than {FORM_BUDGET} normal forms")
+        levels.append(nxt)
+    return levels
+
+
+def _iter_free_words(gens, dmax):
+    levels = [[()]]
+    letters = [s * i for i in gens for s in (1, -1)]
+    for _ in range(dmax):
+        nxt = []
+        for w in levels[-1]:
+            last = w[-1] if w else 0
+            nxt.extend(w + (y,) for y in letters if last != -y)
+        levels.append(nxt)
+    return levels
+
+
+def iter_square_forms(dmax):
+    """Square normal forms over the 4-cycle, by length (n = 5 only)."""
+    if dmax > 0 and 1 + 8 * dmax * 3 ** (dmax - 1) > FORM_BUDGET:
+        raise BudgetExceeded(f"more than {FORM_BUDGET} normal forms")
+    first = _iter_free_words((2, 4), dmax)
+    second = _iter_free_words((1, 3), dmax)
+    levels = [[] for _ in range(dmax + 1)]
+    for p in range(dmax + 1):
+        for w1 in first[p]:
+            for q in range(dmax + 1 - p):
+                for w2 in second[q]:
+                    levels[p + q].append(w1 + w2)
+    return levels
+
+
+class HData:
+    """Enumerated slot data for one (n, dmax).
+
+    forms_by_len holds the working normal-form system (square for n = 5,
+    general otherwise); per-element thickness, coset symbols and
+    derived subsets are computed lazily per length bound.
+    """
+
+    def __init__(self, n, dmax):
+        census_slots.check_n(n)
+        self.n = n
+        self.dmax = dmax
+        self.adj = census_slots.h_adj(n)
+        if n == 5:
+            self.forms_by_len = iter_square_forms(dmax)
+        else:
+            self.forms_by_len = iter_general_forms(n, dmax)
+        self._slots = {}
+
+    def forms(self, d):
+        out = []
+        for lev in self.forms_by_len[:d + 1]:
+            out.extend(lev)
+        return out
+
+    def slot(self, d):
+        if d not in self._slots:
+            self._slots[d] = SlotData(self, d)
+        return self._slots[d]
+
+
+class SlotData:
+    """Per-d slot populations with symbols and thickness flags."""
+
+    def __init__(self, hdata, d):
+        adj = hdata.adj
+        u_idx = frozenset((1, hdata.n - 1))  # U: the chord ends a1, a_{n-1}
+        self.first_list, self.first_sym, self.first_thick = [], [], []
+        self.mid_list, self.mid_sym, self.mid_thick = [], [], []
+        self.cyc_min_count = 0
+        for w in hdata.forms(d):
+            left, core, _ = split_letters(adj, w, u_idx)
+            sym = oriented_symbol(adj, lexmin_letters(adj, core))
+            supp = {abs(x) for x in w}
+            in_u = supp <= u_idx
+            thick = in_u or maln_support(adj, supp, u_idx)
+            self.first_list.append(w)
+            self.first_sym.append(sym)
+            self.first_thick.append(thick)
+            if not left:
+                self.mid_list.append(w)
+                self.mid_sym.append(sym)
+                self.mid_thick.append(thick)
+            if is_cyclically_minimal_letters(adj, w):
+                self.cyc_min_count += 1
+
+    def tallies(self, *, thick_only, strict):
+        """Symbol -> count maps for the first and the later slots."""
+        first, mid = {}, {}
+        for w, s, th in zip(self.first_list, self.first_sym, self.first_thick):
+            if thick_only and not th:
+                continue
+            if strict and s == SYM_ID:
+                continue
+            first[s] = first.get(s, 0) + 1
+        for w, s, th in zip(self.mid_list, self.mid_sym, self.mid_thick):
+            if thick_only and not th:
+                continue
+            if strict and s == SYM_ID:
+                continue
+            mid[s] = mid.get(s, 0) + 1
+        return first, mid
+
+
+@lru_cache(maxsize=32)
+def hdata(n, dmax):
+    return HData(n, dmax)
+
+
+def iter_strict_composed(n, d, k, limit=200_000):
+    """Materialise the strict composed set as letter tuples over the
+    chorded-cycle graph (vertex 1 is t; a_i maps to index i+1), with the
+    stratum label."""
+    hd = hdata(n, max(d, 1))
+    slot = hd.slot(d)
+    count = 0
+
+    def lift(w):
+        return tuple((abs(x) + 1) * (1 if x > 0 else -1) for x in w)
+
+    for w in slot.first_list:
+        if is_cyclically_minimal_letters(hd.adj, w):
+            count += 1
+            yield ("L0", lift(w))
+    m = n - 1
+    u_list = [w for w in slot.first_list if {abs(x) for x in w} <= {1, m}]
+    for l in range(1, k + 1):
+        for sign in (1, -1):
+            for u in u_list:
+                count += 1
+                yield ("L1", lift(u) + (sign,) * l)
+    firsts = [w for w, s in zip(slot.first_list, slot.first_sym) if s != SYM_ID]
+    mids = [w for w, s in zip(slot.mid_list, slot.mid_sym) if s != SYM_ID]
+    for l in range(1, k + 1):
+        for r in range(1, l + 1):
+            for alpha in census._alpha_vectors(l, r):
+                for combo in product(firsts, *([mids] * (r - 1))):
+                    letters = []
+                    for chunk, e in zip(combo, alpha):
+                        letters.extend(lift(chunk))
+                        letters.extend((1 if e > 0 else -1,) * abs(e))
+                    count += 1
+                    if count > limit:
+                        raise BudgetExceeded(f"materialisation over {limit}")
+                    yield ("L2", tuple(letters))
 
 
 def _divisor_periods(alpha):
@@ -162,6 +353,14 @@ def _divisor_periods(alpha):
     return out
 
 
+def _pattern_period_count(first, mid, p, q):
+    """Symbol patterns of length p*q with period p over symbol -> count
+    maps: the first slot and its repeats share a symbol."""
+    m1 = sum(c * mid.get(s, 0) ** (q - 1) for s, c in first.items())
+    m2 = sum(c ** q for c in mid.values())
+    return m1 * m2 ** (p - 1)
+
+
 def _formal_power_count(alpha, first, mid):
     """Tuples whose formal sigma pattern is a proper power, for one
     exponent vector.
@@ -172,7 +371,7 @@ def _formal_power_count(alpha, first, mid):
     iff the total exponent has absolute value at least 2.
     """
     r = len(alpha)
-    trivial = first.get(census.SYM_ID, 0) * mid.get(census.SYM_ID, 0) ** (r - 1)
+    trivial = first.get(SYM_ID, 0) * mid.get(SYM_ID, 0) ** (r - 1)
     periods = _divisor_periods(alpha)
     count = 0
     if periods:
@@ -184,14 +383,15 @@ def _formal_power_count(alpha, first, mid):
             for p in chosen[1:]:
                 g = math.gcd(g, p)
             sign = -1 if bin(mask).count("1") % 2 == 0 else 1
-            count += sign * census._pattern_period_count(first, mid, g, r // g)
+            count += sign * _pattern_period_count(first, mid, g, r // g)
     pure_t_power = abs(sum(alpha)) >= 2
     count += (int(pure_t_power) - int(bool(periods))) * trivial
     return count
 
 
 def alpha_walk_engine(first, mid, k):
-    """census._composed_engine by walking all 2*3^(l-1) vectors per l."""
+    """census._composed_engine by walking all 2*3^(l-1) vectors per l,
+    over symbol -> count maps."""
     tot_f = sum(first.values())
     tot_m = sum(mid.values())
     total = powers = 0
@@ -204,13 +404,14 @@ def alpha_walk_engine(first, mid, k):
 
 
 def alpha_walk_sample_zy(n, d, k, samples, seed):
-    """census._sample_zy with one stratum per exponent vector."""
-    slot = census._hdata(n, max(d, 1)).slot(d)
+    """census._sample_zy over the enumerated slot lists, with one stratum
+    per exponent vector."""
+    slot = hdata(n, max(d, 1)).slot(d)
     rng = random.Random(seed)
     firsts = [(s, th) for s, th in zip(slot.first_sym, slot.first_thick)
-              if s != census.SYM_ID]
+              if s != SYM_ID]
     mids = [(s, th) for s, th in zip(slot.mid_sym, slot.mid_thick)
-            if s != census.SYM_ID]
+            if s != SYM_ID]
     strata = [("L0", None, slot.cyc_min_count),
               ("L1", None, 2 * k * census.enumerate_LU(d))]
     for l in range(1, k + 1):
@@ -237,6 +438,86 @@ def alpha_walk_sample_zy(n, d, k, samples, seed):
                                            for i in range(r))
                         for p in range(1, r))
     return hits
+
+
+def reference_LH(n, d):
+    """census.enumerate_LH over the enumerated forms."""
+    by_len = [len(lev) for lev in hdata(n, d).forms_by_len[:d + 1]]
+    out = {"n": n, "d": d, "l_H": sum(by_len), "l_HS": by_len,
+           "source": census.ENUMERATED}
+    if n == 5:
+        general = [len(lev) for lev in iter_general_forms(5, d)]
+        out["l_HS_general"] = general
+        out["l_H_general"] = sum(general)
+    return out
+
+
+def reference_LHU(n, d):
+    """census.enumerate_LHU over the enumerated forms."""
+    slot = hdata(n, d).slot(d)
+    m = n - 1
+    a = b = c = e = 0
+    by_len = [0] * (d + 1)
+    for w, th in zip(slot.mid_list, slot.mid_thick):
+        by_len[len(w)] += 1
+        e += not th
+        if w:
+            i = abs(w[0])
+            if i == 2:
+                b += 1
+            elif i == m - 1:
+                c += 1
+            elif 3 <= i <= m - 2:
+                a += 1
+    return {"n": n, "d": d, "l_HU": len(slot.mid_list), "l_HU_S": by_len,
+            "a": a, "b": b, "c": c, "e": e, "source": census.ENUMERATED}
+
+
+def reference_e_prime(n, d):
+    return sum(1 for th in hdata(n, d).slot(d).first_thick if not th)
+
+
+def reference_census_row(n, d, k, mode="exhaustive", samples=None, seed=None):
+    """census_row(...).to_json_dict() with every enumerated value taken
+    from the enumerated slot lists, the exponent-vector walk and its
+    sampler; the FORMULA side is census._formula_dict."""
+    slot = hdata(n, max(d, 1)).slot(d)
+    lh, lhu = reference_LH(n, d), reference_LHU(n, d)
+    l_u = census.enumerate_LU(d)
+    l1 = 2 * k * l_u
+    comp = {}
+    for thick_only, strict in product((False, True), repeat=2):
+        first, mid = slot.tallies(thick_only=thick_only, strict=strict)
+        comp[thick_only, strict] = alpha_walk_engine(first, mid, k)
+    (l2, _), (z2_l2, _) = comp[False, False], comp[True, False]
+    l2_strict, tpowers = comp[False, True]
+    z2_strict, p_ts = comp[True, True]
+    l_d0 = slot.cyc_min_count
+    l_dk = l_d0 + l1 + l2_strict
+    e_prime = reference_e_prime(n, d)
+    enums = {
+        "source": census.ENUMERATED,
+        "l_H": lh["l_H"], "l_HS": lh["l_HS"], "l_U": l_u,
+        "l_HU": lhu["l_HU"], "a": lhu["a"], "b": lhu["b"], "c": lhu["c"],
+        "e": lhu["e"], "e_prime": e_prime,
+        "l_d0": l_d0, "l1": l1, "l2": l2, "l2_strict": l2_strict,
+        "l2_residual": l2 - l2_strict, "l_dk": l_dk,
+        "tpowers_strict": tpowers,
+        "t_H": lh["l_H"] - e_prime, "t_HU": lhu["l_HU"] - lhu["e"],
+        "z1": l_dk - l_d0, "z2": l1 + z2_l2, "z2_strict": l1 + z2_strict,
+        "z3": l_dk - l_u - l1,
+        "z4": l_d0 + (2 * l_u if k >= 1 else 0) + l2_strict - tpowers,
+        "zY": z2_strict - p_ts,
+    }
+    enums["rho_hat"] = enums["zY"] / l_dk if l_dk else 0.0
+    row = census.CensusRow(n=n, d=d, k=k, enumerated=enums,
+                           formula=census._formula_dict(n, d, k, enums))
+    if mode == "sample":
+        row.mode, row.seed, row.samples = mode, seed, samples
+        p = alpha_walk_sample_zy(n, d, k, samples, seed) / samples
+        enums["rho_sample"] = p
+        row.rho_se = math.sqrt(p * (1 - p) / samples)
+    return row.to_json_dict()
 
 
 def catalog():

@@ -1,9 +1,12 @@
 import json
+import math
+import time
 from itertools import product
 
 import pytest
 
 from pcgroups import census as C
+from pcgroups import census_slots as S
 from pcgroups.errors import (
     BadAlphabet,
     BadParameter,
@@ -15,7 +18,18 @@ from pcgroups.errors import (
 )
 from pcgroups.words import MAX_WORD_LETTERS, canon_letters
 
-from oracles import alpha_walk_engine, alpha_walk_sample_zy
+from oracles import (
+    SYM_ID,
+    alpha_walk_engine,
+    hdata,
+    iter_general_forms,
+    iter_square_forms,
+    iter_strict_composed,
+    reference_census_row,
+    reference_e_prime,
+    reference_LH,
+    reference_LHU,
+)
 
 
 def test_parse_h_word():
@@ -65,10 +79,10 @@ def test_is_normal_form_square():
 
 
 def test_every_generated_form_passes_the_membership_test():
-    for lev in C._iter_general_forms(6, 3):
+    for lev in iter_general_forms(6, 3):
         for w in lev:
             assert C.is_normal_form(6, w)
-    for lev in C._iter_square_forms(3):
+    for lev in iter_square_forms(3):
         for w in lev:
             assert C.is_normal_form(5, w, square=True)
 
@@ -78,7 +92,7 @@ def test_normal_form_uniqueness_small():
     # normal form of each system per bucket
     for n, square, max_len in ((5, True, 4), (6, False, 4)):
         m = n - 1
-        adj = C._h_adj(n)
+        adj = S.h_adj(n)
         letters = [s * i for i in range(1, m + 1) for s in (1, -1)]
         buckets = {}
         frontier = [()]
@@ -160,16 +174,49 @@ def test_composition_counts():
 
 
 def test_composed_engine_matches_alpha_walk():
-    # all four slot conventions against the walk over every exponent vector
+    # all four slot conventions of the enumerated tallies, one group per
+    # symbol, against the walk over every exponent vector
     for n, dmax, kmax in ((5, 3, 8), (6, 2, 6), (7, 2, 4)):
         for d in range(dmax + 1):
-            slot = C._hdata(n, max(d, 1)).slot(d)
+            slot = hdata(n, max(d, 1)).slot(d)
             for thick_only, strict in product((False, True), repeat=2):
                 first, mid = slot.tallies(thick_only=thick_only, strict=strict)
+                groups = [(1, c, mid.get(s, 0)) for s, c in first.items()]
+                trivial = (first.get(SYM_ID, 0), mid.get(SYM_ID, 0))
                 for k in range(kmax + 1):
-                    assert (C._composed_engine(first, mid, k)
+                    assert (C._composed_engine(groups, trivial, k)
                             == alpha_walk_engine(first, mid, k)), \
                         (n, d, k, thick_only, strict)
+
+
+DIFFERENTIAL_ND = ([(n, d) for n in range(5, 9) for d in range(5)]
+                   + [(6, 5), (7, 4)])
+
+
+def test_automaton_counts_match_the_enumerator():
+    # every field the census reports, counted over the automaton, against
+    # the same fields over every enumerated normal form
+    for n, d in DIFFERENTIAL_ND:
+        assert C.enumerate_LH(n, d) == reference_LH(n, d), (n, d)
+        assert C.enumerate_LHU(n, d) == reference_LHU(n, d), (n, d)
+        assert C.enumerate_e_prime(n, d) == reference_e_prime(n, d), (n, d)
+        for k in range(4):
+            got = json.dumps(C.census_row(n, d, k).to_json_dict())
+            assert got == json.dumps(reference_census_row(n, d, k)), (n, d, k)
+
+
+def test_slot_unranking_matches_the_enumeration_order():
+    # the form at each index of the two slot lists, in enumeration order
+    for n, d in ((5, 4), (6, 3), (7, 3), (8, 2)):
+        slot = hdata(n, d).slot(d)
+        C.enumerate_LH(n, d)  # count the levels the unranking reads
+        firsts = [(w, th) for w, s, th in zip(slot.first_list, slot.first_sym,
+                                              slot.first_thick) if s != SYM_ID]
+        mids = [(w, th) for w, s, th in zip(slot.mid_list, slot.mid_sym,
+                                            slot.mid_thick) if s != SYM_ID]
+        for kind, forms in enumerate((firsts, mids)):
+            assert [S.form(n, kind, i) for i in range(len(forms))] \
+                == forms, (n, d, kind)
 
 
 def test_unrank_alpha_matches_vector_order():
@@ -182,10 +229,14 @@ def test_unrank_alpha_matches_vector_order():
 
 
 def test_sample_matches_alpha_walk_sampler():
-    for n, d, k in ((5, 3, 7), (5, 2, 5), (6, 2, 3), (7, 2, 3)):
+    # whole seeded rows against the walk over the enumerated slot lists
+    for n, d, k in ((5, 3, 7), (5, 2, 5), (6, 2, 3), (7, 2, 3), (7, 2, 2)):
         for seed in range(1, 6):
-            assert (C._sample_zy(n, d, k, 300, seed)
-                    == alpha_walk_sample_zy(n, d, k, 300, seed)), (n, d, k, seed)
+            got = C.census_row(n, d, k, mode="sample", samples=300, seed=seed)
+            want = reference_census_row(n, d, k, mode="sample", samples=300,
+                                        seed=seed)
+            assert json.dumps(got.to_json_dict()) == json.dumps(want), \
+                (n, d, k, seed)
 
 
 def test_census_row_large_k_matches_formulas():
@@ -195,15 +246,18 @@ def test_census_row_large_k_matches_formulas():
 
 
 def test_census_row_skips_the_general_system_at_n5(monkeypatch):
-    def refuse(n, dmax):
-        raise AssertionError("general system built")
+    real = S.automaton
 
-    C._hdata.cache_clear()
-    monkeypatch.setattr(C, "_iter_general_forms", refuse)
+    def square_only(n, square):
+        assert square or n != 5, "general system counted"
+        return real(n, square)
+
+    S.counts.cache_clear()
+    monkeypatch.setattr(S, "automaton", square_only)
     try:
         assert C.census_row(5, 2, 2).enumerated["l_HS"] == [1, 8, 40]
     finally:
-        C._hdata.cache_clear()
+        S.counts.cache_clear()
 
 
 def test_strict_tallies_match_per_word_classification():
@@ -211,7 +265,7 @@ def test_strict_tallies_match_per_word_classification():
         comp = C.enumerate_composed(5, d, k)
         got = {"n": 0, "z1": 0, "z3": 0, "z4": 0, "tpow": 0, "z2ii": 0,
                "zY": 0}
-        for stratum, letters in C.iter_strict_composed(5, d, k):
+        for stratum, letters in iter_strict_composed(5, d, k):
             f = C.classify_Z(5, letters)
             got["n"] += 1
             got["z1"] += f["z1"]
@@ -288,8 +342,28 @@ def test_sample_mode_needs_seed_and_samples():
 
 
 def test_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        C.enumerate_LH(7, 9)
+    # the automaton work to reach d is checked before each level, so a
+    # hopeless request raises before any level is counted
+    for n, d in ((1200, 2), (6, 10 ** 6), (100_000, 2)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            C.census_row(n, d, 1)
+        assert time.perf_counter() - start < 0.5, (n, d)
+    # within the budget, d reaches the tens
+    row = C.census_row(6, 12, 2)
+    assert row.enumerated["l2"] == row.formula["l2"]
+    assert len(row.enumerated["l_HS"]) == 13
+
+
+def test_tpower_bound_beyond_float_range():
+    # a term past the float range reads inf, whether a product or a power
+    # overflows, instead of an OverflowError traceback
+    assert C.tpower_bound(81, 217, 6, 250) == math.inf
+    assert C.tpower_bound(81, 217, 6, 300) == math.inf
+    assert C.tpower_bound(10 ** 400, 10 ** 400, 4, 2) == math.inf
+    row = C.census_row(5, 700, 1)
+    assert row.formula["tpower_bound"] == math.inf
+    assert row.enumerated["l2"] == row.formula["l2"]
 
 
 def test_density_summary():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -153,3 +154,16 @@ def test_missing_graph_file(capsys):
     assert run(["normalize", "--graph", "/nonexistent/g.txt",
                 "--word", "a"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_census_budget_exits_before_any_work():
+    # the automaton work for d = 2 over 99999 generators is far over the
+    # census budget, and the check runs before the first level is counted
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcgroups.cli", "census", "--n", "100000",
+         "--d", "2", "--k", "1"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=30)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

@@ -239,7 +239,7 @@ def test_unique_position_rejects_powers():
 def test_unique_position_exists_for_all_small_roots():
     # every primitive sigma image of a composed word admits a split into
     # two nonempty uniquely positioned cyclic subwords
-    from pcgroups.census import iter_strict_composed
+    from oracles import iter_strict_composed
 
     found = 0
     for stratum, letters in iter_strict_composed(5, 2, 2):
