@@ -48,7 +48,9 @@ from .errors import (
     WordSyntaxError,
     ZeroExponent,
 )
-from .words import MAX_WORD_LETTERS, Word, bounded_int
+from .graphs import star
+from .hnn import hnn_factorize, is_t_root, is_t_thick, smallest_period, t_length
+from .words import MAX_WORD_LETTERS, Word, bounded_int, support
 
 ENUMERATED = "ENUMERATED"
 FORMULA = "FORMULA"
@@ -427,17 +429,13 @@ def classify_Z(n, w):
     of t; z4: t-root.  Works on genuine words (the honest strict set);
     the census tallies use the factorised engine instead.
     """
-    from . import hnn as _hnn
-    from .graphs import star as _star
-    from .words import support as _support
-
     g = slots.chord_graph(n)
     word = w if isinstance(w, Word) else Word(g, tuple(w))
-    h = _hnn.hnn_factorize(g, "t", word)
-    z1 = _hnn.t_length(h) >= 1
-    z2 = _hnn.is_t_thick(g, "t", h)
-    z3 = not (_support(g, word) <= _star(g, "t"))
-    z4 = _hnn.is_t_root(g, "t", h)
+    h = hnn_factorize(g, "t", word)
+    z1 = t_length(h) >= 1
+    z2 = is_t_thick(g, "t", h)
+    z3 = not (support(g, word) <= star(g, "t"))
+    z4 = is_t_root(g, "t", h)
     return {"z1": z1, "z2": z2, "z3": z3, "z4": z4,
             "zY": z1 and z2 and z3 and z4}
 
@@ -614,9 +612,7 @@ def _sample_zy(n, d, k, samples, seed):
         if not all(thick for (_, thick) in drawn):
             continue
         pairs = tuple((symbol(n, w), a) for (w, _), a in zip(drawn, alpha))
-        power = any(r % p == 0 and all(pairs[i] == pairs[i % p] for i in range(r))
-                    for p in range(1, r))
-        if not power:
+        if smallest_period(pairs) == r:
             hits += 1
     return hits
 

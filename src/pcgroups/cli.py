@@ -122,7 +122,8 @@ def _dispatch(args) -> int:
         _emit(args, json.dumps({"conjugate": res}) if args.json
               else ("true" if res else "false"))
     elif cmd == "support":
-        supp = [v for v in g.vertices if v in support(g, w)]
+        names = support(g, w)
+        supp = [v for v in g.vertices if v in names]
         _emit(args, json.dumps({"support": supp}) if args.json
               else " ".join(supp) or "(empty)")
     elif cmd == "hnn":

@@ -11,7 +11,7 @@ is claimed beyond the hypotheses actually verified.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import (BadParameter, ConflictingVerdicts, NotCyclicallyMinimal,
                      TNotInSupport)
@@ -63,16 +63,8 @@ class TheoremMainRecord:
                 and bool(self.cyclically_t_thick)
                 and self.not_in_star and self.t_root)
 
-    def to_json_dict(self):
-        return {
-            "t": self.t,
-            "lk_clique": self.lk_clique,
-            "t_thick": self.t_thick,
-            "cyclically_t_thick": self.cyclically_t_thick,
-            "not_in_star": self.not_in_star,
-            "t_root": self.t_root,
-            "verdict": self.verdict,
-        }
+    def to_json_dict(self):  # the field order is the JSON key order
+        return asdict(self)
 
 
 @dataclass
@@ -82,13 +74,12 @@ class AmalgamRecord:
     supp_independent: bool
     decomposition: dict | None  # {"Y": [...], "lk_Y": [...], "X": [...]}
 
-    def to_json_dict(self):
-        return {
-            "synchronised": self.synchronised,
-            "supp_clique": self.supp_clique,
-            "supp_independent": self.supp_independent,
-            "decomposition": self.decomposition,
-        }
+    def to_json_dict(self):  # the field order is the JSON key order
+        return asdict(self)
+
+
+def _witness_text(witness):
+    return ", ".join(f"{k}={v}" for k, v in sorted(witness.items()))
 
 
 @dataclass
@@ -101,8 +92,7 @@ class Conclusion:
     def to_json_dict(self):
         just = self.justification
         if self.witness:
-            detail = ", ".join(f"{k}={v}" for k, v in sorted(self.witness.items()))
-            just = f"{just}({detail})"
+            just = f"{just}({_witness_text(self.witness)})"
         return {"subset": list(self.subset), "status": self.status,
                 "justification": just}
 
@@ -156,9 +146,7 @@ class FreiReport:
             f"  support: synchronised={a.synchronised} clique={a.supp_clique} "
             f"independent={a.supp_independent}")
         for c in self.conclusions + self.advisories:
-            w = ""
-            if c.witness:
-                w = "  [" + ", ".join(f"{k}={v}" for k, v in sorted(c.witness.items())) + "]"
+            w = f"  [{_witness_text(c.witness)}]" if c.witness else ""
             lines.append(f"  <{' '.join(c.subset)}>: {c.status} ({c.justification}){w}")
         lines.append(f"  order of s: {self.order_of_s}")
         lines.append(f"  word problem: {self.word_problem}")
@@ -170,7 +158,7 @@ def _relator_root(g, s, n):
     if n < 1:
         raise BadParameter(f"relator exponent n must be >= 1, got {n}")
     nf = minimal_form(g, s)
-    if not is_cyclically_minimal(g, nf.word):
+    if not is_cyclically_minimal(g, nf):
         raise NotCyclicallyMinimal(
             f"{format_word(nf.word)} is not cyclically minimal")
     return nf
@@ -189,12 +177,12 @@ def check_theorem_main(g: CommutationGraph, s, t, n: int) -> TheoremMainRecord:
     thickness variant, and n >= 3.
     """
     nf = _relator_root(g, s, n)
-    supp = support(g, nf.word)
+    supp = support(g, nf)
     if t not in supp:
         raise TNotInSupport(f"{t} does not occur in {format_word(nf.word)}")
     lk_t = link(g, {t})
     lk_clique = is_clique(g, lk_t)
-    h = hnn_factorize(g, t, nf.word)
+    h = hnn_factorize(g, t, nf)
     assert is_cyclically_reduced_hnn(g, t, h)
     if lk_clique:
         thick = is_t_thick(g, t, h)
@@ -215,7 +203,7 @@ def check_theorem_main(g: CommutationGraph, s, t, n: int) -> TheoremMainRecord:
 def _abelian_relation_witness(g, nf, n, t, x):
     """Witness data for the clique converse: x commutes with t but not with
     all of supp(s), so the image of [x, a^{np} w] collapses in the quotient."""
-    supp = support(g, nf.word)
+    supp = support(g, nf)
     nbrs = g.neighbours(x)
     a = next(v for v in g.vertices if v in supp and v not in nbrs and v != x)
     exps = {}
@@ -234,7 +222,7 @@ def check_amalgam(g: CommutationGraph, s, n: int):
     the last three are None when this route proves nothing about them.
     """
     nf = _relator_root(g, s, n)
-    supp = support(g, nf.word)
+    supp = support(g, nf)
     if not supp:
         rec = AmalgamRecord(False, False, False, None)
         return rec, [], 1, DECIDABLE, DECIDABLE
@@ -315,7 +303,7 @@ def _cycle_chord_advisories(g, nf, n):
     if any(len(g.neighbours(v)) != 2 for v in g.vertices):
         return []
     out = []
-    for t in sorted(support(g, nf.word), key=g.index):
+    for t in sorted(support(g, nf), key=g.index):
         p, q = sorted(g.neighbours(t), key=g.index)
         if g.adjacent(p, q):
             continue
@@ -342,7 +330,7 @@ def magnus_verdict(g: CommutationGraph, s, n: int, t=None) -> FreiReport:
     on the complement and lifted.
     """
     nf = _relator_root(g, s, n)
-    supp = support(g, nf.word)
+    supp = support(g, nf)
     candidates = [t] if t is not None else sorted(supp, key=g.index)
     per_t = []
     pieces = []
@@ -350,7 +338,7 @@ def magnus_verdict(g: CommutationGraph, s, n: int, t=None) -> FreiReport:
     wp = cp = None
 
     for cand in candidates:
-        rec = check_theorem_main(g, nf.word, cand, n)
+        rec = check_theorem_main(g, nf, cand, n)
         per_t.append(rec)
         if rec.verdict == EMBEDS:
             pieces.append(Conclusion(
@@ -359,7 +347,7 @@ def magnus_verdict(g: CommutationGraph, s, n: int, t=None) -> FreiReport:
             if n >= 4:
                 wp = DECIDABLE
 
-    amalgam, am_conclusions, am_order, am_wp, am_cp = check_amalgam(g, nf.word, n)
+    amalgam, am_conclusions, am_order, am_wp, am_cp = check_amalgam(g, nf, n)
     pieces.extend(am_conclusions)
     if am_order is not None:
         order_claims.append(am_order)

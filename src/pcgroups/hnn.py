@@ -12,15 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cosets import in_maln, oriented_symbol
+from .cosets import maln_support, oriented_symbol
 from .errors import LinkNotClique, NoSplitFound
 from .graphs import CommutationGraph, is_clique
 from .words import (
     Word,
-    as_word,
-    canon_letters,
     format_word,
     lexmin_letters,
+    minimal_form,
+    reduce_letters,
     split_letters,
 )
 
@@ -62,8 +62,9 @@ def _u_indices(g: CommutationGraph, t) -> frozenset:
     return frozenset(g.index(v) for v in g.neighbours(t))
 
 
-def _chunk_in_u(chunk, u_idx) -> bool:
-    return all(abs(x) in u_idx for x in chunk)
+def _wrap_support(g, h) -> set:
+    """Generators of the wrap chunk g_m g_0, read from a geodesic."""
+    return {abs(x) for x in reduce_letters(g._adj_idx, h.chunks[-1] + h.chunks[0])}
 
 
 def hnn_factorize(g: CommutationGraph, t, w) -> HnnWord:
@@ -77,7 +78,7 @@ def hnn_factorize(g: CommutationGraph, t, w) -> HnnWord:
     t_idx = g.index(t)
     chunks = [[]]
     exps = []
-    for x in canon_letters(g._adj_idx, as_word(g, w).idx):
+    for x in minimal_form(g, w).idx:
         if abs(x) == t_idx:
             exps.append(1 if x > 0 else -1)
             chunks.append([])
@@ -92,13 +93,9 @@ def t_length(h: HnnWord) -> int:
 
 def is_cyclically_reduced_hnn(g: CommutationGraph, t, h: HnnWord) -> bool:
     """True iff h.h is reduced: m <= 1, or g_m g_0 not in U, or e_m = e_1."""
-    m = len(h.exps)
-    if m <= 1:
+    if len(h.exps) <= 1 or h.exps[-1] == h.exps[0]:
         return True
-    if h.exps[-1] == h.exps[0]:
-        return True
-    wrap = canon_letters(g._adj_idx, h.chunks[-1] + h.chunks[0])
-    return not _chunk_in_u(wrap, _u_indices(g, t))
+    return not _wrap_support(g, h) <= _u_indices(g, t)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +201,11 @@ def is_t_root(g: CommutationGraph, t, h: HnnWord) -> bool:
 # thickness
 
 
-def _chunk_thick(g, t, lk_t, chunk):
-    if _chunk_in_u(chunk, frozenset(g.index(v) for v in lk_t)):
-        return True
-    return in_maln(g, lk_t, Word(g, tuple(chunk)))
+def _thick(g, t, supp) -> bool:
+    """An element with generator set supp lies in U or in Maln(U), by the
+    support criterion of cosets.maln_support (lk(t) is a clique)."""
+    u_idx = _u_indices(g, t)
+    return supp <= u_idx or maln_support(g._adj_idx, supp, u_idx)
 
 
 def is_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
@@ -216,25 +214,16 @@ def is_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     Needs lk(t) to be a clique so the support criterion for Maln applies;
     an empty link makes U trivial and every chunk thick.
     """
-    lk_t = g.neighbours(t)
-    if not is_clique(g, lk_t):
+    if not is_clique(g, g.neighbours(t)):
         raise LinkNotClique(f"lk({t}) is not a clique")
-    if not lk_t:
-        return True
-    return all(_chunk_thick(g, t, lk_t, c) for c in h.chunks)
+    return all(_thick(g, t, {abs(x) for x in c}) for c in h.chunks)
 
 
 def is_cyclically_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     """Thick, cyclically reduced, and the wrap chunk g_m g_0 is thick too."""
-    if not is_t_thick(g, t, h):
+    if not is_t_thick(g, t, h) or not is_cyclically_reduced_hnn(g, t, h):
         return False
-    if not is_cyclically_reduced_hnn(g, t, h):
-        return False
-    lk_t = g.neighbours(t)
-    if not lk_t or len(h.exps) == 0:
-        return True
-    wrap = canon_letters(g._adj_idx, h.chunks[-1] + h.chunks[0])
-    return _chunk_thick(g, t, lk_t, wrap)
+    return not h.exps or _thick(g, t, _wrap_support(g, h))
 
 
 # ---------------------------------------------------------------------------

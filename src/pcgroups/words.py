@@ -352,7 +352,12 @@ def _format_run(g, letter, count):
 
 
 def minimal_form(g: CommutationGraph, w) -> NormalForm:
-    """Canonical geodesic representative of the element of w."""
+    """Canonical geodesic representative of the element of w.  A
+    NormalForm over g is canonical by construction and is returned as it
+    is; one over an equal graph held in another object is canonicalised
+    again."""
+    if isinstance(w, NormalForm) and w.graph is g:
+        return w
     w = as_word(g, w)
     return NormalForm(Word(g, canon_letters(g._adj_idx, w.idx)))
 

@@ -1,8 +1,10 @@
 import json
 import random
+import sys
 
 import pytest
 
+from pcgroups import words
 from pcgroups.errors import BadParameter, NotCyclicallyMinimal, TNotInSupport
 from pcgroups.freiheitssatz import (
     DECIDABLE,
@@ -15,7 +17,8 @@ from pcgroups.freiheitssatz import (
     magnus_verdict,
 )
 from pcgroups.graphs import build_graph, cycle_with_chord, plain_cycle
-from oracles import catalog
+from pcgroups.words import Word, cyclic_reduce, format_word
+from oracles import catalog, random_graph
 
 P4 = build_graph(["a", "b", "c", "t"], [("t", "a"), ("a", "b"), ("b", "c")])
 F2XZ = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -232,3 +235,74 @@ def test_json_schema_fields():
     assert {"subset", "status", "justification"} == set(data["conclusions"][0])
     assert {"synchronised", "supp_clique", "supp_independent",
             "decomposition"} == set(data["amalgam"])
+
+
+def _verdict_graphs():
+    """The catalog, C'6, C'5 with a central vertex z, and seeded random
+    graphs: every route of magnus_verdict runs on some of them."""
+    rng = random.Random(41)
+    graphs = list(catalog().values()) + [cycle_with_chord(6)]
+    graphs.append(build_graph(list(C5P.vertices) + ["z"],
+                              [tuple(e) for e in C5P.edges]
+                              + [(v, "z") for v in C5P.vertices]))
+    graphs += [random_graph(rng, 8) for _ in range(6)]
+    return graphs
+
+
+def _random_root(g, rng):
+    names = [v for v in g.vertices if v != "z"]
+    w = " ".join(rng.choice(names) + rng.choice(("", "^-1"))
+                 for _ in range(rng.randint(1, 10)))
+    return cyclic_reduce(g, w).core
+
+
+def _scrambled(g, nf, rng):
+    """Text of the element of nf with cancelling pairs inserted and
+    commuting neighbours swapped: neither reduced nor canonical."""
+    letters = list(nf.idx)
+    for _ in range(3):
+        x = rng.randint(1, len(g)) * rng.choice((1, -1))
+        p = rng.randint(0, len(letters))
+        letters[p:p] = [x, -x]
+    for _ in range(2 * len(letters)):
+        i = rng.randrange(len(letters) - 1)
+        if abs(letters[i + 1]) in g._adj_idx[abs(letters[i])]:
+            letters[i], letters[i + 1] = letters[i + 1], letters[i]
+    return format_word(Word(g, tuple(letters)))
+
+
+def test_verdict_is_the_same_for_every_form_of_the_root():
+    rng = random.Random(43)
+    for g in _verdict_graphs():
+        for _ in range(6):
+            nf = _random_root(g, rng)
+            n = rng.randint(1, 4)
+            reports = [magnus_verdict(g, root, n)
+                       for root in (str(nf), _scrambled(g, nf, rng), nf)]
+            assert len({r.to_json() for r in reports}) == 1
+            assert len({r.to_text() for r in reports}) == 1
+
+
+def test_one_canonical_form_per_graph_per_verdict(monkeypatch):
+    # the root is canonicalised once over g and once over each chorded or
+    # centre-split graph; every layer below takes that NormalForm as it is
+    real = words.canon_letters
+    calls = []  # holds each adjacency, so no id is reused during the test
+
+    def counting(adj, w):
+        calls.append(adj)
+        return real(adj, w)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "pcgroups" or name.startswith("pcgroups."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    rng = random.Random(47)
+    for g in _verdict_graphs() + [plain_cycle(5), plain_cycle(6)]:
+        for _ in range(4):
+            root = str(_random_root(g, rng))
+            calls.clear()
+            magnus_verdict(g, root, rng.randint(1, 4))
+            ids = [id(adj) for adj in calls]
+            assert ids and len(set(ids)) == len(ids), (g, root)

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from pcgroups.cosets import in_maln, parabolic, parabolic_member
 from pcgroups.errors import LinkNotClique, NoSplitFound
-from pcgroups.graphs import build_graph, cycle_with_chord, plain_cycle
+from pcgroups.graphs import build_graph, cycle_with_chord, is_clique, plain_cycle
 from pcgroups.hnn import (
     hnn_factorize,
     is_cyclically_reduced_hnn,
@@ -138,6 +139,33 @@ def test_thickness_empty_link():
     h = hnn_factorize(g, "a", parse_word("b a", g))
     assert is_t_thick(g, "a", h)
     assert is_cyclically_t_thick(g, "a", h)
+
+
+def test_thickness_matches_the_parabolic_and_maln_tests():
+    # thickness reads supports; the reference asks cosets about each chunk
+    # as a word, and the wrap chunk g_m g_0 as the unreduced concatenation
+    rng = random.Random(64)
+    for _ in range(300):
+        g = random_graph(rng, 8)
+        t = rng.choice(g.vertices)
+        lk_t = g.neighbours(t)
+        u = parabolic(g, lk_t)
+        h = hnn_factorize(g, t, word_from_idx(
+            g, random_letters(rng, len(g), rng.randrange(0, 25))))
+        wrap = word_from_idx(g, h.chunks[-1] + h.chunks[0])
+        reduced = (len(h.exps) <= 1 or h.exps[-1] == h.exps[0]
+                   or not parabolic_member(u, wrap))
+        assert is_cyclically_reduced_hnn(g, t, h) == reduced
+        if not is_clique(g, lk_t):
+            continue
+
+        def thick(w):
+            return not lk_t or parabolic_member(u, w) or in_maln(g, lk_t, w)
+
+        expect = all(thick(word_from_idx(g, c)) for c in h.chunks)
+        assert is_t_thick(g, t, h) == expect
+        assert is_cyclically_t_thick(g, t, h) == (
+            expect and reduced and (not h.exps or thick(wrap)))
 
 
 def test_t_root_examples():

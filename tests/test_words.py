@@ -12,7 +12,7 @@ from pcgroups.errors import (
     WordSyntaxError,
     ZeroExponent,
 )
-from pcgroups.graphs import build_graph, cycle_with_chord
+from pcgroups.graphs import build_graph, cycle_with_chord, plain_cycle
 from pcgroups.words import (
     MAX_WORD_LETTERS,
     block_decomposition,
@@ -26,6 +26,7 @@ from pcgroups.words import (
     minimal_form,
     parse_word,
     support,
+    Word,
     word_from_idx,
 )
 
@@ -104,6 +105,24 @@ def test_minimal_form_canonical_reordering():
     assert len(nf) == 3
     oracle = closure_canonical(C5P._adj_idx, parse_word("a4 a2 a1", C5P).idx)
     assert nf.idx == oracle
+
+
+def test_minimal_form_passes_a_normal_form_of_its_graph_through():
+    nf = minimal_form(C5P, "a4 a2 a1 a3 a3^-1")
+    assert minimal_form(C5P, nf) is nf
+    # an equal copy of the graph is another graph object: canonicalised again
+    copy = build_graph(C5P.vertices, [tuple(e) for e in C5P.edges])
+    again = minimal_form(copy, nf)
+    assert again is not nf and again.graph is copy and again.idx == nf.idx
+    # the chord a1 -- a4 of the plain cycle makes a1 and a4 commute, so the
+    # same letters have another canonical form over the chorded graph
+    c5 = plain_cycle(5)
+    nf = minimal_form(c5, "a4 a1")
+    chorded = build_graph(c5.vertices, [tuple(e) for e in c5.edges] + [("a1", "a4")])
+    assert str(nf) == "a4 a1"
+    assert str(minimal_form(chorded, Word(chorded, nf.idx))) == "a1 a4"
+    with pytest.raises(WordSyntaxError):
+        minimal_form(chorded, nf)
 
 
 def test_equal_examples():
