@@ -23,6 +23,7 @@ canonical form is a class invariant.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -201,22 +202,78 @@ def cyclic_core_letters(adj, w):
     return u, v
 
 
-def conjugacy_class_closure(adj, core):
-    """All canonical forms related to the cyclically minimal `core` by
-    chains of rotations g = y . v -> v . y.  Single-letter rotations
-    generate every split because u can be peeled one letter at a time."""
-    start = lexmin_letters(adj, core)
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for y in left_divisor_letters(adj, cur):
-            p = cur.index(y)
-            nxt = lexmin_letters(adj, cur[:p] + cur[p + 1:] + (y,))
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+def _pair_rules(adj, u, v):
+    """For each generator a of the block u, the rules (b, A, B, P_a, P_b)
+    of the dependent pairs {a, b} (b = a included), or None when some
+    projection of v is no rotation of u's.
+
+    A cut c of the periodic heap u^Z is fixed by its count vector (n_a),
+    and the {a, b} projection of c^-1 u c is pi_ab(u) rotated by
+    n_a + n_b.  With P the primitive root of pi_ab(u) and r the one
+    rotation of P that gives pi_ab(v), the pair allows exactly
+    n_a = A + j P_a and n_b = B + j P_b over the integers j, where P_a
+    and P_b count a and b in P, and A and B count them in P[:r].
+    """
+    gens = sorted({abs(x) for x in u})
+    # one character per letter: twice its generator's rank in gens, plus
+    # one for an inverse, so a projection is a string and str.find applies
+    code = {x: chr(2 * gens.index(abs(x)) + (x < 0)) for x in {*u, *v}}
+    rules = {a: [] for a in gens}
+    for i, a in enumerate(gens):
+        for b in gens[i:]:
+            if b in adj[a]:
+                continue
+            p, q = ("".join(code[x] for x in w if abs(x) in (a, b))
+                    for w in (u, v))
+            r = (p + p).find(q) if len(p) == len(q) else -1
+            if r < 0:
+                return None
+            root = [gens[ord(c) >> 1] for c in p[:(p + p).find(p, 1)]]
+            ra, rb = root[:r].count(a), root[:r].count(b)
+            pa, pb = root.count(a), root.count(b)
+            rules[a].append((b, ra, rb, pa, pb))
+            if b != a:
+                rules[b].append((a, rb, ra, pb, pa))
+    return rules
+
+
+def _meets_rules(rules, a0, n0):
+    """Whether n_a0 = n0 extends, breadth first along dependent pairs, to
+    a count vector that meets every rule.  Each rule is read from both of
+    its ends (a self rule from its one end onto itself), so a count off
+    the rule's lattice comes back changed and fails the equality test."""
+    n = {a0: n0}
+    queue = [a0]
+    for a in queue:
+        for b, ra, rb, pa, pb in rules[a]:
+            nb = rb + (n[a] - ra) // pa * pb
+            if b not in n:
+                n[b] = nb
+                queue.append(b)
+            elif n[b] != nb:
+                return False
+    return True
+
+
+def _block_conjugate(adj, u, v):
+    """Whether the block v is c^-1 u c for a cut c of the heap u^Z, that
+    is, lies in the rotation closure of u.  u and v are canonical,
+    cyclically minimal, of one length and one support S, and the
+    complement graph on S is connected.
+
+    Two reduced words are equal iff their projections onto every
+    dependent pair {a, b} (a = b included) are equal (Cori-Perrin 1985).
+    So v is in the closure iff one count vector meets every rule of
+    _pair_rules.  Counts are read modulo u's own count vector, so the
+    rarest generator a0 tries each n in [0, |u|_a0).
+    Cost: O(|S|^2 L) for the rules and O(|S| L) for the search.
+    """
+    rules = _pair_rules(adj, u, v)
+    if rules is None:
+        return False
+    counts = Counter(abs(x) for x in u)
+    a0 = min(counts, key=lambda a: (counts[a], a))
+    return any(_meets_rules(rules, a0, n0) for n0 in range(counts[a0]))
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +425,20 @@ def equal(g: CommutationGraph, w1, w2) -> bool:
     return a.idx == b.idx
 
 
+def _reduced_idx(g, w):
+    """Letters of a geodesic for w: a NormalForm over g is one already."""
+    if isinstance(w, NormalForm) and w.graph is g:
+        return w.idx
+    return reduce_letters(g._adj_idx, as_word(g, w).idx)
+
+
 def length(g: CommutationGraph, w) -> int:
-    return len(reduce_letters(g._adj_idx, as_word(g, w).idx))
+    return len(_reduced_idx(g, w))
 
 
 def support(g: CommutationGraph, w) -> set:
     """Generators occurring in the minimal form (well-defined)."""
-    red = reduce_letters(g._adj_idx, as_word(g, w).idx)
-    return {g.name(abs(x)) for x in red}
+    return {g.name(abs(x)) for x in _reduced_idx(g, w)}
 
 
 def is_cyclically_minimal(g: CommutationGraph, w) -> bool:
@@ -417,11 +480,13 @@ def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
     """Conjugacy via cyclic reduction, then block by block: a rotation
     moves a left-divisor letter of the core, which commutes with every
     other block, so two cores are conjugate iff their blocks pair up by
-    support and each pair lies in one block's rotation closure."""
+    support and each pair lies in one block's rotation closure.  Each
+    pair is decided by its dependent-pair projections (_block_conjugate),
+    without walking the closure."""
     b1 = _blocks(g, cyclic_reduce(g, w1).core.idx)
     b2 = _blocks(g, cyclic_reduce(g, w2).core.idx)
     if ([({abs(x) for x in b}, len(b)) for b in b1]
             != [({abs(x) for x in b}, len(b)) for b in b2]):
         return False
-    return all(x == y or y in conjugacy_class_closure(g._adj_idx, x)
+    return all(x == y or _block_conjugate(g._adj_idx, x, y)
                for x, y in zip(b1, b2))

@@ -26,6 +26,7 @@ from pcgroups.graphs import (
 )
 from pcgroups.words import (
     is_cyclically_minimal_letters,
+    left_divisor_letters,
     lexmin_letters,
     split_letters,
 )
@@ -121,6 +122,26 @@ def random_graph(rng, max_vertices=12):
 def random_letters(rng, n_gens, length):
     return tuple(rng.randrange(1, n_gens + 1) * rng.choice((1, -1))
                  for _ in range(length))
+
+
+def conjugacy_class_closure(adj, core):
+    """All canonical forms related to the cyclically minimal `core` by
+    chains of rotations g = y . v -> v . y.  Single-letter rotations
+    generate every split because u can be peeled one letter at a time.
+    The reference for conjugate_test, which decides each block by its
+    dependent-pair projections instead."""
+    start = lexmin_letters(adj, core)
+    seen = {start}
+    stack = [start]
+    while stack:
+        cur = stack.pop()
+        for y in left_divisor_letters(adj, cur):
+            p = cur.index(y)
+            nxt = lexmin_letters(adj, cur[:p] + cur[p + 1:] + (y,))
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def conjugacy_partition(graph, max_len):

@@ -22,7 +22,6 @@ from pcgroups.hnn import (
 )
 from pcgroups.words import (
     canon_letters,
-    conjugacy_class_closure,
     cyclic_core_letters,
     equal,
     minimal_form,
@@ -33,6 +32,7 @@ from pcgroups.words import (
 from oracles import (
     CayleyOracle,
     catalog,
+    conjugacy_class_closure,
     conjugacy_partition,
     iter_strict_composed,
 )

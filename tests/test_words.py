@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,12 @@ from pcgroups.words import (
     MAX_WORD_LETTERS,
     block_decomposition,
     canon_letters,
-    conjugacy_class_closure,
     conjugate_test,
     cyclic_reduce,
     equal,
     format_word,
     is_cyclically_minimal,
+    length,
     minimal_form,
     parse_word,
     support,
@@ -34,6 +35,7 @@ from oracles import (
     all_words,
     catalog,
     closure_canonical,
+    conjugacy_class_closure,
     random_graph,
     random_letters,
 )
@@ -125,6 +127,21 @@ def test_minimal_form_passes_a_normal_form_of_its_graph_through():
         minimal_form(chorded, nf)
 
 
+def test_support_and_length_read_a_normal_form_of_its_graph(monkeypatch):
+    from pcgroups import words
+    text = "a4 a2 a1 a3 a3^-1 t^-1 a2"
+    nf = minimal_form(C5P, text)
+    expected = (support(C5P, text), length(C5P, text))
+    assert expected == (support(C5P, parse_word(text, C5P)),
+                        length(C5P, parse_word(text, C5P)))
+
+    def no_reduce(adj, w):
+        raise AssertionError("reduce_letters called on a NormalForm")
+
+    monkeypatch.setattr(words, "reduce_letters", no_reduce)
+    assert (support(C5P, nf), length(C5P, nf)) == expected
+
+
 def test_equal_examples():
     assert equal(AB, "a b", "b a")
     assert not equal(FREE2, "a b", "b a")
@@ -183,7 +200,12 @@ def test_conjugate_test_needs_rotation_of_noncanonical_split():
 
 
 def test_conjugate_test_matches_whole_core_closure():
-    # block by block against the rotation closure of the whole core
+    # block by block against the rotation closure of the whole core, on
+    # random graphs with up to 12 vertices.  Each word w is compared with
+    # a conjugate, a one-letter flip of its core, a shuffle of its core
+    # (same letters, so only finer invariants tell them apart) and a
+    # random word; each proper power x^p (p = 2..4) with a conjugated
+    # rotation of it and with a one-letter flip of that.
     rng = random.Random(44)
     for _ in range(400):
         g = random_graph(rng)
@@ -192,18 +214,29 @@ def test_conjugate_test_matches_whole_core_closure():
         u = random_letters(rng, len(g), rng.randrange(0, 6))
         u_inv = tuple(-x for x in reversed(u))
         c1 = cyclic_reduce(g, word_from_idx(g, w)).core.idx
-        assert conjugate_test(g, word_from_idx(g, w),
-                              word_from_idx(g, u_inv + w + u))
         if c1:  # invert one core letter: same length and support
             p = rng.randrange(len(c1))
             other = u_inv + c1[:p] + (-c1[p],) + c1[p + 1:] + u
         else:
             other = random_letters(rng, len(g), len(w))
-        for w2 in (other, random_letters(rng, len(g), len(w))):
-            c2 = cyclic_reduce(g, word_from_idx(g, w2)).core.idx
-            assert (conjugate_test(g, word_from_idx(g, w),
-                                   word_from_idx(g, w2))
-                    == (c2 in conjugacy_class_closure(adj, c1)))
+        shuffled = list(c1)
+        rng.shuffle(shuffled)
+        x = random_letters(rng, len(g), rng.randrange(1, 7))
+        power = x * rng.randrange(2, 5)
+        r = rng.randrange(len(power))
+        turned = power[r:] + power[:r]
+        q = rng.randrange(len(turned))
+        conjugated = [(w, u_inv + w + u), (power, u_inv + turned + u)]
+        for v1, v2 in conjugated + [
+                (w, other), (w, tuple(shuffled)),
+                (w, random_letters(rng, len(g), len(w))),
+                (power, u_inv + turned[:q] + (-turned[q],) + turned[q + 1:] + u)]:
+            core1 = cyclic_reduce(g, word_from_idx(g, v1)).core.idx
+            core2 = cyclic_reduce(g, word_from_idx(g, v2)).core.idx
+            claimed = conjugate_test(g, word_from_idx(g, v1),
+                                     word_from_idx(g, v2))
+            assert claimed == (core2 in conjugacy_class_closure(adj, core1))
+            assert claimed or (v1, v2) not in conjugated
 
 
 def test_conjugate_test_on_block_joins():
@@ -230,6 +263,24 @@ def test_conjugate_test_on_block_joins():
         # x_{b-1} changes, the core's length and support do not
         flipped = turned[:-6] + [f"x{b - 1}^-1", f"x{b - 1}^-1"] + blocks[-1][2:]
         assert not conjugate_test(g, w, " ".join(u_inv + flipped + u))
+
+
+def test_conjugate_test_on_the_wide_block():
+    # vertices a, b1..bm, the b's commuting pairwise and a commuting with
+    # none of them: the core b1...bm a is one block whose rotation closure
+    # has 2^m forms, so only a test that never walks it ends in time
+    rng = random.Random(46)
+    for m in (8, 13, 20, 40):
+        bs = [f"b{i}" for i in range(1, m + 1)]
+        g = build_graph(["a"] + bs, list(itertools.combinations(bs, 2)))
+        u = [rng.choice(["a"] + bs) + rng.choice(("", "^-1")) for _ in range(4)]
+        u_inv = [t[:-3] if t.endswith("^-1") else t + "^-1"
+                 for t in reversed(u)]
+        w = " ".join(bs + ["a"])
+        start = time.perf_counter()
+        assert conjugate_test(g, w, " ".join(u_inv + ["a"] + bs + u))
+        assert not conjugate_test(g, w, " ".join(u_inv + ["a^-1"] + bs + u))
+        assert time.perf_counter() - start < 1.0, m
 
 
 # ---------------------------------------------------------------------------
