@@ -55,6 +55,11 @@ from .words import MAX_WORD_LETTERS, Word, bounded_int, support
 ENUMERATED = "ENUMERATED"
 FORMULA = "FORMULA"
 
+# work of one row's k side, in units of about 10 ns: with b the bit length
+# of 2 l_HU + 1, the engine sums k powers of up to k b bits (k^2 b), and
+# printing them in decimal is quadratic in their length ((k b)^2 / 320)
+K_BUDGET = 150_000_000
+
 
 # ---------------------------------------------------------------------------
 # the cycle subgroup: words and normal forms
@@ -310,19 +315,6 @@ def _composition_count(total, parts):
     return int(total == parts)
 
 
-def _vector_count(l, r):
-    """Signed exponent vectors of t-length l with r blocks."""
-    return _composition_count(l, r) << r
-
-
-def _balanced_count(l, r):
-    """Signed exponent vectors of t-length l with r blocks whose sum is
-    -1, 0 or 1: j negative blocks summing to s, the rest to l - s."""
-    return sum(math.comb(r, j) * _composition_count(s, j)
-               * _composition_count(l - s, r - j)
-               for s in {l // 2, (l + 1) // 2} for j in range(r + 1))
-
-
 def _mobius(m):
     """The Mobius function of m >= 1, by trial division."""
     sign, p = 1, 2
@@ -354,44 +346,34 @@ def _unrank_alpha(l, r, index):
                  for i, x in enumerate(parts))
 
 
-def _pattern_period_count(groups, p, q):
-    """Symbol patterns of length p*q with period p: the first slot and its
-    repeats share a symbol, every other position repeats independently."""
-    m1 = sum(count * first * mid ** (q - 1) for count, first, mid in groups)
-    m2 = sum(count * mid ** q for count, _, mid in groups)
-    return m1 * m2 ** (p - 1)
+def _vector_sum(x, k):
+    """Sum over r of 2^r C(k, r) x^(r-1), where 2^r C(k, r) counts the
+    signed exponent vectors of r blocks and t-length <= k (by the hockey
+    stick over their compositions): ((2x + 1)^k - 1) / x."""
+    return ((2 * x + 1) ** k - 1) // x if x else 2 * k
 
 
-def _composed_engine(groups, trivial, k):
+def _composed_engine(groups, k):
     """Total and proper-power tallies over all type (ii) tuples with the
-    slot populations of census_slots.tally, t-length budget k.
+    slot groups of census_slots.tally, t-length budget k.
 
-    A tuple is a (symbol, exponent) pattern of r blocks; it is a proper
-    power iff the pattern is not primitive.  Per (l, r) block, J(q)
-    counts the patterns with period q | r: q-periodic exponent vectors
-    (those of t-length l*q/r with q blocks, when r/q divides l) times
-    q-periodic symbol patterns.  Mobius inversion over the divisors of r
-    gives the primitive ones.  All-trivial symbol patterns collapse to a
-    pure t-power, a proper power iff |sum(alpha)| >= 2, so they are
-    recounted by that rule instead.
+    A tuple is a (symbol, exponent) pattern of r blocks, a proper power iff
+    it is an m-th power for some m >= 2.  The m-th powers are counted by
+    their roots: patterns of t-length <= k // m with sum N first mid^(m-1)
+    slot choices for the first symbol (it and its m - 1 repeats share one)
+    and sum N mid^m for each later one, over every block count by
+    _vector_sum.  m = 1 gives the total, and Mobius inversion over m the
+    primitive tuples.  Pure t-powers of the identity symbol alone are not
+    singled out, so the power tally holds for strict groups only.
     """
-    total = 0
-    powers = 0
-    for r in range(1, k + 1):
-        all_trivial = trivial[0] * trivial[1] ** (r - 1)
-        periods = {q: (_mobius(r // q), _pattern_period_count(groups, q, r // q))
-                   for q in range(1, r + 1) if r % q == 0}
-        for l in range(r, k + 1):
-            block = _vector_count(l, r) * periods[r][1]
-            primitive_alpha = primitive = 0
-            for q, (mu, patterns) in periods.items():
-                if mu and l % (r // q) == 0:
-                    vectors = mu * _vector_count(l * q // r, q)
-                    primitive_alpha += vectors
-                    primitive += vectors * patterns
-            total += block
-            powers += (block - primitive
-                       + all_trivial * (primitive_alpha - _balanced_count(l, r)))
+    firsts = [count * f for count, f, _ in groups]  # times mid^(m-1)
+    laters = [count * mid for count, _, mid in groups]  # times mid^m
+    total, powers = sum(firsts) * _vector_sum(sum(laters), k), 0
+    for m in range(2, k + 1):
+        firsts = [x * mid for x, (_, _, mid) in zip(firsts, groups)]
+        laters = [x * mid for x, (_, _, mid) in zip(laters, groups)]
+        if mu := _mobius(m):
+            powers -= mu * sum(firsts) * _vector_sum(sum(laters), k // m)
     return total, powers
 
 
@@ -402,23 +384,28 @@ def enumerate_composed(n, d, k):
     L_H^U(d) -- reproduces the closed product formulas.  Strict: every
     slot nontrivial -- the honest disjoint word set.
     """
-    cyc_min = slots.counts(n, d).cyc_min
+    counts = slots.counts(n, d)
+    bits = k * (2 * sum(counts.l_hu_s) + 1).bit_length()
+    work = k * bits + bits * bits // 320
+    if work > K_BUDGET:
+        raise BudgetExceeded(
+            f"census k side needs {work} work units, over {K_BUDGET}")
     l1 = 2 * k * enumerate_LU(d)
     out = {"n": n, "d": d, "k": k, "l1": l1, "source": ENUMERATED}
 
     def engine(thick_only, strict):
         return _composed_engine(
-            *slots.tally(n, d, thick_only=thick_only, strict=strict), k)
+            slots.tally(n, d, thick_only=thick_only, strict=strict), k)
 
-    out["l2"], out["z4_false_l2"] = engine(False, False)
+    out["l2"], _ = engine(False, False)
     out["z2_l2"], _ = engine(True, False)
     out["l2_strict"], out["tpowers_strict"] = engine(False, True)
     z2_strict, p_ts = engine(True, True)
     out["z2_l2_strict"] = z2_strict
     out["zY_strict"] = z2_strict - p_ts
     out["z4_l2_strict"] = out["l2_strict"] - out["tpowers_strict"]
-    out["l_d0"] = cyc_min
-    out["l_dk"] = cyc_min + l1 + out["l2_strict"]
+    out["l_d0"] = counts.cyc_min
+    out["l_dk"] = counts.cyc_min + l1 + out["l2_strict"]
     return out
 
 
@@ -574,43 +561,47 @@ def census_row(n, d, k, mode="exhaustive", samples=None, seed=None) -> CensusRow
 def _sample_zy(n, d, k, samples, seed):
     """Uniform sampling over the strict set via exact stratum sizes.
 
+    The type (ii) stratum is ordered by t-length l, block count r and
+    exponent vector; the levels up to l hold f _vector_sum(m, l) tuples.
     A slot is drawn as an index into the forms outside U (first slot) or
     the nontrivial ones without a left divisor in U (later slots), and
     census_slots.form unranks it; choice over the range of indices makes
-    the same draw as choice over the list of forms.  Symbols are read
-    only for all-thick tuples.
+    the same draw as choice over the list of forms.  Symbols and the
+    exponent vector are read only for all-thick tuples.
     """
     counts = slots.counts(n, d)
     rng = random.Random(seed)
     l_u = enumerate_LU(d)
     firsts = range(sum(counts.l_hs) - l_u)
     mids = range(sum(counts.l_hu_s) - 1)
+    f, m = len(firsts), len(mids)
     off_l2 = counts.cyc_min + 2 * k * l_u
-    # the type (ii) stratum in (l, r) blocks, each of _vector_count(l, r)
-    # exponent vectors that carry `per_vector` slot tuples apiece; `ends`
-    # holds the cumulative block sizes
-    blocks, ends, end = [], [], 0
-    for l in range(1, k + 1):
-        for r in range(1, l + 1):
-            per_vector = len(firsts) * len(mids) ** (r - 1)
-            blocks.append((l, r, per_vector, end))
-            end += _vector_count(l, r) * per_vector
-            ends.append(end)
-    total = off_l2 + end
+    total = off_l2 + f * _vector_sum(m, k)
     if total == 0:
         raise BadParameter("empty census universe")
+    block_ends = {}  # t-length -> cumulative r-block sizes, on first use
     form, symbol, choice = slots.form, slots.symbol, rng.choice
     hits = 0
     for _ in range(samples):
         x = rng.randrange(total) - off_l2
         if x < 0:
             continue  # zY is false off the type (ii) stratum
-        l, r, per_vector, start = blocks[bisect_right(ends, x)]
-        alpha = _unrank_alpha(l, r, (x - start) // per_vector)
+        # the first t-length l whose levels up to l hold more than x tuples
+        l = bisect_right(range(k), x, key=lambda j: f * _vector_sum(m, j))
+        x -= f * _vector_sum(m, l - 1)
+        if l not in block_ends:  # r-block: C(l-1, r-1) 2^r f m^(r-1)
+            ends = block_ends[l] = [0]
+            size = 2 * f
+            for r in range(1, l + 1):
+                ends.append(ends[-1] + size)
+                size = size * 2 * m * (l - r) // r
+        r = bisect_right(block_ends[l], x)
+        x -= block_ends[l][r - 1]
         drawn = [form(n, 0, choice(firsts))]
         drawn += [form(n, 1, choice(mids)) for _ in range(r - 1)]
         if not all(thick for (_, thick) in drawn):
             continue
+        alpha = _unrank_alpha(l, r, x // (f * m ** (r - 1)))
         pairs = tuple((symbol(n, w), a) for (w, _), a in zip(drawn, alpha))
         if smallest_period(pairs) == r:
             hits += 1

@@ -15,6 +15,8 @@ in d.  Sample mode unranks the forms it draws from the same counts.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -122,6 +124,7 @@ class _Automaton:
         self.tallies = [{self.sigs[0]: 1}]
         self.work = 0
         self.paths = ({}, {})  # per slot kind: (state, j) -> completions
+        self.slot_ends = ([0], [0])  # per slot kind: cumulative level sizes
 
     def _successors(self, s):
         """(letter, state id) pairs in letter order, computed once."""
@@ -168,16 +171,18 @@ class _Automaton:
         """The level-ell form at `index` in slot list `kind` (see form),
         in letter order a1, a1^-1, a2, ... as the enumeration meets them."""
         paths = self.paths[kind]
-        for i in range(ell, -1, -1):
-            for s in self.level_states[i]:
-                j = ell - i
-                if (s, j) in paths:
-                    continue
-                if j:
-                    paths[s, j] = sum(paths[t, j - 1] for _, t in self.succ[s])
-                else:  # outside U; later slots: no left divisor in U
-                    paths[s, 0] = int(self.states[s][6] != 0
-                                      and (not kind or self.sigs[s][0]))
+        if (0, ell) not in paths:  # the start state's entry comes last
+            for i in range(ell, -1, -1):
+                for s in self.level_states[i]:
+                    j = ell - i
+                    if (s, j) in paths:
+                        continue
+                    if j:
+                        paths[s, j] = sum(paths[t, j - 1]
+                                          for _, t in self.succ[s])
+                    else:  # outside U; later slots: no left divisor in U
+                        paths[s, 0] = int(self.states[s][6] != 0
+                                          and (not kind or self.sigs[s][0]))
         s, word = 0, []
         for j in range(ell - 1, -1, -1):
             for y, t in self.succ[s]:
@@ -241,17 +246,17 @@ def form(n, kind, index):
     forms outside U), kind 1 the later slots (nontrivial, no left divisor
     in U), by length and then in the working system's enumeration order."""
     auto = automaton(n, n == 5)
-    ell = 0
-    while True:
+    ends = auto.slot_ends[kind]
+    while ends[-1] <= index:
+        ell = len(ends) - 1
         level = auto.upto(ell)[ell]
         if kind:
             size = sum(c for sig, c in level.items() if sig[0]) if ell else 0
         else:
             size = sum(level.values()) - (4 * ell if ell else 1)  # less U
-        if index < size:
-            break
-        index -= size
-        ell += 1
+        ends.append(ends[-1] + size)
+    ell = bisect_right(ends, index) - 1
+    index -= ends[ell]
     w = (_square_unrank if n == 5 else auto.unrank)(kind, ell, index)
     thick = maln_support(h_adj(n), {abs(x) for x in w}, frozenset((1, n - 1)))
     return w, thick
@@ -305,25 +310,25 @@ def counts(n, d):
 
 
 def _ball(r, s):
-    """Elements of length <= s in a free abelian group of rank r <= 2."""
-    return (1, 2 * s + 1, 1 + 2 * s * (s + 1))[r]
+    """Elements of length <= s in a free abelian group of rank r: 2^i C(r,
+    i) C(s, i) of them have i nonzero coordinates."""
+    return sum(math.comb(r, i) * math.comb(s, i) << i for i in range(r + 1))
 
 
 def tally(n, d, *, thick_only, strict):
     """Groups (N, first, mid) of N symbols with `first` forms each in the
-    first slot and `mid` in a later one, and the identity symbol's (first,
-    mid), (0, 0) when strict drops it.
+    first slot and `mid` in a later one; the identity symbol is one group
+    unless strict drops it.
 
     A nontrivial U-core c of length l is one symbol, with the forms u.c.v:
     u over U, v over the r generators of U that do not commute with c.
-    With s = d - l a later slot (u = 1) has _ball(r, s) of them, the first
-    the sum over |u| = j of 4j (1 at j = 0) times _ball(r, s - j).
+    With s = d - l a later slot (u = 1) has _ball(r, s) of them, and the
+    first slot _ball(r + 2, s): the pairs with |u| + |v| <= s are a ball
+    in Z^2 x Z^r.
     """
-    groups = [(count, sum((4 * j if j else 1) * _ball(r, d - ell - j)
-                          for j in range(d - ell + 1)), _ball(r, d - ell))
+    groups = [(count, _ball(r + 2, d - ell), _ball(r, d - ell))
               for (ell, r, thick), count in counts(n, d).cores.items()
               if thick or not thick_only]
     if strict:
-        return groups, (0, 0)
-    trivial = (_ball(2, d), 1)  # the identity's forms are U itself
-    return groups + [(1, *trivial)], trivial
+        return groups
+    return groups + [(1, _ball(2, d), 1)]  # the identity's forms are U itself

@@ -150,6 +150,8 @@ def _dispatch(args) -> int:
 
 
 def main():  # console entry point
+    if hasattr(sys, "set_int_max_str_digits"):  # census counts may pass
+        sys.set_int_max_str_digits(0)  # 4300 digits; its budgets bound them
     sys.exit(run())
 
 

@@ -6,12 +6,14 @@ from any shorter word found; the shortest stratum of the closure is the
 geodesic class and its lexicographic minimum is the oracle's canonical
 form.  Cayley-graph distances come from breadth-first search keyed by
 those canonical forms.  The census reference builds every normal form
-and walks every signed exponent vector one by one, where the library
-counts both in closed form or over the normal-form automaton.
+and walks every signed exponent vector one by one, or sums over every
+(t-length, block count) block, where the library counts both in closed
+form or over the normal-form automaton.
 """
 
 import math
 import random
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import product
 
@@ -458,6 +460,88 @@ def alpha_walk_sample_zy(n, d, k, samples, seed):
         hits += not any(r % p == 0 and all(pairs[i] == pairs[i % p]
                                            for i in range(r))
                         for p in range(1, r))
+    return hits
+
+
+def vector_count(l, r):
+    """Signed exponent vectors of t-length l with r blocks."""
+    return census._composition_count(l, r) << r
+
+
+def _balanced_count(l, r):
+    """Signed exponent vectors of t-length l with r blocks whose sum is
+    -1, 0 or 1: j negative blocks summing to s, the rest to l - s."""
+    return sum(math.comb(r, j) * census._composition_count(s, j)
+               * census._composition_count(l - s, r - j)
+               for s in {l // 2, (l + 1) // 2} for j in range(r + 1))
+
+
+def _group_period_count(groups, p, q):
+    """Symbol patterns of length p*q with period p over (N, first, mid)
+    groups: the first slot and its repeats share a symbol."""
+    m1 = sum(count * first * mid ** (q - 1) for count, first, mid in groups)
+    m2 = sum(count * mid ** q for count, _, mid in groups)
+    return m1 * m2 ** (p - 1)
+
+
+def block_engine(groups, trivial, k):
+    """census._composed_engine one (l, r) block at a time: per block, J(q)
+    counts the patterns with period q | r (q-periodic exponent vectors
+    times q-periodic symbol patterns), and Mobius inversion over the
+    divisors of r gives the primitive ones.  The identity symbol's
+    (first, mid) is `trivial`; its all-trivial patterns are pure
+    t-powers, proper powers iff |sum(alpha)| >= 2, so they are recounted
+    by that rule and the power count is exact under every convention."""
+    total = powers = 0
+    for r in range(1, k + 1):
+        all_trivial = trivial[0] * trivial[1] ** (r - 1)
+        periods = {q: (census._mobius(r // q),
+                       _group_period_count(groups, q, r // q))
+                   for q in range(1, r + 1) if r % q == 0}
+        for l in range(r, k + 1):
+            block = vector_count(l, r) * periods[r][1]
+            primitive_alpha = primitive = 0
+            for q, (mu, patterns) in periods.items():
+                if mu and l % (r // q) == 0:
+                    vectors = mu * vector_count(l * q // r, q)
+                    primitive_alpha += vectors
+                    primitive += vectors * patterns
+            total += block
+            powers += block - primitive + all_trivial * (
+                primitive_alpha - _balanced_count(l, r))
+    return total, powers
+
+
+def block_sample_zy(n, d, k, samples, seed):
+    """census._sample_zy over a flat table of every (l, r) block."""
+    counts = census_slots.counts(n, d)
+    rng = random.Random(seed)
+    l_u = census.enumerate_LU(d)
+    firsts = range(sum(counts.l_hs) - l_u)
+    mids = range(sum(counts.l_hu_s) - 1)
+    off_l2 = counts.cyc_min + 2 * k * l_u
+    blocks, ends, end = [], [], 0
+    for l in range(1, k + 1):
+        for r in range(1, l + 1):
+            per_vector = len(firsts) * len(mids) ** (r - 1)
+            blocks.append((l, r, per_vector, end))
+            end += vector_count(l, r) * per_vector
+            ends.append(end)
+    total = off_l2 + end
+    form, symbol, choice = census_slots.form, census_slots.symbol, rng.choice
+    hits = 0
+    for _ in range(samples):
+        x = rng.randrange(total) - off_l2
+        if x < 0:
+            continue
+        l, r, per_vector, start = blocks[bisect_right(ends, x)]
+        alpha = census._unrank_alpha(l, r, (x - start) // per_vector)
+        drawn = [form(n, 0, choice(firsts))]
+        drawn += [form(n, 1, choice(mids)) for _ in range(r - 1)]
+        if not all(thick for (_, thick) in drawn):
+            continue
+        pairs = tuple((symbol(n, w), a) for (w, _), a in zip(drawn, alpha))
+        hits += census.smallest_period(pairs) == r
     return hits
 
 

@@ -21,6 +21,8 @@ from pcgroups.words import MAX_WORD_LETTERS, canon_letters
 from oracles import (
     SYM_ID,
     alpha_walk_engine,
+    block_engine,
+    block_sample_zy,
     hdata,
     iter_general_forms,
     iter_square_forms,
@@ -29,6 +31,7 @@ from oracles import (
     reference_e_prime,
     reference_LH,
     reference_LHU,
+    vector_count,
 )
 
 
@@ -175,18 +178,35 @@ def test_composition_counts():
 
 def test_composed_engine_matches_alpha_walk():
     # all four slot conventions of the enumerated tallies, one group per
-    # symbol, against the walk over every exponent vector
+    # symbol, against the walk over every exponent vector: the totals, and
+    # the proper powers where every slot is nontrivial (the engine does
+    # not single out the identity's pure t-powers)
     for n, dmax, kmax in ((5, 3, 8), (6, 2, 6), (7, 2, 4)):
         for d in range(dmax + 1):
             slot = hdata(n, max(d, 1)).slot(d)
             for thick_only, strict in product((False, True), repeat=2):
                 first, mid = slot.tallies(thick_only=thick_only, strict=strict)
                 groups = [(1, c, mid.get(s, 0)) for s, c in first.items()]
-                trivial = (first.get(SYM_ID, 0), mid.get(SYM_ID, 0))
                 for k in range(kmax + 1):
-                    assert (C._composed_engine(groups, trivial, k)
-                            == alpha_walk_engine(first, mid, k)), \
+                    got = C._composed_engine(groups, k)
+                    want = alpha_walk_engine(first, mid, k)
+                    assert got == want if strict else got[0] == want[0], \
                         (n, d, k, thick_only, strict)
+
+
+def test_composed_engine_matches_block_engine():
+    # the closed-form sums against the sum over every (l, r) block, on
+    # the slot groups census_row counts with
+    for n, d in product(range(5, 8), range(4)):
+        for thick_only, strict in product((False, True), repeat=2):
+            groups = S.tally(n, d, thick_only=thick_only, strict=strict)
+            # the identity symbol is the last group of an indexed tally
+            trivial = (0, 0) if strict else groups[-1][1:]
+            for k in (0, 1, 2, 3, 5, 8, 13, 21, 34, 60):
+                got = C._composed_engine(groups, k)
+                want = block_engine(groups, trivial, k)
+                assert got == want if strict else got[0] == want[0], \
+                    (n, d, k, thick_only, strict)
 
 
 DIFFERENTIAL_ND = ([(n, d) for n in range(5, 9) for d in range(5)]
@@ -219,11 +239,29 @@ def test_slot_unranking_matches_the_enumeration_order():
                 == forms, (n, d, kind)
 
 
+def test_slot_unranking_reuses_its_tables(monkeypatch):
+    # once a length's path table and the level sizes are built, drawing
+    # more forms reads neither the automaton's levels nor its tallies
+    auto = S.automaton(6, False)
+    by_len = S.counts(6, 5).l_hu_s
+    size = by_len[5]
+    start = sum(by_len[:5]) - 1  # the first later-slot form of length 5
+    want = [S.form(6, 1, start + i) for i in range(0, size, 97)]
+    S.form.cache_clear()
+
+    def no_rescan(*args):
+        raise AssertionError("levels read again")
+
+    monkeypatch.setattr(auto, "level_states", None)
+    monkeypatch.setattr(auto, "upto", no_rescan)
+    assert [S.form(6, 1, start + i) for i in range(0, size, 97)] == want
+
+
 def test_unrank_alpha_matches_vector_order():
     for l in range(1, 10):
         for r in range(1, l + 1):
             vectors = list(C._alpha_vectors(l, r))
-            assert len(vectors) == C._vector_count(l, r)
+            assert len(vectors) == vector_count(l, r)
             assert [C._unrank_alpha(l, r, i)
                     for i in range(len(vectors))] == vectors
 
@@ -237,6 +275,16 @@ def test_sample_matches_alpha_walk_sampler():
                                         seed=seed)
             assert json.dumps(got.to_json_dict()) == json.dumps(want), \
                 (n, d, k, seed)
+
+
+def test_sample_matches_block_sampler():
+    # seeded rows at larger k against the sampler over a flat table of
+    # every (l, r) block
+    for n, d, k in product((5, 6), (2, 3), (20, 40)):
+        for seed in (1, 2):
+            row = C.census_row(n, d, k, mode="sample", samples=200, seed=seed)
+            hits = block_sample_zy(n, d, k, 200, seed)
+            assert row.enumerated["rho_sample"] == hits / 200, (n, d, k, seed)
 
 
 def test_census_row_large_k_matches_formulas():
@@ -353,6 +401,22 @@ def test_budget_guard():
     row = C.census_row(6, 12, 2)
     assert row.enumerated["l2"] == row.formula["l2"]
     assert len(row.enumerated["l_HS"]) == 13
+
+
+def test_k_budget():
+    # the k side's work is estimated from k and the slot counts, so an
+    # over-budget row raises before the engine runs
+    for n, d, k in ((5, 3, 10 ** 6), (5, 64, 2000), (6, 12, 3000)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            C.census_row(n, d, k)
+        assert time.perf_counter() - start < 0.5, (n, d, k)
+    # within the budget, k reaches the thousands
+    row = C.census_row(5, 3, 1000)
+    assert row.enumerated["l2"] == row.formula["l2"]
+    assert row.enumerated["z2"] == row.formula["z2"]
+    sampled = C.census_row(5, 3, 1000, mode="sample", samples=20, seed=1)
+    assert 0 <= sampled.enumerated["rho_sample"] <= 1
 
 
 def test_tpower_bound_beyond_float_range():

@@ -167,3 +167,29 @@ def test_census_budget_exits_before_any_work():
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_census_k_budget_exits_before_any_work():
+    # k = 10^6 at d = 3 is far over the k-side budget, checked from the
+    # slot counts before the engine runs
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcgroups.cli", "census", "--n", "5",
+         "--d", "3", "--k", "1000000"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=30)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_census_prints_counts_past_4300_digits():
+    # l2 at (5, 3, 2000) has about 4400 digits, past Python's default
+    # limit on int -> str, and the row is within the census budgets
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcgroups.cli", "census", "--n", "5",
+         "--d", "3", "--k", "2000", "--json"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    row = json.loads(proc.stdout, parse_int=str)  # digits, not ints
+    assert len(row["enumerated"]["l2"]) > 4300
+    assert row["enumerated"]["l2"] == row["formula"]["l2"]
