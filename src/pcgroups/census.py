@@ -60,6 +60,11 @@ FORMULA = "FORMULA"
 # printing them in decimal is quadratic in their length ((k b)^2 / 320)
 K_BUDGET = 150_000_000
 
+# work of sample mode, in units of about 0.6 us: each sample draws up to
+# k slots plus its t-length and block count, and unranking one slot walks
+# the automaton's d + 1 levels over about n letters each
+SAMPLE_BUDGET = 4_500_000
+
 
 # ---------------------------------------------------------------------------
 # the cycle subgroup: words and normal forms
@@ -502,10 +507,22 @@ def _formula_dict(n, d, k, enums):
 def census_row(n, d, k, mode="exhaustive", samples=None, seed=None) -> CensusRow:
     """One census row.  Exhaustive mode classifies by the exact factorised
     tallies; sample mode estimates the density by stratified uniform
-    sampling driven by the exact stratum sizes."""
+    sampling driven by the exact stratum sizes.  Its work is estimated
+    from samples, k, d and n against SAMPLE_BUDGET before any counting."""
     slots.check_n(n)
     if d < 0 or k < 0:
         raise BadParameter("d and k must be nonnegative")
+    if mode == "sample":
+        if seed is None:
+            raise BadSeed("sample mode requires a seed")
+        if not samples or samples <= 0:
+            raise BadParameter("sample mode requires a positive --samples")
+        work = samples * (k + 1) * (d + 1) * n
+        if work > SAMPLE_BUDGET:
+            raise BudgetExceeded(
+                f"census sample needs {work} work units, over {SAMPLE_BUDGET}")
+    elif mode != "exhaustive":
+        raise BadParameter(f"unknown mode {mode!r}")
     l_hs = list(slots.counts(n, d).l_hs)
     lhu = enumerate_LHU(n, d)
     comp = enumerate_composed(n, d, k)
@@ -542,10 +559,6 @@ def census_row(n, d, k, mode="exhaustive", samples=None, seed=None) -> CensusRow
     row = CensusRow(n=n, d=d, k=k, enumerated=enums,
                     formula=_formula_dict(n, d, k, enums))
     if mode == "sample":
-        if seed is None:
-            raise BadSeed("sample mode requires a seed")
-        if not samples or samples <= 0:
-            raise BadParameter("sample mode requires a positive --samples")
         row.mode = "sample"
         row.seed = seed
         row.samples = samples
@@ -553,8 +566,6 @@ def census_row(n, d, k, mode="exhaustive", samples=None, seed=None) -> CensusRow
         p = hits / samples
         row.enumerated["rho_sample"] = p
         row.rho_se = math.sqrt(p * (1 - p) / samples)
-    elif mode != "exhaustive":
-        raise BadParameter(f"unknown mode {mode!r}")
     return row
 
 
@@ -565,22 +576,22 @@ def _sample_zy(n, d, k, samples, seed):
     exponent vector; the levels up to l hold f _vector_sum(m, l) tuples.
     A slot is drawn as an index into the forms outside U (first slot) or
     the nontrivial ones without a left divisor in U (later slots), and
-    census_slots.form unranks it; choice over the range of indices makes
-    the same draw as choice over the list of forms.  Symbols and the
+    census_slots.form unranks it; randrange over the indices makes the
+    same draw as choice over the list of forms, and takes counts past
+    the C size limit that len() of a range has.  Symbols and the
     exponent vector are read only for all-thick tuples.
     """
     counts = slots.counts(n, d)
     rng = random.Random(seed)
     l_u = enumerate_LU(d)
-    firsts = range(sum(counts.l_hs) - l_u)
-    mids = range(sum(counts.l_hu_s) - 1)
-    f, m = len(firsts), len(mids)
+    f = sum(counts.l_hs) - l_u
+    m = sum(counts.l_hu_s) - 1
     off_l2 = counts.cyc_min + 2 * k * l_u
     total = off_l2 + f * _vector_sum(m, k)
     if total == 0:
         raise BadParameter("empty census universe")
     block_ends = {}  # t-length -> cumulative r-block sizes, on first use
-    form, symbol, choice = slots.form, slots.symbol, rng.choice
+    form, symbol, below = slots.form, slots.symbol, rng.randrange
     hits = 0
     for _ in range(samples):
         x = rng.randrange(total) - off_l2
@@ -597,8 +608,8 @@ def _sample_zy(n, d, k, samples, seed):
                 size = size * 2 * m * (l - r) // r
         r = bisect_right(block_ends[l], x)
         x -= block_ends[l][r - 1]
-        drawn = [form(n, 0, choice(firsts))]
-        drawn += [form(n, 1, choice(mids)) for _ in range(r - 1)]
+        drawn = [form(n, 0, below(f))]
+        drawn += [form(n, 1, below(m)) for _ in range(r - 1)]
         if not all(thick for (_, thick) in drawn):
             continue
         alpha = _unrank_alpha(l, r, x // (f * m ** (r - 1)))

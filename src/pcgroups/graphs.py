@@ -26,19 +26,25 @@ class CommutationGraph:
     """Immutable simple graph over named generators.
 
     Internally vertices are also numbered 1..n in declaration order; the
-    word machinery works on those indices.
+    word machinery works on those indices.  Every vertex name is a word
+    token (_NAME_RE), so the tokens `name` and `name^-1` of distinct
+    letters differ and _letter maps each to its signed index.
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_adj_idx")
+    __slots__ = ("vertices", "edges", "_index", "_adj", "_adj_idx", "_letter")
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
         seen = set()
         for v in self.vertices:
+            if not (isinstance(v, str) and _NAME_RE.match(v)):
+                raise BadParameter(f"vertex name {v!r} is not a word token")
             if v in seen:
                 raise DuplicateVertex(f"duplicate vertex {v!r}")
             seen.add(v)
         self._index = {v: i + 1 for i, v in enumerate(self.vertices)}
+        self._letter = {**self._index,
+                        **{v + "^-1": -i for v, i in self._index.items()}}
         canon = set()
         for (u, v) in edges:
             if u == v:

@@ -131,19 +131,23 @@ class SigmaWord:
         return " ".join(parts)
 
 
-def coset_symbol(g: CommutationGraph, t, chunk):
+def coset_symbol(adj, u_idx, chunk):
     """Signed double-coset symbol of a canonical H-chunk, or None for
-    chunks in U.
+    chunks in U (generator indices u_idx).
 
     The positive orientation of each symbol is the lex-smaller of the
     representative and its inverse, so symbols are identified up to the
-    D+/D- pairing.
+    D+/D- pairing.  The core needs linearising again only when a left
+    divisor was peeled: a right divisor is a set of maximal letters of
+    the chunk's heap, and the heap walk of lexmin_letters never waits
+    on those, so it takes the other letters in the order it did.
     """
-    adj = g._adj_idx
-    _, core, _ = split_letters(adj, chunk, _u_indices(g, t))
+    left, core, _ = split_letters(adj, chunk, u_idx)
     if not core:
         return None
-    return oriented_symbol(adj, lexmin_letters(adj, core))
+    if left:
+        core = lexmin_letters(adj, core)
+    return oriented_symbol(adj, core)
 
 
 def _free_reduce_units(units):
@@ -159,13 +163,14 @@ def _free_reduce_units(units):
 def sigma(g: CommutationGraph, t, h: HnnWord) -> SigmaWord:
     """sigma(p): chunks become double-coset symbols, t-powers expand to
     unit letters, and the result is freely reduced in the free product."""
+    adj, u_idx = g._adj_idx, _u_indices(g, t)
     units = []
-    sym = coset_symbol(g, t, h.chunks[0])
+    sym = coset_symbol(adj, u_idx, h.chunks[0])
     if sym is not None:
         units.append(sym)
     for e, chunk in zip(h.exps, h.chunks[1:]):
         units.append((None, e))
-        sym = coset_symbol(g, t, chunk)
+        sym = coset_symbol(adj, u_idx, chunk)
         if sym is not None:
             units.append(sym)
     return SigmaWord(g, t, _free_reduce_units(units))
@@ -201,11 +206,11 @@ def is_t_root(g: CommutationGraph, t, h: HnnWord) -> bool:
 # thickness
 
 
-def _thick(g, t, supp) -> bool:
-    """An element with generator set supp lies in U or in Maln(U), by the
-    support criterion of cosets.maln_support (lk(t) is a clique)."""
-    u_idx = _u_indices(g, t)
-    return supp <= u_idx or maln_support(g._adj_idx, supp, u_idx)
+def _thick(adj, u_idx, supp) -> bool:
+    """An element with generator set supp lies in U (generator indices
+    u_idx) or in Maln(U), by the support criterion of
+    cosets.maln_support (lk(t) is a clique)."""
+    return supp <= u_idx or maln_support(adj, supp, u_idx)
 
 
 def is_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
@@ -216,14 +221,16 @@ def is_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     """
     if not is_clique(g, g.neighbours(t)):
         raise LinkNotClique(f"lk({t}) is not a clique")
-    return all(_thick(g, t, {abs(x) for x in c}) for c in h.chunks)
+    adj, u_idx = g._adj_idx, _u_indices(g, t)
+    return all(_thick(adj, u_idx, {abs(x) for x in c}) for c in h.chunks)
 
 
 def is_cyclically_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     """Thick, cyclically reduced, and the wrap chunk g_m g_0 is thick too."""
     if not is_t_thick(g, t, h) or not is_cyclically_reduced_hnn(g, t, h):
         return False
-    return not h.exps or _thick(g, t, _wrap_support(g, h))
+    return not h.exps or _thick(g._adj_idx, _u_indices(g, t),
+                                _wrap_support(g, h))
 
 
 # ---------------------------------------------------------------------------

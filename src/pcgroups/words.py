@@ -351,13 +351,22 @@ def parse_word(text: str, g: CommutationGraph) -> Word:
 
     The bare token `1` denotes the identity and must appear alone.  A
     word of more than MAX_WORD_LETTERS letters after expansion raises
-    BudgetExceeded.
+    BudgetExceeded.  The tokens `name` and `name^-1` are read from the
+    graph's letter table; any other token goes through _TOKEN_RE.
     """
     tokens = text.split()
     if tokens == ["1"]:
         return Word(g, ())
     idx = []
+    table = g._letter
     for tok in tokens:
+        x = table.get(tok)
+        if x is not None:
+            if len(idx) >= MAX_WORD_LETTERS:
+                raise BudgetExceeded(
+                    f"word longer than {MAX_WORD_LETTERS} letters")
+            idx.append(x)
+            continue
         if tok == "1":
             raise WordSyntaxError("'1' must appear alone")
         m = _TOKEN_RE.match(tok)

@@ -5,7 +5,9 @@ moves (swap a commuting pair, cancel an adjacent inverse pair), restarting
 from any shorter word found; the shortest stratum of the closure is the
 geodesic class and its lexicographic minimum is the oracle's canonical
 form.  Cayley-graph distances come from breadth-first search keyed by
-those canonical forms.  The census reference builds every normal form
+those canonical forms.  The word-parser reference reads every token
+through the token regex, where the library reads `name` and `name^-1`
+from the graph's letter table.  The census reference builds every normal form
 and walks every signed exponent vector one by one, or sums over every
 (t-length, block count) block, where the library counts both in closed
 form or over the normal-form automaton.
@@ -19,7 +21,12 @@ from itertools import product
 
 from pcgroups import census, census_slots
 from pcgroups.cosets import maln_support, oriented_symbol
-from pcgroups.errors import BudgetExceeded
+from pcgroups.errors import (
+    BudgetExceeded,
+    UnknownGenerator,
+    WordSyntaxError,
+    ZeroExponent,
+)
 from pcgroups.graphs import (
     CommutationGraph,
     build_graph,
@@ -27,11 +34,46 @@ from pcgroups.graphs import (
     plain_cycle,
 )
 from pcgroups.words import (
+    _TOKEN_RE,
+    MAX_WORD_LETTERS,
+    bounded_int,
     is_cyclically_minimal_letters,
     left_divisor_letters,
     lexmin_letters,
     split_letters,
 )
+
+
+def parse_word_reference(text, g):
+    """Signed letters of a word, every token read through _TOKEN_RE: the
+    regex-only parser that words.parse_word must agree with, error class
+    and message included."""
+    tokens = text.split()
+    if tokens == ["1"]:
+        return ()
+    idx = []
+    for tok in tokens:
+        if tok == "1":
+            raise WordSyntaxError("'1' must appear alone")
+        m = _TOKEN_RE.match(tok)
+        if not m:
+            raise WordSyntaxError(f"bad token {tok!r}")
+        name, exp = m.group(1), m.group(2)
+        if name not in g:
+            raise UnknownGenerator(f"unknown generator {name!r}")
+        k = 1 if exp is None else bounded_int(exp, MAX_WORD_LETTERS)
+        if k is None:
+            raise BudgetExceeded(
+                f"exponent in {tok[:40]!r} exceeds {MAX_WORD_LETTERS} letters")
+        if k == 0:
+            raise ZeroExponent(f"zero exponent in {tok[:40]!r}")
+        i = g.index(name)
+        letter = i if k > 0 else -i
+        if len(idx) + abs(k) > MAX_WORD_LETTERS:
+            raise BudgetExceeded(
+                f"word longer than {MAX_WORD_LETTERS} letters")
+        idx.extend([letter] * abs(k))
+    return tuple(idx)
 
 
 def _key(w):

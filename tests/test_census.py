@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 from itertools import product
 
@@ -417,6 +418,30 @@ def test_k_budget():
     assert row.enumerated["z2"] == row.formula["z2"]
     sampled = C.census_row(5, 3, 1000, mode="sample", samples=20, seed=1)
     assert 0 <= sampled.enumerated["rho_sample"] <= 1
+
+
+def test_sample_budget():
+    # samples x (k + 1) slot draws, each walking about (d + 1) n automaton
+    # letters, are checked before any counting; the first request ran
+    # for 7.7 s before the check
+    for n, d, k, samples in ((5, 3, 4276, 1000), (5, 32, 50, 10 ** 4),
+                             (6, 8, 40, 10 ** 9)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            C.density(n, d, k, mode="sample", samples=samples, seed=1)
+        assert time.perf_counter() - start < 0.5, (n, d, k, samples)
+    # sampled rows of the CLI checks and the benchmark stay within it
+    row = C.census_row(5, 3, 1000, mode="sample", samples=100, seed=1)
+    assert 0 <= row.enumerated["rho_sample"] <= 1
+    assert C.density(5, 3, 7, mode="sample", samples=2000, seed=1)["samples"] == 2000
+
+
+def test_sample_mode_past_the_size_limit_of_a_range():
+    # at d = 64 the slot lists hold more forms than len() of a range can
+    # count, so slots are drawn with randrange, which makes the same draw
+    row = C.census_row(5, 64, 4, mode="sample", samples=20, seed=1)
+    assert sum(S.counts(5, 64).l_hs) > sys.maxsize
+    assert 0 <= row.enumerated["rho_sample"] <= 1
 
 
 def test_tpower_bound_beyond_float_range():

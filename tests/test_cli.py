@@ -182,6 +182,20 @@ def test_census_k_budget_exits_before_any_work():
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def test_census_sample_budget_exits_before_any_work():
+    # 1000 samples at k = 4276 are far over the sample budget, checked
+    # before the row is counted; unchecked, this request ran for 7.7 s
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcgroups.cli", "census", "--n", "5",
+         "--d", "3", "--k", "4276", "--mode", "sample", "--samples", "1000",
+         "--seed", "1"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=30)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 def test_census_prints_counts_past_4300_digits():
     # l2 at (5, 3, 2000) has about 4400 digits, past Python's default
     # limit on int -> str, and the row is within the census budgets

@@ -50,6 +50,19 @@ def test_build_graph_rejects_duplicates_and_unknown():
         build_graph(["a"], [("a", "b")])
 
 
+def test_build_graph_rejects_names_that_are_not_tokens():
+    # `a^-1` as a vertex would shadow the inverse of `a` in parse_word,
+    # and format_word would print it as that inverse
+    for names in (["a", "a^-1"], ["a", "2b"], ["a b"], [""], ["a", 3]):
+        with pytest.raises(BadParameter):
+            build_graph(names, [])
+    g = build_graph(["a", "_b2"], [])
+    assert g._letter == {"a": 1, "a^-1": -1, "_b2": 2, "_b2^-1": -2}
+    # parse_graph reports a bad name by its line, before building
+    with pytest.raises(GraphFormatError, match="line 2: bad vertex name"):
+        parse_graph("# names\nvertices a a^-1\n")
+
+
 def test_link_cycle_with_chord():
     g = cycle_with_chord(5)
     assert link(g, {"t"}) == {"a1", "a4"}

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from pcgroups.cosets import in_maln, parabolic, parabolic_member
+from pcgroups.cosets import in_maln, oriented_symbol, parabolic, parabolic_member
 from pcgroups.errors import LinkNotClique, NoSplitFound
 from pcgroups.graphs import build_graph, cycle_with_chord, is_clique, plain_cycle
 from pcgroups.hnn import (
+    coset_symbol,
     hnn_factorize,
     is_cyclically_reduced_hnn,
     is_cyclically_t_thick,
@@ -19,8 +20,10 @@ from pcgroups.hnn import (
 from pcgroups.words import (
     canon_letters,
     equal,
+    lexmin_letters,
     minimal_form,
     parse_word,
+    split_letters,
     word_from_idx,
 )
 
@@ -116,6 +119,30 @@ def test_sigma_orientation_pairs_inverses():
     sw_neg = sigma(C5P, "t", fact("a2^-1 t"))
     (sym1, e1), (sym2, e2) = sw_pos.units[0], sw_neg.units[0]
     assert sym1 == sym2 and e1 == -e2
+
+
+def test_coset_symbol_matches_linearising_every_core():
+    # coset_symbol linearises a chunk's U-core again only after a left
+    # peel; the reference linearises every core
+    rng = random.Random(31)
+    cases = set()
+    for g in [C5P, cycle_with_chord(7)] + [random_graph(rng) for _ in range(25)]:
+        adj = g._adj_idx
+        for t in range(1, len(g) + 1):
+            u_idx = frozenset(adj[t])
+            others = [i for i in range(1, len(g) + 1) if i != t]
+            for _ in range(60):
+                chunk = canon_letters(adj, tuple(
+                    rng.choice(others) * rng.choice((1, -1))
+                    for _ in range(rng.randint(0, 20))))
+                left, core, right = split_letters(adj, chunk, u_idx)
+                canon = lexmin_letters(adj, core)
+                want = oriented_symbol(adj, canon) if core else None
+                assert coset_symbol(adj, u_idx, chunk) == want
+                # only a left peel can leave the core out of lexmin order
+                assert core == canon or left
+                cases.add((bool(left), bool(right), core == canon))
+    assert (True, False, False) in cases and (False, True, True) in cases
 
 
 def test_thickness_examples():

@@ -3,12 +3,13 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcgroups.errors import (
     BudgetExceeded,
     NotCyclicallyMinimal,
+    PcgError,
     UnknownGenerator,
     WordSyntaxError,
     ZeroExponent,
@@ -36,6 +37,7 @@ from oracles import (
     catalog,
     closure_canonical,
     conjugacy_class_closure,
+    parse_word_reference,
     random_graph,
     random_letters,
 )
@@ -74,6 +76,10 @@ def test_parse_word_letter_budget():
     with pytest.raises(BudgetExceeded):
         parse_word(f"a^{half} b^-{half}", FREE2)
     assert len(parse_word(f"a^{MAX_WORD_LETTERS}", FREE2)) == MAX_WORD_LETTERS
+    # single-letter tokens, read from the letter table, meet the same budget
+    with pytest.raises(BudgetExceeded):
+        parse_word("a^-1 " * (MAX_WORD_LETTERS + 1), FREE2)
+    assert len(parse_word("b " * MAX_WORD_LETTERS, FREE2)) == MAX_WORD_LETTERS
 
 
 def test_parse_word_huge_exponent():
@@ -287,6 +293,42 @@ def test_conjugate_test_on_the_wide_block():
 # properties
 
 letters_c5p = st.sampled_from([s * i for i in range(1, 6) for s in (1, -1)])
+
+
+def _parse_outcome(parse, text, g):
+    try:
+        return tuple(parse(text, g))
+    except PcgError as exc:
+        return type(exc), str(exc)
+
+
+_c5p_names = st.sampled_from(C5P.vertices)
+_exponents = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1", "-1", "-01", "0", "-0", "00", "+2", "1" * 30,
+                     str(MAX_WORD_LETTERS), str(MAX_WORD_LETTERS // 2 + 1),
+                     str(-MAX_WORD_LETTERS - 1)]))
+_tokens = st.one_of(
+    _c5p_names,
+    _c5p_names.map(lambda v: v + "^-1"),
+    st.tuples(_c5p_names, _exponents).map("^".join),
+    st.sampled_from(["a5", "b", "a1_", "T", "zz^-1", "zz^0"]),
+    st.just("1"),
+    st.sampled_from(["a1^", "^2", "a1-a2", "a1^^2", "2a", "a1^x", "-1"]))
+
+
+@given(st.lists(_tokens, max_size=8),
+       st.lists(st.sampled_from([" ", "  ", "\t", "\n"]), min_size=9,
+                max_size=9))
+@settings(max_examples=400, deadline=None)
+@example([f"a1^{MAX_WORD_LETTERS}", "t^-1"], [" "] * 9)
+@example([f"a1^{MAX_WORD_LETTERS - 1}", "t", "a2^1"], [" "] * 9)
+def test_parse_word_matches_the_regex_parser(tokens, gaps):
+    # the letter table must not change a parse or an error: same letters,
+    # or the same exception class and message as the regex-only reference
+    text = "".join(gap + tok for gap, tok in zip(gaps, tokens))
+    assert (_parse_outcome(lambda t, g: parse_word(t, g).idx, text, C5P)
+            == _parse_outcome(parse_word_reference, text, C5P))
 
 
 @given(st.lists(letters_c5p, max_size=10))
