@@ -25,11 +25,10 @@ from .graphs import (
     star,
 )
 from .hnn import (
+    _thickness_flags,
     hnn_factorize,
     is_cyclically_reduced_hnn,
-    is_cyclically_t_thick,
     is_t_root,
-    is_t_thick,
 )
 from .words import (
     NormalForm,
@@ -185,8 +184,7 @@ def check_theorem_main(g: CommutationGraph, s, t, n: int) -> TheoremMainRecord:
     h = hnn_factorize(g, t, nf)
     assert is_cyclically_reduced_hnn(g, t, h)
     if lk_clique:
-        thick = is_t_thick(g, t, h)
-        cyc_thick = is_cyclically_t_thick(g, t, h)
+        thick, cyc_thick = _thickness_flags(g, t, h)
     else:
         thick = None
         cyc_thick = None

@@ -138,9 +138,10 @@ def coset_symbol(adj, u_idx, chunk):
     The positive orientation of each symbol is the lex-smaller of the
     representative and its inverse, so symbols are identified up to the
     D+/D- pairing.  The core needs linearising again only when a left
-    divisor was peeled: a right divisor is a set of maximal letters of
-    the chunk's heap, and the heap walk of lexmin_letters never waits
-    on those, so it takes the other letters in the order it did.
+    divisor was peeled.  Deleting right-divisor letters from a lex-least
+    word leaves it lex-least: each of them commutes with every later
+    letter that stays, so a forbidden factor b.u.a of what is left (see
+    lexmin_letters) was one of the word with them put back.
     """
     left, core, _ = split_letters(adj, chunk, u_idx)
     if not core:
@@ -231,6 +232,23 @@ def is_cyclically_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
         return False
     return not h.exps or _thick(g._adj_idx, _u_indices(g, t),
                                 _wrap_support(g, h))
+
+
+def _thickness_flags(g: CommutationGraph, t, h: HnnWord):
+    """(is_t_thick, is_cyclically_t_thick) of h, with lk(t) built once
+    and each chunk tested once: the per-t report of the Freiheitssatz
+    checks needs both."""
+    if not is_clique(g, g.neighbours(t)):
+        raise LinkNotClique(f"lk({t}) is not a clique")
+    adj, u_idx = g._adj_idx, _u_indices(g, t)
+    if not all(_thick(adj, u_idx, {abs(x) for x in c}) for c in h.chunks):
+        return False, False
+    if not h.exps:
+        return True, True
+    wrap = _wrap_support(g, h)
+    reduced = (len(h.exps) == 1 or h.exps[-1] == h.exps[0]
+               or not wrap <= u_idx)
+    return True, reduced and _thick(adj, u_idx, wrap)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ computes it and serves every layer above:
 * reduce_letters: one left-to-right pass; each letter cancels the last
   kept letter it does not commute with when that letter is its inverse
   (Wrathall 1988), which leaves a geodesic;
-* lexmin_letters: the dependence order of a geodesic, linearised by
-  popping the least ready letter from a heap (Anisimov-Knuth 1979);
+* lexmin_letters: each letter inserted into the lex-least word built
+  so far, before the leftmost larger letter among the trailing letters
+  it commutes with (Anisimov-Knuth 1979); a scan budget hands long
+  commuting runs to a heap walk of the dependence order;
 * split_letters: one pass per side peels the maximal left and right
   divisors over a vertex subset (the parabolic double-coset split).
 
@@ -91,8 +93,59 @@ def reduce_letters(adj, w):
     return tuple(out)
 
 
+# Scan budget of lexmin_letters: _SCAN_START, plus _SCAN_PER_LETTER for
+# each letter taken in, less each letter's scan length.
+_SCAN_START = 64
+_SCAN_PER_LETTER = 8
+
+
 def lexmin_letters(adj, w):
-    """Lex-least commutation-equivalent word of a minimal form w.
+    """Lex-least word commutation-equivalent to w, reduced or not.
+
+    Each letter x goes into the lex-least word built so far: it scans
+    back over the trailing letters that commute with x and is inserted
+    before the leftmost of them that is larger, or at the end when none
+    is.  A scanned letter has another generator than x, so comparing
+    generators is enough.  A word is lex-least iff it has no factor
+    b.u.a with a < b where a commutes with b and with every letter of u
+    (Anisimov-Knuth 1979), and insertion creates no such factor:
+    * x is no such a: b.u would lie in the scan, since the letter that
+      ends the scan does not commute with x, and the scanned letters
+      before x are all smaller;
+    * x is no such b: a < x < y for the letter y just after x, and a
+      would commute with y and the letters between, so y...a was a
+      forbidden factor of the old word;
+    * a factor with x inside u was one of the old word without x.
+
+    One scan costs its length, so a long run of commuting letters makes
+    insertion quadratic.  The running budget pays for the scans, and
+    when it goes negative _lexmin_heap starts over on w.  That caps the
+    wasted work at _SCAN_START + _SCAN_PER_LETTER * |w| letter steps,
+    list.insert's moves included (they move only scanned letters).
+    """
+    out = []
+    budget = _SCAN_START
+    for x in w:
+        gen = abs(x)
+        nbrs = adj[gen]
+        n = j = pos = len(out)
+        while j:
+            y = abs(out[j - 1])
+            if y not in nbrs:
+                break
+            j -= 1
+            if y > gen:
+                pos = j
+        budget += _SCAN_PER_LETTER - (n - j)
+        if budget < 0:
+            return _lexmin_heap(adj, w)
+        out.insert(pos, x)
+    return tuple(out)
+
+
+def _lexmin_heap(adj, w):
+    """Lex-least commutation-equivalent word of w, by a heap walk: the
+    fallback of lexmin_letters, linear in |w| times the generators seen.
 
     Each position depends on the last earlier occurrence of every
     generator that equals its own or does not commute with it; dependent

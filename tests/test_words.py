@@ -14,9 +14,13 @@ from pcgroups.errors import (
     WordSyntaxError,
     ZeroExponent,
 )
+from pcgroups import words
+from pcgroups.cosets import parabolic, strip_divisors
 from pcgroups.graphs import build_graph, cycle_with_chord, plain_cycle
+from pcgroups.hnn import hnn_factorize, sigma
 from pcgroups.words import (
     MAX_WORD_LETTERS,
+    _lexmin_heap,
     block_decomposition,
     canon_letters,
     conjugate_test,
@@ -25,8 +29,10 @@ from pcgroups.words import (
     format_word,
     is_cyclically_minimal,
     length,
+    lexmin_letters,
     minimal_form,
     parse_word,
+    reduce_letters,
     support,
     Word,
     word_from_idx,
@@ -511,3 +517,76 @@ def test_long_words_invariant_under_swaps_and_inserted_pairs():
             assert minimal_form(g, nf.word).idx == nf.idx
             inverse = tuple(-x for x in reversed(w))
             assert minimal_form(g, word_from_idx(g, w + inverse)).idx == ()
+
+
+# ---------------------------------------------------------------------------
+# lexmin_letters: insertion against the heap walk and the move closure
+
+
+def test_lexmin_insertion_matches_the_heap_walk_and_the_closure():
+    rng = random.Random(2026)
+    closures = 0
+    for _ in range(100):
+        g = random_graph(rng)
+        adj = g._adj_idx
+        for _ in range(30):
+            length = rng.choice((rng.randrange(0, 9), rng.randrange(0, 61)))
+            w = random_letters(rng, len(g), length)
+            r = reduce_letters(adj, w)
+            assert lexmin_letters(adj, w) == _lexmin_heap(adj, w)
+            assert lexmin_letters(adj, r) == _lexmin_heap(adj, r)
+            if length <= 8:
+                assert lexmin_letters(adj, r) == closure_canonical(adj, w)
+                closures += 1
+    assert closures >= 1000
+
+
+def _count_heap_walks(monkeypatch):
+    calls = []
+    heap_walk = words._lexmin_heap
+
+    def counted(adj, w):
+        calls.append(len(w))
+        return heap_walk(adj, w)
+
+    monkeypatch.setattr(words, "_lexmin_heap", counted)
+    return calls
+
+
+def test_lexmin_long_commuting_runs_fall_back_to_the_heap_walk(monkeypatch):
+    calls = _count_heap_walks(monkeypatch)
+    names = [f"z{i}" for i in range(12)]
+    free_abelian = build_graph(names, list(itertools.combinations(names, 2)))
+    rng = random.Random(12)
+    w = tuple(rng.randrange(1, 13) for _ in range(3000))
+    adj = free_abelian._adj_idx
+    assert lexmin_letters(adj, w) == _lexmin_heap(adj, w) == tuple(sorted(w))
+    # x and y are central over the free pair a, b
+    g = build_graph(["a", "b", "x", "y"],
+                    [(u, v) for u in "abx" for v in "xy" if u != v])
+    w = (1, 2) * 30 + (3, 4) * 1000
+    adj = g._adj_idx
+    assert (lexmin_letters(adj, w) == _lexmin_heap(adj, w)
+            == (1, 2) * 30 + (3,) * 1000 + (4,) * 1000)
+    assert calls == [3000, 2060]
+
+
+def test_lexmin_needs_no_heap_walk_on_random_words(monkeypatch):
+    # the words-long shape: random words of up to 400 letters on C'5 and
+    # on G(12, 0.5), through every layer that canonicalises
+    calls = _count_heap_walks(monkeypatch)
+    rng = random.Random(12)
+    names = ["t"] + [f"b{i}" for i in range(1, 12)]
+    g12 = build_graph(names, [e for e in itertools.combinations(names, 2)
+                              if rng.random() < 0.5])
+    for g in (C5P, g12):
+        u = parabolic(g, g.neighbours("t"))
+        for length in range(25, 401, 25):
+            for _ in range(4):
+                w = word_from_idx(g, random_letters(rng, len(g), length))
+                assert lexmin_letters(g._adj_idx, w.idx) == _lexmin_heap(
+                    g._adj_idx, w.idx)
+                minimal_form(g, w)
+                strip_divisors(u, w)
+                sigma(g, "t", hnn_factorize(g, "t", w))
+    assert calls == []
