@@ -25,10 +25,10 @@ from .graphs import (
     star,
 )
 from .hnn import (
-    _thickness_flags,
     hnn_factorize,
     is_cyclically_reduced_hnn,
     is_t_root,
+    is_t_thick,
 )
 from .words import (
     NormalForm,
@@ -184,7 +184,10 @@ def check_theorem_main(g: CommutationGraph, s, t, n: int) -> TheoremMainRecord:
     h = hnn_factorize(g, t, nf)
     assert is_cyclically_reduced_hnn(g, t, h)
     if lk_clique:
-        thick, cyc_thick = _thickness_flags(g, t, h)
+        # h is cyclically t-thick iff it is t-thick: it is cyclically
+        # reduced, its wrap chunk g_m g_0 does not cancel (nf is
+        # cyclically minimal), and a union of thick supports is thick
+        thick = cyc_thick = is_t_thick(g, t, h)
     else:
         thick = None
         cyc_thick = None

@@ -234,23 +234,6 @@ def is_cyclically_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
                                 _wrap_support(g, h))
 
 
-def _thickness_flags(g: CommutationGraph, t, h: HnnWord):
-    """(is_t_thick, is_cyclically_t_thick) of h, with lk(t) built once
-    and each chunk tested once: the per-t report of the Freiheitssatz
-    checks needs both."""
-    if not is_clique(g, g.neighbours(t)):
-        raise LinkNotClique(f"lk({t}) is not a clique")
-    adj, u_idx = g._adj_idx, _u_indices(g, t)
-    if not all(_thick(adj, u_idx, {abs(x) for x in c}) for c in h.chunks):
-        return False, False
-    if not h.exps:
-        return True, True
-    wrap = _wrap_support(g, h)
-    reduced = (len(h.exps) == 1 or h.exps[-1] == h.exps[0]
-               or not wrap <= u_idx)
-    return True, reduced and _thick(adj, u_idx, wrap)
-
-
 # ---------------------------------------------------------------------------
 # uniquely positioned factorisation
 

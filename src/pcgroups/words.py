@@ -94,7 +94,7 @@ def reduce_letters(adj, w):
 
 
 # Scan budget of lexmin_letters: _SCAN_START, plus _SCAN_PER_LETTER for
-# each letter taken in, less each letter's scan length.
+# each letter taken in, less each letter's scan length; no scan passes it.
 _SCAN_START = 64
 _SCAN_PER_LETTER = 8
 
@@ -118,10 +118,11 @@ def lexmin_letters(adj, w):
     * a factor with x inside u was one of the old word without x.
 
     One scan costs its length, so a long run of commuting letters makes
-    insertion quadratic.  The running budget pays for the scans, and
-    when it goes negative _lexmin_heap starts over on w.  That caps the
-    wasted work at _SCAN_START + _SCAN_PER_LETTER * |w| letter steps,
-    list.insert's moves included (they move only scanned letters).
+    insertion quadratic.  The running budget pays for the scans: a scan
+    that would pass it stops there, and _lexmin_heap starts over on w.
+    That caps the wasted work at _SCAN_START + _SCAN_PER_LETTER * |w|
+    letter steps, list.insert's moves included (they move only scanned
+    letters).
     """
     out = []
     budget = _SCAN_START
@@ -129,16 +130,19 @@ def lexmin_letters(adj, w):
         gen = abs(x)
         nbrs = adj[gen]
         n = j = pos = len(out)
-        while j:
+        budget += _SCAN_PER_LETTER
+        stop = n - budget if budget < n else 0
+        while j > stop:
             y = abs(out[j - 1])
             if y not in nbrs:
                 break
             j -= 1
             if y > gen:
                 pos = j
-        budget += _SCAN_PER_LETTER - (n - j)
-        if budget < 0:
-            return _lexmin_heap(adj, w)
+        else:
+            if j and abs(out[j - 1]) in nbrs:
+                return _lexmin_heap(adj, w)
+        budget -= n - j
         out.insert(pos, x)
     return tuple(out)
 

@@ -17,7 +17,8 @@ from pcgroups.freiheitssatz import (
     magnus_verdict,
 )
 from pcgroups.graphs import build_graph, cycle_with_chord, plain_cycle
-from pcgroups.words import Word, cyclic_reduce, format_word
+from pcgroups.hnn import hnn_factorize, is_cyclically_t_thick, is_t_thick
+from pcgroups.words import Word, cyclic_reduce, format_word, support
 from oracles import catalog, random_graph
 
 P4 = build_graph(["a", "b", "c", "t"], [("t", "a"), ("a", "b"), ("b", "c")])
@@ -281,6 +282,25 @@ def test_verdict_is_the_same_for_every_form_of_the_root():
                        for root in (str(nf), _scrambled(g, nf, rng), nf)]
             assert len({r.to_json() for r in reports}) == 1
             assert len({r.to_text() for r in reports}) == 1
+
+
+def test_theorem_main_thickness_flags_match_the_public_tests():
+    # the per-t report reads both flags from one test of the chunks; a
+    # cyclically minimal root is never thick but not cyclically thick
+    rng = random.Random(53)
+    seen = set()
+    for g in _verdict_graphs():
+        for _ in range(12):
+            nf = _random_root(g, rng)
+            for t in support(g, nf):
+                rec = check_theorem_main(g, nf, t, 3)
+                flags = (rec.t_thick, rec.cyclically_t_thick)
+                if rec.lk_clique:
+                    h = hnn_factorize(g, t, nf)
+                    assert flags == (is_t_thick(g, t, h),
+                                     is_cyclically_t_thick(g, t, h))
+                seen.add(flags)
+    assert seen == {(True, True), (False, False), (None, None)}
 
 
 def test_one_canonical_form_per_graph_per_verdict(monkeypatch):

@@ -7,7 +7,6 @@ from pcgroups.cosets import in_maln, oriented_symbol, parabolic, parabolic_membe
 from pcgroups.errors import LinkNotClique, NoSplitFound
 from pcgroups.graphs import build_graph, cycle_with_chord, is_clique, plain_cycle
 from pcgroups.hnn import (
-    _thickness_flags,
     coset_symbol,
     hnn_factorize,
     is_cyclically_reduced_hnn,
@@ -20,7 +19,6 @@ from pcgroups.hnn import (
 )
 from pcgroups.words import (
     canon_letters,
-    cyclic_reduce,
     equal,
     lexmin_letters,
     minimal_form,
@@ -29,7 +27,7 @@ from pcgroups.words import (
     word_from_idx,
 )
 
-from oracles import all_words, catalog, random_graph, random_letters
+from oracles import all_words, random_graph, random_letters
 
 C5P = cycle_with_chord(5)
 
@@ -195,32 +193,6 @@ def test_thickness_matches_the_parabolic_and_maln_tests():
         assert is_t_thick(g, t, h) == expect
         assert is_cyclically_t_thick(g, t, h) == (
             expect and reduced and (not h.exps or thick(wrap)))
-
-
-def test_thickness_flags_match_the_public_tests():
-    # the per-t report reads both flags from one pass over the chunks;
-    # random words and their cyclic cores (relator roots)
-    rng = random.Random(65)
-    seen = set()
-    graphs = list(catalog().values()) + [random_graph(rng, 8)
-                                         for _ in range(30)]
-    for g in graphs:
-        for t in g.vertices:
-            clique = is_clique(g, g.neighbours(t))
-            for _ in range(15):
-                w = word_from_idx(g, random_letters(
-                    rng, len(g), rng.randrange(0, 16)))
-                for v in (w, cyclic_reduce(g, w).core):
-                    h = hnn_factorize(g, t, v)
-                    if not clique:
-                        with pytest.raises(LinkNotClique):
-                            _thickness_flags(g, t, h)
-                        continue
-                    flags = _thickness_flags(g, t, h)
-                    assert flags == (is_t_thick(g, t, h),
-                                     is_cyclically_t_thick(g, t, h))
-                    seen.add(flags)
-    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_t_root_examples():
