@@ -21,7 +21,6 @@ from .words import (
     reduce_letters,
     split_letters,
     support,
-    word_key,
 )
 
 
@@ -69,11 +68,16 @@ def strip_divisors(ctx: ParabolicContext, w) -> DoubleCosetRep:
 
 def oriented_symbol(adj, core):
     """Positively oriented double-coset symbol of a canonical core:
-    (core, 1) or (canonical core^{-1}, -1), whichever is lex-smaller."""
+    (core, 1) or (canonical core^{-1}, -1), whichever is lex-smaller.
+    The two have one length, so the first letter where they differ
+    decides, under the letter order (generator, then + before -)."""
     inv = lexmin_letters(adj, invert_letters(core))
-    if word_key(core) <= word_key(inv):
-        return (core, 1)
-    return (inv, -1)
+    for x, y in zip(core, inv):
+        if x != y:
+            if (abs(x), x < 0) < (abs(y), y < 0):
+                break
+            return (inv, -1)
+    return (core, 1)
 
 
 def double_coset_rep(ctx: ParabolicContext, w) -> NormalForm:

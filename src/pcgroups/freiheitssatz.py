@@ -6,12 +6,20 @@ four hypotheses hold (link a clique, s t-thick, s outside the star
 parabolic, s a t-root), evaluates the amalgam route over a synchronised
 support, and emits three-valued conclusions per Magnus subset.  Nothing
 is claimed beyond the hypotheses actually verified.
+
+magnus_verdict validates the root once (canonical over the graph,
+cyclically minimal, n >= 1), takes its support once, and hands both to
+the private helpers _theorem_main and _amalgam, which take a validated
+root as it is; each reads lk(t) once per candidate t.  The public
+check_theorem_main and check_amalgam validate and call the same helpers.
+Reports serialise through a small writer whose text equals
+json.dumps(report.to_json_dict(), indent=k) byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .errors import (BadParameter, ConflictingVerdicts, NotCyclicallyMinimal,
                      TNotInSupport)
@@ -25,10 +33,13 @@ from .graphs import (
     star,
 )
 from .hnn import (
+    _chunks_thick,
+    _clique_idx,
+    _cyclically_reduced,
+    _primitive,
+    _sigma_units,
+    _u_indices,
     hnn_factorize,
-    is_cyclically_reduced_hnn,
-    is_t_root,
-    is_t_thick,
 )
 from .words import (
     NormalForm,
@@ -62,8 +73,12 @@ class TheoremMainRecord:
                 and bool(self.cyclically_t_thick)
                 and self.not_in_star and self.t_root)
 
-    def to_json_dict(self):  # the field order is the JSON key order
-        return asdict(self)
+    def to_json_dict(self):  # keys in field order
+        return {"t": self.t, "lk_clique": self.lk_clique,
+                "t_thick": self.t_thick,
+                "cyclically_t_thick": self.cyclically_t_thick,
+                "not_in_star": self.not_in_star, "t_root": self.t_root,
+                "verdict": self.verdict}
 
 
 @dataclass
@@ -73,8 +88,13 @@ class AmalgamRecord:
     supp_independent: bool
     decomposition: dict | None  # {"Y": [...], "lk_Y": [...], "X": [...]}
 
-    def to_json_dict(self):  # the field order is the JSON key order
-        return asdict(self)
+    def to_json_dict(self):  # keys in field order; fresh lists
+        d = self.decomposition
+        return {"synchronised": self.synchronised,
+                "supp_clique": self.supp_clique,
+                "supp_independent": self.supp_independent,
+                "decomposition": None if d is None
+                else {k: list(v) for k, v in d.items()}}
 
 
 def _witness_text(witness):
@@ -124,7 +144,10 @@ class FreiReport:
         }
 
     def to_json(self, indent=2):
-        return json.dumps(self.to_json_dict(), indent=indent)
+        """json.dumps(self.to_json_dict(), indent=indent), byte for byte."""
+        if indent is None:
+            return json.dumps(self.to_json_dict())
+        return _json_text(self.to_json_dict(), indent)
 
     def conclusion_for(self, subset):
         target = tuple(sorted(subset))
@@ -153,7 +176,42 @@ class FreiReport:
         return "\n".join(lines)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent, pad="\n"):
+    """json.dumps(value, indent=indent) for an int indent, byte for byte,
+    on JSON values whose dict keys are str.  pad is the line break and
+    indentation of the enclosing level."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + " " * indent
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(k) + ": " + _json_text(v, indent, inner)
+             for k, v in value.items()]) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + " " * indent
+        return "[" + inner + ("," + inner).join(
+            [_json_text(v, indent, inner) for v in value]) + pad + "]"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)  # a float, or a TypeError as json.dumps gives
+
+
 def _relator_root(g, s, n):
+    """The validated root: the canonical form of s over g, checked to be
+    cyclically minimal, with n >= 1."""
     if n < 1:
         raise BadParameter(f"relator exponent n must be >= 1, got {n}")
     nf = minimal_form(g, s)
@@ -176,23 +234,30 @@ def check_theorem_main(g: CommutationGraph, s, t, n: int) -> TheoremMainRecord:
     thickness variant, and n >= 3.
     """
     nf = _relator_root(g, s, n)
-    supp = support(g, nf)
+    return _theorem_main(g, nf, support(g, nf), t, n)
+
+
+def _theorem_main(g, nf, supp, t, n):
+    """check_theorem_main on a validated root nf with support supp.
+    lk(t) is read once, as generator indices, for the cyclic-reduction
+    check, the thickness test and sigma."""
     if t not in supp:
         raise TNotInSupport(f"{t} does not occur in {format_word(nf.word)}")
-    lk_t = link(g, {t})
-    lk_clique = is_clique(g, lk_t)
+    adj = g._adj_idx
+    u_idx = _u_indices(g, t)
+    lk_clique = _clique_idx(adj, u_idx)
     h = hnn_factorize(g, t, nf)
-    assert is_cyclically_reduced_hnn(g, t, h)
+    assert _cyclically_reduced(adj, u_idx, h)
     if lk_clique:
         # h is cyclically t-thick iff it is t-thick: it is cyclically
         # reduced, its wrap chunk g_m g_0 does not cancel (nf is
         # cyclically minimal), and a union of thick supports is thick
-        thick = cyc_thick = is_t_thick(g, t, h)
+        thick = cyc_thick = _chunks_thick(adj, u_idx, h)
     else:
         thick = None
         cyc_thick = None
     not_in_star = not (supp <= star(g, t))
-    t_root = is_t_root(g, t, h)
+    t_root = _primitive(_sigma_units(adj, u_idx, h))
     rec = TheoremMainRecord(
         t=t, lk_clique=lk_clique, t_thick=thick, cyclically_t_thick=cyc_thick,
         not_in_star=not_in_star, t_root=t_root, verdict=UNKNOWN)
@@ -201,10 +266,9 @@ def check_theorem_main(g: CommutationGraph, s, t, n: int) -> TheoremMainRecord:
     return rec
 
 
-def _abelian_relation_witness(g, nf, n, t, x):
+def _abelian_relation_witness(g, nf, supp, n, t, x):
     """Witness data for the clique converse: x commutes with t but not with
     all of supp(s), so the image of [x, a^{np} w] collapses in the quotient."""
-    supp = support(g, nf)
     nbrs = g.neighbours(x)
     a = next(v for v in g.vertices if v in supp and v not in nbrs and v != x)
     exps = {}
@@ -223,7 +287,11 @@ def check_amalgam(g: CommutationGraph, s, n: int):
     the last three are None when this route proves nothing about them.
     """
     nf = _relator_root(g, s, n)
-    supp = support(g, nf)
+    return _amalgam(g, nf, support(g, nf), n)
+
+
+def _amalgam(g, nf, supp, n):
+    """check_amalgam on a validated root nf with support supp."""
     if not supp:
         rec = AmalgamRecord(False, False, False, None)
         return rec, [], 1, DECIDABLE, DECIDABLE
@@ -262,7 +330,7 @@ def check_amalgam(g: CommutationGraph, s, n: int):
         for t in sorted(supp, key=g.index):
             xs = [x for x in x_set if g.adjacent(x, t)]
             if xs:
-                witness = _abelian_relation_witness(g, nf, n, t, xs[0])
+                witness = _abelian_relation_witness(g, nf, supp, n, t, xs[0])
                 conclusions.append(Conclusion(
                     _subset_without(g, t), DOES_NOT_EMBED,
                     "corollary_clique_converse", witness=witness))
@@ -294,7 +362,7 @@ def _merge_conclusions(pieces):
     return list(merged.values())
 
 
-def _cycle_chord_advisories(g, nf, n):
+def _cycle_chord_advisories(g, nf, supp, n):
     """Plain-cycle reduction: if adding the chord between the two
     neighbours of t makes the main theorem apply, the parabolic away from
     st(t) still embeds in the quotient over the original graph."""
@@ -304,7 +372,7 @@ def _cycle_chord_advisories(g, nf, n):
     if any(len(g.neighbours(v)) != 2 for v in g.vertices):
         return []
     out = []
-    for t in sorted(support(g, nf), key=g.index):
+    for t in sorted(supp, key=g.index):
         p, q = sorted(g.neighbours(t), key=g.index)
         if g.adjacent(p, q):
             continue
@@ -332,6 +400,14 @@ def magnus_verdict(g: CommutationGraph, s, n: int, t=None) -> FreiReport:
     """
     nf = _relator_root(g, s, n)
     supp = support(g, nf)
+    report = _verdict(g, nf, supp, n, t)
+    report.advisories = _cycle_chord_advisories(g, nf, supp, n)
+    return report
+
+
+def _verdict(g, nf, supp, n, t):
+    """magnus_verdict on a validated root nf with support supp, without
+    the chord advisories."""
     candidates = [t] if t is not None else sorted(supp, key=g.index)
     per_t = []
     pieces = []
@@ -339,7 +415,7 @@ def magnus_verdict(g: CommutationGraph, s, n: int, t=None) -> FreiReport:
     wp = cp = None
 
     for cand in candidates:
-        rec = check_theorem_main(g, nf, cand, n)
+        rec = _theorem_main(g, nf, supp, cand, n)
         per_t.append(rec)
         if rec.verdict == EMBEDS:
             pieces.append(Conclusion(
@@ -348,7 +424,7 @@ def magnus_verdict(g: CommutationGraph, s, n: int, t=None) -> FreiReport:
             if n >= 4:
                 wp = DECIDABLE
 
-    amalgam, am_conclusions, am_order, am_wp, am_cp = check_amalgam(g, nf, n)
+    amalgam, am_conclusions, am_order, am_wp, am_cp = _amalgam(g, nf, supp, n)
     pieces.extend(am_conclusions)
     if am_order is not None:
         order_claims.append(am_order)
@@ -361,8 +437,7 @@ def magnus_verdict(g: CommutationGraph, s, n: int, t=None) -> FreiReport:
     if centre and supp and not (supp & centre) and len(centre) < len(g):
         rest = [v for v in g.vertices if v not in centre]
         sub_g = g.induced(rest)
-        sub_word = _project_word(sub_g, g, nf.idx)
-        sub_report = magnus_verdict(sub_g, sub_word, n)
+        sub_report = _verdict(sub_g, _project_root(sub_g, g, nf), supp, n, None)
         for c in sub_report.conclusions:
             if c.status == UNKNOWN:
                 continue
@@ -388,15 +463,16 @@ def magnus_verdict(g: CommutationGraph, s, n: int, t=None) -> FreiReport:
         graph=g, s=nf, n=n, per_t=per_t, amalgam=amalgam,
         conclusions=conclusions, order_of_s=order,
         word_problem=wp or "unknown", conjugacy_problem=cp or "unknown",
-        advisories=_cycle_chord_advisories(g, nf, n),
     )
 
 
-def _project_word(sub_g, g, idx):
-    """Re-express letters of g over the induced subgraph sub_g."""
+def _project_root(sub_g, g, nf):
+    """A validated root of g re-expressed over an induced subgraph sub_g
+    that holds its support.  Renumbering keeps the letter order and the
+    commutations among the root's generators, so the result is again
+    canonical and cyclically minimal."""
     letters = []
-    for x in idx:
-        name = g.name(abs(x))
-        i = sub_g.index(name)
+    for x in nf.idx:
+        i = sub_g.index(g.name(abs(x)))
         letters.append(i if x > 0 else -i)
-    return Word(sub_g, tuple(letters))
+    return NormalForm(Word(sub_g, tuple(letters)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cosets import maln_support, oriented_symbol
 from .errors import LinkNotClique, NoSplitFound
-from .graphs import CommutationGraph, is_clique
+from .graphs import CommutationGraph
 from .words import (
     Word,
     format_word,
@@ -59,12 +59,18 @@ class HnnWord:
 
 
 def _u_indices(g: CommutationGraph, t) -> frozenset:
-    return frozenset(g.index(v) for v in g.neighbours(t))
+    """lk(t) as generator indices: t's row of the index adjacency."""
+    return g._adj_idx[g.index(t)]
 
 
-def _wrap_support(g, h) -> set:
+def _clique_idx(adj, idx) -> bool:
+    """Whether the generators idx are pairwise adjacent."""
+    return all(len(idx - adj[i]) == 1 for i in idx)
+
+
+def _wrap_support(adj, h) -> set:
     """Generators of the wrap chunk g_m g_0, read from a geodesic."""
-    return {abs(x) for x in reduce_letters(g._adj_idx, h.chunks[-1] + h.chunks[0])}
+    return {abs(x) for x in reduce_letters(adj, h.chunks[-1] + h.chunks[0])}
 
 
 def hnn_factorize(g: CommutationGraph, t, w) -> HnnWord:
@@ -93,9 +99,13 @@ def t_length(h: HnnWord) -> int:
 
 def is_cyclically_reduced_hnn(g: CommutationGraph, t, h: HnnWord) -> bool:
     """True iff h.h is reduced: m <= 1, or g_m g_0 not in U, or e_m = e_1."""
+    return _cyclically_reduced(g._adj_idx, _u_indices(g, t), h)
+
+
+def _cyclically_reduced(adj, u_idx, h) -> bool:
     if len(h.exps) <= 1 or h.exps[-1] == h.exps[0]:
         return True
-    return not _wrap_support(g, h) <= _u_indices(g, t)
+    return not _wrap_support(adj, h) <= u_idx
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +174,11 @@ def _free_reduce_units(units):
 def sigma(g: CommutationGraph, t, h: HnnWord) -> SigmaWord:
     """sigma(p): chunks become double-coset symbols, t-powers expand to
     unit letters, and the result is freely reduced in the free product."""
-    adj, u_idx = g._adj_idx, _u_indices(g, t)
+    return SigmaWord(g, t, _sigma_units(g._adj_idx, _u_indices(g, t), h))
+
+
+def _sigma_units(adj, u_idx, h):
+    """Units of sigma(h), U given by its generator indices u_idx."""
     units = []
     sym = coset_symbol(adj, u_idx, h.chunks[0])
     if sym is not None:
@@ -174,7 +188,7 @@ def sigma(g: CommutationGraph, t, h: HnnWord) -> SigmaWord:
         sym = coset_symbol(adj, u_idx, chunk)
         if sym is not None:
             units.append(sym)
-    return SigmaWord(g, t, _free_reduce_units(units))
+    return _free_reduce_units(units)
 
 
 def cyclically_reduce_units(units):
@@ -196,11 +210,14 @@ def smallest_period(seq) -> int:
 
 def is_t_root(g: CommutationGraph, t, h: HnnWord) -> bool:
     """True iff sigma(h), cyclically reduced, is not a proper power."""
-    units = cyclically_reduce_units(sigma(g, t, h).units)
+    return _primitive(_sigma_units(g._adj_idx, _u_indices(g, t), h))
+
+
+def _primitive(units) -> bool:
+    """Whether sigma-units, cyclically reduced, are no proper power."""
+    units = cyclically_reduce_units(units)
     n = len(units)
-    if n <= 1:
-        return True
-    return smallest_period(units) == n
+    return n <= 1 or smallest_period(units) == n
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +237,14 @@ def is_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     Needs lk(t) to be a clique so the support criterion for Maln applies;
     an empty link makes U trivial and every chunk thick.
     """
-    if not is_clique(g, g.neighbours(t)):
-        raise LinkNotClique(f"lk({t}) is not a clique")
     adj, u_idx = g._adj_idx, _u_indices(g, t)
+    if not _clique_idx(adj, u_idx):
+        raise LinkNotClique(f"lk({t}) is not a clique")
+    return _chunks_thick(adj, u_idx, h)
+
+
+def _chunks_thick(adj, u_idx, h) -> bool:
+    """is_t_thick for a clique lk(t) given by its generator indices."""
     return all(_thick(adj, u_idx, {abs(x) for x in c}) for c in h.chunks)
 
 
@@ -230,8 +252,8 @@ def is_cyclically_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     """Thick, cyclically reduced, and the wrap chunk g_m g_0 is thick too."""
     if not is_t_thick(g, t, h) or not is_cyclically_reduced_hnn(g, t, h):
         return False
-    return not h.exps or _thick(g._adj_idx, _u_indices(g, t),
-                                _wrap_support(g, h))
+    adj = g._adj_idx
+    return not h.exps or _thick(adj, _u_indices(g, t), _wrap_support(adj, h))
 
 
 # ---------------------------------------------------------------------------

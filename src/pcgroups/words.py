@@ -63,10 +63,6 @@ def bounded_int(text, bound):
 # low-level machinery on int-encoded letter tuples
 
 
-def word_key(w):
-    return tuple((abs(x), x < 0) for x in w)
-
-
 def invert_letters(w):
     return tuple(-x for x in reversed(w))
 
@@ -190,14 +186,22 @@ def canon_letters(adj, w):
 
 def _peel(adj, w, yidx):
     """(side, kept): a letter over yidx joins the side when every letter
-    kept before it commutes with it."""
-    side, kept, kept_gens = [], [], set()
-    for x in w:
-        if abs(x) in yidx and kept_gens <= adj[abs(x)]:
+    kept before it commutes with it.  free holds the generators of yidx
+    that commute with every letter kept so far; once it is empty, no
+    later letter can join the side and the rest of w is kept in one
+    slice."""
+    side, kept = [], []
+    free = yidx
+    for i, x in enumerate(w):
+        gen = abs(x)
+        if gen in free:
             side.append(x)
-        else:
-            kept.append(x)
-            kept_gens.add(abs(x))
+            continue
+        kept.append(x)
+        free = free & adj[gen]
+        if not free:
+            kept.extend(w[i + 1:])
+            break
     return side, kept
 
 
@@ -210,8 +214,8 @@ def split_letters(adj, w, yidx):
     subsequences of w, geodesic but not linearised.
     """
     left, rest = _peel(adj, w, yidx)
-    right, core = _peel(adj, reversed(rest), yidx)
-    return tuple(left), tuple(reversed(core)), tuple(reversed(right))
+    right, core = _peel(adj, rest[::-1], yidx)
+    return tuple(left), tuple(core[::-1]), tuple(right[::-1])
 
 
 def left_divisor_letters(adj, w):

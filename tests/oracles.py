@@ -10,7 +10,9 @@ through the token regex, where the library reads `name` and `name^-1`
 from the graph's letter table.  The census reference builds every normal form
 and walks every signed exponent vector one by one, or sums over every
 (t-length, block count) block, where the library counts both in closed
-form or over the normal-form automaton.
+form or over the normal-form automaton.  The letter-engine references
+peel divisors by testing every letter against every kept generator, and
+orient a double-coset symbol by comparing whole sort keys.
 """
 
 import math
@@ -37,6 +39,7 @@ from pcgroups.words import (
     _TOKEN_RE,
     MAX_WORD_LETTERS,
     bounded_int,
+    invert_letters,
     is_cyclically_minimal_letters,
     left_divisor_letters,
     lexmin_letters,
@@ -166,6 +169,29 @@ def random_graph(rng, max_vertices=12):
 def random_letters(rng, n_gens, length):
     return tuple(rng.randrange(1, n_gens + 1) * rng.choice((1, -1))
                  for _ in range(length))
+
+
+def peel_reference(adj, w, yidx):
+    """(side, kept) as words._peel gives them, with no early exit: a
+    letter over yidx joins the side when every generator kept before it
+    commutes with it."""
+    side, kept, kept_gens = [], [], set()
+    for x in w:
+        if abs(x) in yidx and kept_gens <= adj[abs(x)]:
+            side.append(x)
+        else:
+            kept.append(x)
+            kept_gens.add(abs(x))
+    return side, kept
+
+
+def oriented_symbol_reference(adj, core):
+    """cosets.oriented_symbol by comparing the sort keys of the core and
+    of its canonical inverse whole."""
+    inv = lexmin_letters(adj, invert_letters(core))
+    if _key(core) <= _key(inv):
+        return (core, 1)
+    return (inv, -1)
 
 
 def conjugacy_class_closure(adj, core):

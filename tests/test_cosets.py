@@ -5,6 +5,7 @@ import pytest
 from pcgroups.cosets import (
     double_coset_rep,
     in_maln,
+    oriented_symbol,
     parabolic,
     parabolic_member,
     strip_divisors,
@@ -12,6 +13,7 @@ from pcgroups.cosets import (
 from pcgroups.errors import NotAClique
 from pcgroups.graphs import build_graph, cycle_with_chord
 from pcgroups.words import (
+    canon_letters,
     equal,
     left_divisor_letters,
     minimal_form,
@@ -20,7 +22,12 @@ from pcgroups.words import (
     word_from_idx,
 )
 
-from oracles import all_words, random_graph, random_letters
+from oracles import (
+    all_words,
+    oriented_symbol_reference,
+    random_graph,
+    random_letters,
+)
 
 C5P = cycle_with_chord(5)
 U_CTX = parabolic(C5P, {"a1", "a4"})
@@ -145,3 +152,24 @@ def test_strip_divisors_invariants_on_random_graphs():
                 == len(minimal_form(g, word)))
         product = word_from_idx(g, rep.left.idx + core + rep.right.idx)
         assert equal(g, word, product)
+
+
+def test_oriented_symbol_matches_comparing_whole_keys():
+    # seeded random graphs on 2-12 vertices plus the edgeless and the
+    # free-abelian graph, canonical cores of up to 60 letters
+    rng = random.Random(67)
+    names = [f"v{i}" for i in range(6)]
+    graphs = [random_graph(rng) for _ in range(150)]
+    graphs += [build_graph(names, []),
+               build_graph(names, [(u, v) for i, u in enumerate(names)
+                                   for v in names[i + 1:]])]
+    signs = set()
+    for g in graphs:
+        adj = g._adj_idx
+        for _ in range(20):
+            core = canon_letters(adj, random_letters(
+                rng, len(g), rng.randrange(0, 61)))
+            got = oriented_symbol(adj, core)
+            assert got == oriented_symbol_reference(adj, core)
+            signs.add(got[1])
+    assert signs == {1, -1}

@@ -1,10 +1,13 @@
 import json
 import random
 import sys
+from dataclasses import asdict, fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pcgroups import words
+from pcgroups import freiheitssatz, words
 from pcgroups.errors import BadParameter, NotCyclicallyMinimal, TNotInSupport
 from pcgroups.freiheitssatz import (
     DECIDABLE,
@@ -12,6 +15,7 @@ from pcgroups.freiheitssatz import (
     EMBEDS,
     RESTRICTED_EMBEDS,
     UNKNOWN,
+    _json_text,
     check_amalgam,
     check_theorem_main,
     magnus_verdict,
@@ -238,14 +242,17 @@ def test_json_schema_fields():
             "decomposition"} == set(data["amalgam"])
 
 
+def _centred(g):
+    """g with a vertex z adjacent to every vertex: a central generator."""
+    return build_graph(list(g.vertices) + ["z"], [tuple(e) for e in g.edges]
+                       + [(v, "z") for v in g.vertices])
+
+
 def _verdict_graphs():
     """The catalog, C'6, C'5 with a central vertex z, and seeded random
     graphs: every route of magnus_verdict runs on some of them."""
     rng = random.Random(41)
-    graphs = list(catalog().values()) + [cycle_with_chord(6)]
-    graphs.append(build_graph(list(C5P.vertices) + ["z"],
-                              [tuple(e) for e in C5P.edges]
-                              + [(v, "z") for v in C5P.vertices]))
+    graphs = list(catalog().values()) + [cycle_with_chord(6), _centred(C5P)]
     graphs += [random_graph(rng, 8) for _ in range(6)]
     return graphs
 
@@ -326,3 +333,175 @@ def test_one_canonical_form_per_graph_per_verdict(monkeypatch):
             magnus_verdict(g, root, rng.randint(1, 4))
             ids = [id(adj) for adj in calls]
             assert ids and len(set(ids)) == len(ids), (g, root)
+
+
+def _check_short_graphs():
+    """The graphs of the check-short benchmark: P4, C4, C4 with a chord,
+    the plain 5-cycle (chord advisories), C'5, C'6 and C'5 with a central
+    vertex z (the centre split)."""
+    c4 = plain_cycle(4)
+    return [
+        build_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]),
+        c4,
+        build_graph(c4.vertices, [tuple(e) for e in c4.edges] + [("t", "a2")]),
+        plain_cycle(5),
+        C5P,
+        cycle_with_chord(6),
+        _centred(C5P),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the validated root: public checks against the verdict's private helpers
+
+
+def test_public_checks_validate_as_before():
+    for n in (0, -3):
+        with pytest.raises(BadParameter, match="n must be >= 1"):
+            check_theorem_main(P4, "a c a^-1", "c", n)
+        with pytest.raises(BadParameter, match="n must be >= 1"):
+            check_amalgam(P4, "a c a^-1", n)
+    with pytest.raises(NotCyclicallyMinimal, match="not cyclically minimal"):
+        check_theorem_main(P4, "a c a^-1", "c", 3)
+    with pytest.raises(NotCyclicallyMinimal, match="not cyclically minimal"):
+        check_amalgam(P4, "a c a^-1", 3)
+    for t in ("b", "zz"):
+        with pytest.raises(TNotInSupport, match=f"{t} does not occur in c t"):
+            check_theorem_main(P4, "c t", t, 3)
+        with pytest.raises(TNotInSupport):
+            magnus_verdict(P4, "c t", 3, t=t)
+
+
+def test_verdict_records_equal_the_public_checks():
+    rng = random.Random(61)
+    for g in _verdict_graphs() + _check_short_graphs():
+        for _ in range(6):
+            nf = _random_root(g, rng)
+            n = rng.randint(1, 5)
+            report = magnus_verdict(g, str(nf), n)
+            supp = sorted(support(g, nf), key=g.index)
+            assert [r.t for r in report.per_t] == supp
+            for rec in report.per_t:
+                assert rec == check_theorem_main(g, str(nf), rec.t, n)
+            assert report.amalgam == check_amalgam(g, str(nf), n)[0]
+            if supp:
+                t = rng.choice(supp)
+                assert magnus_verdict(g, nf, n, t=t).per_t == [
+                    check_theorem_main(g, nf, t, n)]
+
+
+def test_one_validation_per_graph_and_one_link_per_candidate(monkeypatch):
+    # magnus_verdict validates its root once over g and once over each
+    # chorded graph of the advisory; the centre split takes the projected
+    # root as it is; lk(t) is read once per (graph, candidate t)
+    validated, links = [], []
+    real_check, real_link = (freiheitssatz.is_cyclically_minimal,
+                             freiheitssatz._u_indices)
+
+    def check(g, w):
+        validated.append(g)
+        return real_check(g, w)
+
+    def link_of(g, t):
+        links.append((g, t))
+        return real_link(g, t)
+
+    monkeypatch.setattr(freiheitssatz, "is_cyclically_minimal", check)
+    monkeypatch.setattr(freiheitssatz, "_u_indices", link_of)
+    rng = random.Random(71)
+    plain = (plain_cycle(5), plain_cycle(6))
+    split = 0
+    for g in _verdict_graphs() + _check_short_graphs() + list(plain):
+        for _ in range(4):
+            nf = _random_root(g, rng)
+            validated.clear()
+            links.clear()
+            report = magnus_verdict(g, str(nf), rng.randint(1, 4))
+            assert validated[0] is g
+            if g not in plain:
+                assert validated == [g]
+            chorded = validated[1:]
+            assert len({id(h) for h in chorded}) == len(chorded)
+            assert len(chorded) <= len(report.per_t)
+            pairs = [(id(h), t) for h, t in links]
+            assert len(set(pairs)) == len(pairs)
+            assert [t for h, t in links if h is g] == [r.t for r in report.per_t]
+            split += any(h not in validated for h, _ in links)
+    assert split
+
+
+# ---------------------------------------------------------------------------
+# JSON: direct record dicts and the report writer
+
+
+def _report_corpus():
+    """Reports over the catalog and the check-short graphs: seeded roots,
+    n = 1..5, with and without a given t."""
+    rng = random.Random(59)
+    for g in list(catalog().values()) + _check_short_graphs():
+        for n in range(1, 6):
+            for _ in range(4):
+                nf = _random_root(g, rng)
+                yield magnus_verdict(g, nf, n)
+                supp = sorted(support(g, nf), key=g.index)
+                if supp:
+                    yield magnus_verdict(g, str(nf), n, t=rng.choice(supp))
+
+
+def test_report_json_is_json_dumps_byte_for_byte():
+    count = 0
+    routes, decomposed = set(), set()
+    for report in _report_corpus():
+        data = report.to_json_dict()
+        for k in (None, 0, 2, 4):
+            assert report.to_json(indent=k) == json.dumps(data, indent=k)
+        assert report.to_json() == json.dumps(data, indent=2)
+        for rec in report.per_t:
+            assert rec.to_json_dict() == asdict(rec)
+            assert list(rec.to_json_dict()) == [f.name for f in fields(rec)]
+        am = report.amalgam
+        assert am.to_json_dict() == asdict(am)
+        assert list(am.to_json_dict()) == [f.name for f in fields(am)]
+        count += 1
+        for c in data["conclusions"]:
+            routes.update(r for r in ("centre_split", "cycle_chord_reduction",
+                                      "corollary_clique_converse(")
+                          if r in c["justification"])
+        decomposed.add(am.decomposition is not None)
+    assert count >= 700
+    assert routes == {"centre_split", "cycle_chord_reduction",
+                      "corollary_clique_converse("}
+    assert decomposed == {True, False}
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES, st.integers(-2, 8))
+@example({"Y": ["a", "é"], "": {}, "☃": [[], {}, [1.5, None, True]],
+          "\U0001f600\n\"": -10**30}, 0)
+def test_json_writer_is_json_dumps_byte_for_byte(value, indent):
+    assert _json_text(value, indent) == json.dumps(value, indent=indent)
+
+
+def test_json_dicts_hand_out_no_part_of_the_report():
+    # asdict gave deep copies; the direct dicts must not share the
+    # record's own lists either
+    report = magnus_verdict(F2XZ, "a c", 2)
+    decomposition = {k: list(v) for k, v in report.amalgam.decomposition.items()}
+    before = report.to_json()
+    for data in (report.to_json_dict(), {"amalgam": report.amalgam.to_json_dict()}):
+        parts = data["amalgam"]["decomposition"]
+        for part in parts.values():
+            part.append("x")
+        parts["W"] = []
+        for rec in data.get("per_t", []):
+            rec["verdict"] = EMBEDS
+        for c in data.get("conclusions", []):
+            c["subset"].append("x")
+    assert report.amalgam.decomposition == decomposition
+    assert report.to_json() == before

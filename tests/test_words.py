@@ -33,6 +33,7 @@ from pcgroups.words import (
     minimal_form,
     parse_word,
     reduce_letters,
+    split_letters,
     support,
     Word,
     word_from_idx,
@@ -44,6 +45,7 @@ from oracles import (
     closure_canonical,
     conjugacy_class_closure,
     parse_word_reference,
+    peel_reference,
     random_graph,
     random_letters,
 )
@@ -590,3 +592,87 @@ def test_lexmin_needs_no_heap_walk_on_random_words(monkeypatch):
                 strip_divisors(u, w)
                 sigma(g, "t", hnn_factorize(g, "t", w))
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# _peel: the early exit against testing every letter
+
+
+class _CountedLetters(tuple):
+    """A letter tuple that counts the letters its iterator hands out."""
+
+    def __iter__(self):
+        self.seen = 0
+        for x in tuple.__iter__(self):
+            self.seen += 1
+            yield x
+
+
+def _split_reference(adj, w, yidx):
+    left, rest = peel_reference(adj, w, yidx)
+    right, core = peel_reference(adj, rest[::-1], yidx)
+    return tuple(left), tuple(core[::-1]), tuple(right[::-1])
+
+
+def _edgeless(n):
+    return build_graph([f"v{i}" for i in range(n)], [])
+
+
+def _free_abelian(n):
+    names = [f"v{i}" for i in range(n)]
+    return build_graph(names, list(itertools.combinations(names, 2)))
+
+
+def test_peel_matches_the_reference():
+    # seeded random graphs on 2-12 vertices, words of up to 60 letters,
+    # reduced or not, against every subset size from empty to all
+    rng = random.Random(1207)
+    for _ in range(300):
+        g = random_graph(rng)
+        adj = g._adj_idx
+        for _ in range(10):
+            yidx = frozenset(rng.sample(range(1, len(g) + 1),
+                                        rng.randrange(0, len(g) + 1)))
+            w = random_letters(rng, len(g), rng.randrange(0, 61))
+            for v in (w, reduce_letters(adj, w)):
+                side, kept = words._peel(adj, v, yidx)
+                assert (side, kept) == peel_reference(adj, v, yidx)
+                assert split_letters(adj, v, yidx) == _split_reference(
+                    adj, v, yidx)
+
+
+def test_peel_stops_reading_after_one_kept_letter_on_edgeless_graphs():
+    # nothing commutes, so no letter after the first kept one can peel
+    rng = random.Random(1208)
+    exits = 0
+    for _ in range(200):
+        g = _edgeless(rng.randrange(2, 13))
+        adj = g._adj_idx
+        yidx = frozenset(rng.sample(range(1, len(g) + 1),
+                                    rng.randrange(1, len(g) + 1)))
+        w = _CountedLetters(random_letters(rng, len(g), rng.randrange(1, 61)))
+        side, kept = words._peel(adj, w, yidx)
+        seen = w.seen
+        assert (side, kept) == peel_reference(adj, w, yidx)
+        if kept:
+            assert seen == len(side) + 1
+            exits += seen < len(w)
+        else:
+            assert seen == len(w)
+    assert exits >= 100
+
+
+def test_peel_reads_every_letter_on_free_abelian_graphs():
+    # everything commutes, so a generator of yidx never leaves `free`
+    rng = random.Random(1209)
+    for _ in range(200):
+        g = _free_abelian(rng.randrange(2, 13))
+        adj = g._adj_idx
+        yidx = frozenset(rng.sample(range(1, len(g) + 1),
+                                    rng.randrange(1, len(g) + 1)))
+        w = _CountedLetters(random_letters(rng, len(g), rng.randrange(0, 61)))
+        side, kept = words._peel(adj, w, yidx)
+        assert w.seen == len(w)
+        assert (side, kept) == peel_reference(adj, w, yidx)
+        assert sorted(side + kept) == sorted(w)
+        assert all(abs(x) in yidx for x in side)
