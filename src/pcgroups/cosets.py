@@ -15,10 +15,9 @@ from .graphs import CommutationGraph, is_clique
 from .words import (
     NormalForm,
     Word,
-    as_word,
+    _reduced_idx,
     invert_letters,
     lexmin_letters,
-    reduce_letters,
     split_letters,
     support,
 )
@@ -50,17 +49,17 @@ class DoubleCosetRep:
 
 def parabolic_member(ctx: ParabolicContext, w) -> bool:
     """True iff the element lies in the parabolic: supp(w) inside Y."""
-    return support(ctx.graph, as_word(ctx.graph, w)) <= set(ctx.subset)
+    return support(ctx.graph, w) <= ctx.subset
 
 
 def strip_divisors(ctx: ParabolicContext, w) -> DoubleCosetRep:
     """Factor w = left . core . right with left, right in the parabolic and
     core without parabolic divisors on either side.  Left-greedy: the
-    maximal left divisor is taken first."""
+    maximal left divisor is taken first.  The maximal divisors are fixed
+    by the element, so any geodesic of w (_reduced_idx) splits alike."""
     g = ctx.graph
     adj = g._adj_idx
-    parts = split_letters(adj, reduce_letters(adj, as_word(g, w).idx),
-                          ctx.subset_idx)
+    parts = split_letters(adj, _reduced_idx(g, w), ctx.subset_idx)
     left, core, right = (NormalForm(Word(g, lexmin_letters(adj, p)))
                          for p in parts)
     return DoubleCosetRep(left=left, core=core, right=right)
@@ -107,5 +106,5 @@ def in_maln(g: CommutationGraph, B, w) -> bool:
     if not is_clique(g, B):
         raise NotAClique(f"{sorted(B)} is not a clique")
     adj = g._adj_idx
-    supp = {abs(x) for x in reduce_letters(adj, as_word(g, w).idx)}
+    supp = {abs(x) for x in _reduced_idx(g, w)}
     return maln_support(adj, supp, frozenset(g.index(b) for b in B))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import (BadParameter, ConflictingVerdicts, NotCyclicallyMinimal,
                      TNotInSupport)
@@ -362,10 +363,18 @@ def _merge_conclusions(pieces):
     return list(merged.values())
 
 
+@lru_cache(maxsize=64)
+def _chorded(g, p, q):
+    """g with the chord p -- q added."""
+    return CommutationGraph(g.vertices, [tuple(e) for e in g.edges] + [(p, q)])
+
+
 def _cycle_chord_advisories(g, nf, supp, n):
     """Plain-cycle reduction: if adding the chord between the two
     neighbours of t makes the main theorem apply, the parabolic away from
-    st(t) still embeds in the quotient over the original graph."""
+    st(t) still embeds in the quotient over the original graph.  The
+    root is canonicalised again over each chorded graph, whose chord
+    changes the commutations."""
     m = len(g)
     if m < 5 or len(g.edges) != m:
         return []
@@ -376,8 +385,7 @@ def _cycle_chord_advisories(g, nf, supp, n):
         p, q = sorted(g.neighbours(t), key=g.index)
         if g.adjacent(p, q):
             continue
-        chorded = CommutationGraph(
-            g.vertices, [tuple(e) for e in g.edges] + [(p, q)])
+        chorded = _chorded(g, p, q)
         word_there = Word(chorded, nf.idx)
         try:
             rec = check_theorem_main(chorded, word_there, t, n)

@@ -20,6 +20,13 @@ computes it and serves every layer above:
 
 All geodesics of one element differ only by commutations, so the
 canonical form is a class invariant.
+
+A text passed to several calls (minimal_form, support, strip_divisors,
+hnn_factorize, ...) is parsed and canonicalised once: a small memo,
+_canon_text, keeps the canonical letters of the last 8 (graph, text)
+pairs, never a Word or NormalForm, so each result is built on the
+caller's own graph.  A NormalForm over the graph skips the memo
+entirely, and a Word is not memoised.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
 from .errors import (
@@ -478,13 +486,23 @@ def _format_run(g, letter, count):
 # public operations
 
 
+@lru_cache(maxsize=8)
+def _canon_text(g, text):
+    """Canonical letters of a text over g.  An equal graph held in
+    another object numbers its generators alike, so it may share an
+    entry; a text that raises is not kept."""
+    return canon_letters(g._adj_idx, parse_word(text, g).idx)
+
+
 def minimal_form(g: CommutationGraph, w) -> NormalForm:
     """Canonical geodesic representative of the element of w.  A
     NormalForm over g is canonical by construction and is returned as it
     is; one over an equal graph held in another object is canonicalised
-    again."""
+    again.  A text goes through _canon_text."""
     if isinstance(w, NormalForm) and w.graph is g:
         return w
+    if isinstance(w, str):
+        return NormalForm(Word(g, _canon_text(g, w)))
     w = as_word(g, w)
     return NormalForm(Word(g, canon_letters(g._adj_idx, w.idx)))
 
@@ -496,9 +514,12 @@ def equal(g: CommutationGraph, w1, w2) -> bool:
 
 
 def _reduced_idx(g, w):
-    """Letters of a geodesic for w: a NormalForm over g is one already."""
+    """Letters of a geodesic for w: a NormalForm over g is one already,
+    and a text gets its canonical letters from _canon_text."""
     if isinstance(w, NormalForm) and w.graph is g:
         return w.idx
+    if isinstance(w, str):
+        return _canon_text(g, w)
     return reduce_letters(g._adj_idx, as_word(g, w).idx)
 
 

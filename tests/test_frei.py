@@ -20,7 +20,8 @@ from pcgroups.freiheitssatz import (
     check_theorem_main,
     magnus_verdict,
 )
-from pcgroups.graphs import build_graph, cycle_with_chord, plain_cycle
+from pcgroups.graphs import (CommutationGraph, build_graph, cycle_with_chord,
+                             plain_cycle)
 from pcgroups.hnn import hnn_factorize, is_cyclically_t_thick, is_t_thick
 from pcgroups.words import Word, cyclic_reduce, format_word, support
 from oracles import catalog, random_graph
@@ -329,10 +330,59 @@ def test_one_canonical_form_per_graph_per_verdict(monkeypatch):
     for g in _verdict_graphs() + [plain_cycle(5), plain_cycle(6)]:
         for _ in range(4):
             root = str(_random_root(g, rng))
+            words._canon_text.cache_clear()  # a repeated root starts cold
             calls.clear()
             magnus_verdict(g, root, rng.randint(1, 4))
             ids = [id(adj) for adj in calls]
             assert ids and len(set(ids)) == len(ids), (g, root)
+            # the same text again is not canonicalised over g again
+            calls.clear()
+            magnus_verdict(g, root, rng.randint(1, 4))
+            assert not any(adj is g._adj_idx for adj in calls), (g, root)
+
+
+def _chord_advisory_reference(g, nf, n):
+    """The advisory justifications of a plain-cycle root, each chorded
+    graph built afresh."""
+    out = []
+    for t in sorted(support(g, nf), key=g.index):
+        p, q = sorted(g.neighbours(t), key=g.index)
+        chorded = build_graph(g.vertices, [tuple(e) for e in g.edges] + [(p, q)])
+        try:
+            rec = check_theorem_main(chorded, Word(chorded, nf.idx), t, n)
+        except (NotCyclicallyMinimal, TNotInSupport):
+            continue
+        if rec.verdict == EMBEDS:
+            out.append(f"cycle_chord_reduction(t={t})")
+    return out
+
+
+def test_chord_advisories_build_each_chorded_graph_once(monkeypatch):
+    # one graph per (cycle, chord), however many roots meet it, and the
+    # same advisories as with every chorded graph built afresh
+    built = []
+    real_init = CommutationGraph.__init__
+
+    def counting(self, vertices, edges):
+        built.append(self)
+        real_init(self, vertices, edges)
+
+    cycles = [plain_cycle(5), plain_cycle(6)]
+    freiheitssatz._chorded.cache_clear()
+    monkeypatch.setattr(CommutationGraph, "__init__", counting)
+    rng = random.Random(59)
+    runs = []
+    for g in cycles:
+        for _ in range(30):
+            nf = _random_root(g, rng)
+            report = magnus_verdict(g, str(nf), 3)
+            runs.append((g, nf, [c.justification for c in report.advisories]))
+    assert 0 < len(built) <= 5 + 6
+    assert len(built) == freiheitssatz._chorded.cache_info().currsize
+    monkeypatch.undo()
+    assert sum(bool(got) for _, _, got in runs) >= 10
+    for g, nf, got in runs:
+        assert got == _chord_advisory_reference(g, nf, 3), (g, nf)
 
 
 def _check_short_graphs():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -15,7 +16,7 @@ from pcgroups.errors import (
     ZeroExponent,
 )
 from pcgroups import words
-from pcgroups.cosets import parabolic, strip_divisors
+from pcgroups.cosets import in_maln, parabolic, parabolic_member, strip_divisors
 from pcgroups.graphs import build_graph, cycle_with_chord, plain_cycle
 from pcgroups.hnn import hnn_factorize, sigma
 from pcgroups.words import (
@@ -142,18 +143,127 @@ def test_minimal_form_passes_a_normal_form_of_its_graph_through():
 
 
 def test_support_and_length_read_a_normal_form_of_its_graph(monkeypatch):
-    from pcgroups import words
     text = "a4 a2 a1 a3 a3^-1 t^-1 a2"
     nf = minimal_form(C5P, text)
-    expected = (support(C5P, text), length(C5P, text))
-    assert expected == (support(C5P, parse_word(text, C5P)),
-                        length(C5P, parse_word(text, C5P)))
+    ctx = parabolic(C5P, C5P.neighbours("t"))
+    B = C5P.neighbours("t")  # lk(t) = {a1, a4}, a clique through the chord
+
+    def results(w):
+        rep = strip_divisors(ctx, w)
+        return (support(C5P, w), length(C5P, w), parabolic_member(ctx, w),
+                in_maln(C5P, B, w), (rep.left.idx, rep.core.idx, rep.right.idx))
+
+    expected = results(text)
+    assert expected == results(parse_word(text, C5P))
 
     def no_reduce(adj, w):
         raise AssertionError("reduce_letters called on a NormalForm")
 
-    monkeypatch.setattr(words, "reduce_letters", no_reduce)
-    assert (support(C5P, nf), length(C5P, nf)) == expected
+    # every module's name for it, so no layer reduces behind its own import
+    for name, mod in list(sys.modules.items()):
+        if name == "pcgroups" or name.startswith("pcgroups."):
+            if getattr(mod, "reduce_letters", None) is reduce_letters:
+                monkeypatch.setattr(mod, "reduce_letters", no_reduce)
+    assert results(nf) == expected
+
+
+def _entry_results(g, w, ctx, t, B):
+    """What each entry point that takes a text gives on w, as plain data;
+    every result object must be built on g itself."""
+    nf = minimal_form(g, w)
+    dec = cyclic_reduce(g, w)
+    rep = strip_divisors(ctx, w)
+    h = hnn_factorize(g, t, w)
+    built = (nf, dec.conjugator, dec.core, rep.left, rep.core, rep.right, h)
+    assert all(x.graph is g for x in built)
+    return (nf.idx, equal(g, w, nf), support(g, w), length(g, w),
+            is_cyclically_minimal(g, w), dec.conjugator.idx, dec.core.idx,
+            rep.left.idx, rep.core.idx, rep.right.idx, h.chunks, h.exps,
+            sigma(g, t, h).units, parabolic_member(ctx, w), in_maln(g, B, w))
+
+
+def _memo_case(rng, g):
+    """A text over g, a parabolic, a generator t and a one-vertex clique."""
+    text = format_word(Word(g, random_letters(rng, len(g), rng.randrange(0, 61))))
+    ys = rng.sample(g.vertices, rng.randrange(0, len(g) + 1))
+    return text, ys, rng.choice(g.vertices), {rng.choice(g.vertices)}
+
+
+def test_text_memo_matches_words_and_normal_forms():
+    # seeded random graphs on 2-12 vertices, texts of up to 60 letters: a
+    # text, its parsed Word and its NormalForm give the same results, also
+    # over an equal graph held in a second object and, for the same text,
+    # over the complement graph on the same vertices
+    rng = random.Random(1301)
+    differ = 0
+    for _ in range(150):
+        g = random_graph(rng)
+        copy = build_graph(g.vertices, [tuple(e) for e in g.edges])
+        other = build_graph(g.vertices, [
+            e for e in itertools.combinations(g.vertices, 2)
+            if frozenset(e) not in g.edges])
+        for _ in range(4):
+            text, ys, t, B = _memo_case(rng, g)
+            seen = []
+            for h in (g, copy, other):
+                args = (parabolic(h, ys), t, B)
+                word = parse_word(text, h)
+                nf = minimal_form(h, word)
+                assert nf.idx == canon_letters(h._adj_idx, word.idx)
+                ref = _entry_results(h, word, *args)
+                assert _entry_results(h, text, *args) == ref
+                assert _entry_results(h, text, *args) == ref  # from the memo
+                assert _entry_results(h, nf, *args) == ref
+                seen.append(ref)
+            assert seen[0] == seen[1]
+            differ += seen[0] != seen[2]
+    assert differ >= 300
+
+
+def test_text_memo_keeps_no_error():
+    # a text that raises is parsed again, and raises again, on every call
+    ctx = parabolic(FREE2, {"a"})
+    calls = (
+        lambda w: minimal_form(FREE2, w),
+        lambda w: equal(FREE2, w, "a"),
+        lambda w: support(FREE2, w),
+        lambda w: length(FREE2, w),
+        lambda w: cyclic_reduce(FREE2, w),
+        lambda w: strip_divisors(ctx, w),
+        lambda w: parabolic_member(ctx, w),
+        lambda w: in_maln(FREE2, {"a"}, w),
+        lambda w: hnn_factorize(FREE2, "a", w),
+    )
+    bad = [("a 1", WordSyntaxError), ("a^", WordSyntaxError),
+           ("zz", UnknownGenerator), ("a^0", ZeroExponent),
+           (f"a^{MAX_WORD_LETTERS + 1}", BudgetExceeded)]
+    words._canon_text.cache_clear()
+    for text, exc in bad:
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(exc):
+                    call(text)
+    assert words._canon_text.cache_info().currsize == 0
+
+
+def test_text_memo_stays_small():
+    # the memo's size is fixed and small, and it never holds more texts
+    size = words._canon_text.cache_info().maxsize
+    assert size is not None and 1 <= size <= 8
+    words._canon_text.cache_clear()
+    for k in range(1, 3 * size):
+        length(C5P, f"a1^{k} t")
+        assert words._canon_text.cache_info().currsize == min(k, size)
+
+
+def test_text_memo_and_chord_cache_can_be_emptied():
+    from pcgroups import freiheitssatz
+    minimal_form(C5P, "a1 t a1^-1")
+    freiheitssatz.magnus_verdict(plain_cycle(5), "a1 t a2", 3)
+    for cache in (words._canon_text, freiheitssatz._chorded):
+        assert cache.cache_info().currsize > 0
+        cache.cache_clear()
+        assert cache.cache_info().currsize == 0
 
 
 def test_equal_examples():
