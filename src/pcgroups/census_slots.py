@@ -115,6 +115,9 @@ class _Automaton:
     """
 
     def __init__(self, n, square):
+        if 2 * (n - 1) > WORK_BUDGET:  # level 1 alone takes every letter
+            raise BudgetExceeded(
+                f"census needs more than {WORK_BUDGET} automaton steps")
         self.n, self.square = n, square
         self.letters = tuple(s * i for i in range(1, n) for s in (1, -1))
         self.states, self.ids = [START], {START: 0}

@@ -10,8 +10,10 @@ is claimed beyond the hypotheses actually verified.
 magnus_verdict validates the root once (canonical over the graph,
 cyclically minimal, n >= 1), takes its support once, and hands both to
 the private helpers _theorem_main and _amalgam, which take a validated
-root as it is; each reads lk(t) once per candidate t.  The public
-check_theorem_main and check_amalgam validate and call the same helpers.
+root as it is.  _theorem_main calls the public hnn checks on one HnnWord
+per candidate t; lk(t) is read once per HnnWord, by hnn_factorize.  The
+public check_theorem_main and check_amalgam validate and call the same
+helpers.
 Reports serialise through a small writer whose text equals
 json.dumps(report.to_json_dict(), indent=k) byte for byte.
 """
@@ -22,8 +24,8 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import (BadParameter, ConflictingVerdicts, NotCyclicallyMinimal,
-                     TNotInSupport)
+from .errors import (BadParameter, ConflictingVerdicts, LinkNotClique,
+                     NotCyclicallyMinimal, TNotInSupport)
 from .graphs import (
     CommutationGraph,
     central_vertices,
@@ -33,15 +35,8 @@ from .graphs import (
     link,
     star,
 )
-from .hnn import (
-    _chunks_thick,
-    _clique_idx,
-    _cyclically_reduced,
-    _primitive,
-    _sigma_units,
-    _u_indices,
-    hnn_factorize,
-)
+from .hnn import (hnn_factorize, is_cyclically_reduced_hnn, is_t_root,
+                  is_t_thick)
 from .words import (
     NormalForm,
     Word,
@@ -240,25 +235,21 @@ def check_theorem_main(g: CommutationGraph, s, t, n: int) -> TheoremMainRecord:
 
 def _theorem_main(g, nf, supp, t, n):
     """check_theorem_main on a validated root nf with support supp.
-    lk(t) is read once, as generator indices, for the cyclic-reduction
-    check, the thickness test and sigma."""
+    is_t_thick raises LinkNotClique exactly when lk(t) is not a clique."""
     if t not in supp:
         raise TNotInSupport(f"{t} does not occur in {format_word(nf.word)}")
-    adj = g._adj_idx
-    u_idx = _u_indices(g, t)
-    lk_clique = _clique_idx(adj, u_idx)
     h = hnn_factorize(g, t, nf)
-    assert _cyclically_reduced(adj, u_idx, h)
-    if lk_clique:
+    assert is_cyclically_reduced_hnn(g, t, h)
+    try:
         # h is cyclically t-thick iff it is t-thick: it is cyclically
         # reduced, its wrap chunk g_m g_0 does not cancel (nf is
         # cyclically minimal), and a union of thick supports is thick
-        thick = cyc_thick = _chunks_thick(adj, u_idx, h)
-    else:
-        thick = None
-        cyc_thick = None
+        thick = cyc_thick = is_t_thick(g, t, h)
+        lk_clique = True
+    except LinkNotClique:
+        lk_clique, thick, cyc_thick = False, None, None
     not_in_star = not (supp <= star(g, t))
-    t_root = _primitive(_sigma_units(adj, u_idx, h))
+    t_root = is_t_root(g, t, h)
     rec = TheoremMainRecord(
         t=t, lk_clique=lk_clique, t_thick=thick, cyclically_t_thick=cyc_thick,
         not_in_star=not_in_star, t_root=t_root, verdict=UNKNOWN)
@@ -364,6 +355,16 @@ def _merge_conclusions(pieces):
 
 
 @lru_cache(maxsize=64)
+def _centre_split(g):
+    """The central vertices of g and the graph induced on the others, or
+    None in its place when no vertex or every vertex is central."""
+    centre = central_vertices(g)
+    if not centre or len(centre) == len(g):
+        return centre, None
+    return centre, g.induced([v for v in g.vertices if v not in centre])
+
+
+@lru_cache(maxsize=64)
 def _chorded(g, p, q):
     """g with the chord p -- q added."""
     return CommutationGraph(g.vertices, [tuple(e) for e in g.edges] + [(p, q)])
@@ -441,10 +442,8 @@ def _verdict(g, nf, supp, n, t):
 
     # centre reduction: quotient questions factor through the complement
     # of the central vertices when the relator avoids them
-    centre = central_vertices(g)
-    if centre and supp and not (supp & centre) and len(centre) < len(g):
-        rest = [v for v in g.vertices if v not in centre]
-        sub_g = g.induced(rest)
+    centre, sub_g = _centre_split(g)
+    if sub_g is not None and supp and not (supp & centre):
         sub_report = _verdict(sub_g, _project_root(sub_g, g, nf), supp, n, None)
         for c in sub_report.conclusions:
             if c.status == UNKNOWN:

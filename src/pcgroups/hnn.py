@@ -10,7 +10,7 @@ the infinite cyclic group on t; primitivity there defines t-roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cosets import maln_support, oriented_symbol
 from .errors import LinkNotClique, NoSplitFound
@@ -30,13 +30,17 @@ class HnnWord:
     """Reduced factorisation g0 t^{e1} g1 ... t^{em} gm.
 
     chunks are canonical letter tuples over A \\ {t}; exps are +-1, one
-    per t-letter; len(chunks) == len(exps) + 1.
+    per t-letter; len(chunks) == len(exps) + 1.  u_idx is lk(t), the
+    generators of U, as generator indices: hnn_factorize reads it once
+    per HnnWord, and every check below reads it from there.  It takes no
+    part in equality, hashing or repr.
     """
 
     graph: CommutationGraph
     t: str
     chunks: tuple
     exps: tuple
+    u_idx: frozenset = field(compare=False, repr=False)
 
     def to_word(self) -> Word:
         t_idx = self.graph.index(self.t)
@@ -63,11 +67,6 @@ def _u_indices(g: CommutationGraph, t) -> frozenset:
     return g._adj_idx[g.index(t)]
 
 
-def _clique_idx(adj, idx) -> bool:
-    """Whether the generators idx are pairwise adjacent."""
-    return all(len(idx - adj[i]) == 1 for i in idx)
-
-
 def _wrap_support(adj, h) -> set:
     """Generators of the wrap chunk g_m g_0, read from a geodesic."""
     return {abs(x) for x in reduce_letters(adj, h.chunks[-1] + h.chunks[0])}
@@ -90,7 +89,8 @@ def hnn_factorize(g: CommutationGraph, t, w) -> HnnWord:
             chunks.append([])
         else:
             chunks[-1].append(x)
-    return HnnWord(g, t, tuple(map(tuple, chunks)), tuple(exps))
+    return HnnWord(g, t, tuple(map(tuple, chunks)), tuple(exps),
+                   _u_indices(g, t))
 
 
 def t_length(h: HnnWord) -> int:
@@ -99,13 +99,9 @@ def t_length(h: HnnWord) -> int:
 
 def is_cyclically_reduced_hnn(g: CommutationGraph, t, h: HnnWord) -> bool:
     """True iff h.h is reduced: m <= 1, or g_m g_0 not in U, or e_m = e_1."""
-    return _cyclically_reduced(g._adj_idx, _u_indices(g, t), h)
-
-
-def _cyclically_reduced(adj, u_idx, h) -> bool:
     if len(h.exps) <= 1 or h.exps[-1] == h.exps[0]:
         return True
-    return not _wrap_support(adj, h) <= u_idx
+    return not _wrap_support(g._adj_idx, h) <= h.u_idx
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +170,12 @@ def _free_reduce_units(units):
 def sigma(g: CommutationGraph, t, h: HnnWord) -> SigmaWord:
     """sigma(p): chunks become double-coset symbols, t-powers expand to
     unit letters, and the result is freely reduced in the free product."""
-    return SigmaWord(g, t, _sigma_units(g._adj_idx, _u_indices(g, t), h))
+    return SigmaWord(g, t, _sigma_units(g._adj_idx, h))
 
 
-def _sigma_units(adj, u_idx, h):
-    """Units of sigma(h), U given by its generator indices u_idx."""
+def _sigma_units(adj, h):
+    """Units of sigma(h), shared by sigma and is_t_root."""
+    u_idx = h.u_idx
     units = []
     sym = coset_symbol(adj, u_idx, h.chunks[0])
     if sym is not None:
@@ -210,14 +207,8 @@ def smallest_period(seq) -> int:
 
 def is_t_root(g: CommutationGraph, t, h: HnnWord) -> bool:
     """True iff sigma(h), cyclically reduced, is not a proper power."""
-    return _primitive(_sigma_units(g._adj_idx, _u_indices(g, t), h))
-
-
-def _primitive(units) -> bool:
-    """Whether sigma-units, cyclically reduced, are no proper power."""
-    units = cyclically_reduce_units(units)
-    n = len(units)
-    return n <= 1 or smallest_period(units) == n
+    units = cyclically_reduce_units(_sigma_units(g._adj_idx, h))
+    return len(units) <= 1 or smallest_period(units) == len(units)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +228,9 @@ def is_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     Needs lk(t) to be a clique so the support criterion for Maln applies;
     an empty link makes U trivial and every chunk thick.
     """
-    adj, u_idx = g._adj_idx, _u_indices(g, t)
-    if not _clique_idx(adj, u_idx):
+    adj, u_idx = g._adj_idx, h.u_idx
+    if any(len(u_idx - adj[i]) != 1 for i in u_idx):
         raise LinkNotClique(f"lk({t}) is not a clique")
-    return _chunks_thick(adj, u_idx, h)
-
-
-def _chunks_thick(adj, u_idx, h) -> bool:
-    """is_t_thick for a clique lk(t) given by its generator indices."""
     return all(_thick(adj, u_idx, {abs(x) for x in c}) for c in h.chunks)
 
 
@@ -253,7 +239,7 @@ def is_cyclically_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     if not is_t_thick(g, t, h) or not is_cyclically_reduced_hnn(g, t, h):
         return False
     adj = g._adj_idx
-    return not h.exps or _thick(adj, _u_indices(g, t), _wrap_support(adj, h))
+    return not h.exps or _thick(adj, h.u_idx, _wrap_support(adj, h))
 
 
 # ---------------------------------------------------------------------------

@@ -392,8 +392,12 @@ def test_sample_mode_needs_seed_and_samples():
 
 def test_budget_guard():
     # the automaton work to reach d is checked before each level, so a
-    # hopeless request raises before any level is counted
-    for n, d in ((1200, 2), (6, 10 ** 6), (100_000, 2)):
+    # hopeless request raises before any level is counted; an alphabet of
+    # 2(n - 1) letters over the budget raises before it is built, even at
+    # d = 0 (the cheap n = 1500002 comes first: without that check,
+    # n = 10^9 would build a 2 * 10^9-letter tuple)
+    for n, d in ((1200, 2), (6, 10 ** 6), (100_000, 2), (1_500_002, 0),
+                 (10 ** 9, 0), (10 ** 9, 1)):
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
             C.census_row(n, d, 1)

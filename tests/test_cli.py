@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -158,15 +159,23 @@ def test_missing_graph_file(capsys):
 
 def test_census_budget_exits_before_any_work():
     # the automaton work for d = 2 over 99999 generators is far over the
-    # census budget, and the check runs before the first level is counted
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pcgroups.cli", "census", "--n", "100000",
-         "--d", "2", "--k", "1"], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": SRC}, timeout=30)
-    assert time.perf_counter() - start < 1.0
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    # census budget, and the check runs before the first level is counted;
+    # an alphabet of 2(n - 1) letters over the budget is never built (the
+    # address-space limit keeps a 2 * 10^9-letter tuple from being tried)
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    for n, d in (("100000", "2"), ("1000000000", "1")):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcgroups.cli", "census", "--n", n,
+             "--d", d, "--k", "1"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC}, timeout=30,
+            preexec_fn=limit)
+        assert time.perf_counter() - start < 1.0, n
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert (proc.stderr.startswith("error:")
+                and "Traceback" not in proc.stderr)
 
 
 def test_census_k_budget_exits_before_any_work():

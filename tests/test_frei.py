@@ -1,14 +1,17 @@
+import ast
 import json
 import random
 import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcgroups import freiheitssatz, words
-from pcgroups.errors import BadParameter, NotCyclicallyMinimal, TNotInSupport
+from pcgroups import freiheitssatz, hnn, words
+from pcgroups.errors import (BadParameter, LinkNotClique, NotCyclicallyMinimal,
+                             TNotInSupport)
 from pcgroups.freiheitssatz import (
     DECIDABLE,
     DOES_NOT_EMBED,
@@ -446,7 +449,7 @@ def test_one_validation_per_graph_and_one_link_per_candidate(monkeypatch):
     # root as it is; lk(t) is read once per (graph, candidate t)
     validated, links = [], []
     real_check, real_link = (freiheitssatz.is_cyclically_minimal,
-                             freiheitssatz._u_indices)
+                             hnn._u_indices)
 
     def check(g, w):
         validated.append(g)
@@ -457,7 +460,7 @@ def test_one_validation_per_graph_and_one_link_per_candidate(monkeypatch):
         return real_link(g, t)
 
     monkeypatch.setattr(freiheitssatz, "is_cyclically_minimal", check)
-    monkeypatch.setattr(freiheitssatz, "_u_indices", link_of)
+    monkeypatch.setattr(hnn, "_u_indices", link_of)
     rng = random.Random(71)
     plain = (plain_cycle(5), plain_cycle(6))
     split = 0
@@ -478,6 +481,98 @@ def test_one_validation_per_graph_and_one_link_per_candidate(monkeypatch):
             assert [t for h, t in links if h is g] == [r.t for r in report.per_t]
             split += any(h not in validated for h, _ in links)
     assert split
+
+
+def test_verdict_runs_the_public_hypothesis_checks(monkeypatch):
+    # the spans hnn.is_t_thick and hnn.is_t_root see every candidate t of
+    # a verdict over g: is_t_root once per candidate, is_t_thick once per
+    # candidate, returning where the record has lk_clique set and raising
+    # LinkNotClique (counted apart) where it has not
+    calls = []
+
+    def traced(real):
+        def call(g, t, h):
+            try:
+                out = real(g, t, h)
+            except LinkNotClique:
+                calls.append((real.__name__ + " raised", g, t))
+                raise
+            calls.append((real.__name__, g, t))
+            return out
+        return call
+
+    for real in (hnn.is_t_thick, hnn.is_t_root):
+        wrapper = traced(real)
+        for name, mod in list(sys.modules.items()):
+            if name == "pcgroups" or name.startswith("pcgroups."):
+                for attr, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    rng = random.Random(73)
+    cliques = set()
+    for g in _check_short_graphs():
+        for _ in range(8):
+            nf = _random_root(g, rng)
+            calls.clear()
+            per_t = magnus_verdict(g, str(nf), rng.randint(1, 4)).per_t
+            on_g = [(name, t) for name, h, t in calls if h is g]
+            for name, ts in (
+                    ("is_t_root", [r.t for r in per_t]),
+                    ("is_t_thick", [r.t for r in per_t if r.lk_clique]),
+                    ("is_t_thick raised",
+                     [r.t for r in per_t if not r.lk_clique])):
+                assert [t for got, t in on_g if got == name] == ts, (g, nf)
+            cliques.update(r.lk_clique for r in per_t)
+    assert cliques == {True, False}
+
+
+def test_freiheitssatz_reads_no_private_name_of_hnn():
+    tree = ast.parse(Path(freiheitssatz.__file__).read_text(encoding="utf-8"))
+    modules, imported = {"hnn", "pcgroups.hnn"}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in modules:
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name == "hnn")
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name == "pcgroups.hnn")
+    assert "hnn_factorize" in imported
+    assert not [name for name in imported if name.startswith("_")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            assert ast.unparse(node.value) not in modules, ast.unparse(node)
+
+
+def test_centre_split_builds_each_induced_graph_once(monkeypatch):
+    # one graph without the centre per centred graph, however many roots
+    # meet it, and the same reports as with that graph built afresh
+    built = []
+    real_init = CommutationGraph.__init__
+
+    def counting(self, vertices, edges):
+        built.append(self)
+        real_init(self, vertices, edges)
+
+    c4chord = _check_short_graphs()[2]
+    graphs = [c4chord, _centred(C5P), _centred(P4), _centred(cycle_with_chord(6))]
+    freiheitssatz._centre_split.cache_clear()
+    monkeypatch.setattr(CommutationGraph, "__init__", counting)
+    rng = random.Random(79)
+    runs = []
+    for g in graphs:
+        for _ in range(25):
+            nf = _random_root(g, rng)
+            n = rng.randint(1, 4)
+            runs.append((g, nf, n, magnus_verdict(g, str(nf), n).to_json()))
+    assert len(built) == len(graphs)
+    monkeypatch.undo()
+    assert sum("centre_split" in got for *_, got in runs) >= 20
+    monkeypatch.setattr(freiheitssatz, "_centre_split",
+                        freiheitssatz._centre_split.__wrapped__)
+    for g, nf, n, got in runs:
+        assert got == magnus_verdict(g, str(nf), n).to_json(), (g, nf)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,12 @@ def test_factorize_invariants_on_random_graphs():
         u_idx = {g.index(v) for v in g.neighbours(t)}
         w = random_letters(rng, len(g), rng.randrange(0, 61))
         h = hnn_factorize(g, t, word_from_idx(g, w))
+        # lk(t) is read into the factorisation, which it leaves equal,
+        # equally hashed and equally printed
+        again = hnn_factorize(g, t, word_from_idx(g, w))
+        assert h == again and hash(h) == hash(again) and str(h) == str(again)
+        assert h.u_idx == g._adj_idx[g.index(t)]
+        assert "u_idx" not in repr(h)
         assert len(h.chunks) == len(h.exps) + 1
         for chunk in h.chunks:
             assert canon_letters(g._adj_idx, chunk) == chunk
