@@ -63,8 +63,18 @@ from .freiheitssatz import (
     check_theorem_main,
     magnus_verdict,
 )
-from . import census
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["census"]
+
+
+def __getattr__(name):
+    """Import the census on first use: the other commands do not need it,
+    nor fractions, csv and random, which it loads.  A from-import here
+    would recurse, since `from . import census` asks this hook for the
+    attribute first."""
+    if name == "census":
+        import importlib
+        return importlib.import_module(".census", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

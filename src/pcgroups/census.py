@@ -60,9 +60,11 @@ FORMULA = "FORMULA"
 # printing them in decimal is quadratic in their length ((k b)^2 / 320)
 K_BUDGET = 150_000_000
 
-# work of sample mode, in units of about 0.6 us: each sample draws up to
-# k slots plus its t-length and block count, and unranking one slot walks
-# the automaton's d + 1 levels over about n letters each
+# work of sample mode: each sample draws up to k slots plus its t-length
+# and block count, and unranking one slot walks the automaton's d + 1
+# levels over about n letters each.  A unit takes about 0.2 us at (n, d) =
+# (6, 8) or (7, 8), and more at n = 5 and large d, where the square
+# system's powers of 3 have d digits (about 0.7 us at d = 128)
 SAMPLE_BUDGET = 4_500_000
 
 
@@ -569,20 +571,57 @@ def census_row(n, d, k, mode="exhaustive", samples=None, seed=None) -> CensusRow
     return row
 
 
+def _randbelow(getrandbits, n):
+    """The index random.Random.randrange(n) draws on CPython 3.10 to
+    3.12: n.bit_length() random bits, drawn again while they reach n.
+    _sample_zy makes this draw inline.  As in randrange, n <= 0 raises
+    ValueError: getrandbits(0) is 0, so the loop would never end."""
+    if n <= 0:
+        raise ValueError(f"empty range for randrange({n})")
+    bits = n.bit_length()
+    x = getrandbits(bits)
+    while x >= n:
+        x = getrandbits(bits)
+    return x
+
+
+def _t_level(x, f, m):
+    """(l, start) for the type (ii) tuple at index x: its t-length l, the
+    least with f _vector_sum(m, l) > x, and the start f _vector_sum(m,
+    l - 1) of that level.  That l is the least with (2m + 1)^l >
+    m (x // f) + 1, or x // (2f) + 1 when m = 0; a float logarithm
+    estimates it and exact powers correct the estimate."""
+    if not m:
+        l = x // (2 * f) + 1
+        return l, 2 * f * (l - 1)
+    base, top = 2 * m + 1, m * (x // f) + 1
+    j = int(math.log(top, base))
+    power = base ** j
+    while power > top:
+        power //= base
+        j -= 1
+    while power * base <= top:
+        power *= base
+        j += 1
+    return j + 1, f * ((power - 1) // m)
+
+
 def _sample_zy(n, d, k, samples, seed):
     """Uniform sampling over the strict set via exact stratum sizes.
 
-    The type (ii) stratum is ordered by t-length l, block count r and
-    exponent vector; the levels up to l hold f _vector_sum(m, l) tuples.
-    A slot is drawn as an index into the forms outside U (first slot) or
-    the nontrivial ones without a left divisor in U (later slots), and
-    census_slots.form unranks it; randrange over the indices makes the
-    same draw as choice over the list of forms, and takes counts past
-    the C size limit that len() of a range has.  Symbols and the
-    exponent vector are read only for all-thick tuples.
+    The type (ii) stratum is ordered by t-length l (see _t_level), block
+    count r and exponent vector.  A slot is drawn as an index into the
+    forms outside U (first slot) or the nontrivial ones without a left
+    divisor in U (later slots), and census_slots.form unranks it.  Every
+    index is the draw of _randbelow, made inline: it is randrange's, so
+    the same as choice over the list of forms, and it takes counts past
+    the C size limit that len() of a range has.  Slots after a non-thick
+    one are drawn but not unranked, the exponent vector is read only for
+    all-thick tuples, and the symbols only when the vector repeats: a
+    period of the (symbol, exponent) pairs is a period of the vector.
     """
     counts = slots.counts(n, d)
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     l_u = enumerate_LU(d)
     f = sum(counts.l_hs) - l_u
     m = sum(counts.l_hu_s) - 1
@@ -590,32 +629,50 @@ def _sample_zy(n, d, k, samples, seed):
     total = off_l2 + f * _vector_sum(m, k)
     if total == 0:
         raise BadParameter("empty census universe")
+    # f and m are drawn below only once a draw lands in type (ii), where
+    # both are positive (m is drawn below only when r > 1)
+    total_bits, f_bits, m_bits = (x.bit_length() for x in (total, f, m))
     block_ends = {}  # t-length -> cumulative r-block sizes, on first use
-    form, symbol, below = slots.form, slots.symbol, rng.randrange
+    form, symbol = slots.form, slots.symbol
     hits = 0
     for _ in range(samples):
-        x = rng.randrange(total) - off_l2
+        x = getrandbits(total_bits)
+        while x >= total:
+            x = getrandbits(total_bits)
+        x -= off_l2
         if x < 0:
             continue  # zY is false off the type (ii) stratum
-        # the first t-length l whose levels up to l hold more than x tuples
-        l = bisect_right(range(k), x, key=lambda j: f * _vector_sum(m, j))
-        x -= f * _vector_sum(m, l - 1)
+        l, start = _t_level(x, f, m)
+        x -= start
         if l not in block_ends:  # r-block: C(l-1, r-1) 2^r f m^(r-1)
             ends = block_ends[l] = [0]
             size = 2 * f
             for r in range(1, l + 1):
                 ends.append(ends[-1] + size)
                 size = size * 2 * m * (l - r) // r
-        r = bisect_right(block_ends[l], x)
-        x -= block_ends[l][r - 1]
-        drawn = [form(n, 0, below(f))]
-        drawn += [form(n, 1, below(m)) for _ in range(r - 1)]
-        if not all(thick for (_, thick) in drawn):
+        ends = block_ends[l]
+        r = bisect_right(ends, x)
+        x -= ends[r - 1]
+        i = getrandbits(f_bits)
+        while i >= f:
+            i = getrandbits(f_bits)
+        first, thick = form(n, 0, i)
+        mids = []
+        for _ in range(r - 1):
+            i = getrandbits(m_bits)
+            while i >= m:
+                i = getrandbits(m_bits)
+            if thick:
+                w, thick = form(n, 1, i)
+                mids.append(w)
+        if not thick:
             continue
         alpha = _unrank_alpha(l, r, x // (f * m ** (r - 1)))
-        pairs = tuple((symbol(n, w), a) for (w, _), a in zip(drawn, alpha))
-        if smallest_period(pairs) == r:
-            hits += 1
+        if smallest_period(alpha) < r:
+            syms = [symbol(n, w) for w in (first, *mids)]
+            if smallest_period(tuple(zip(syms, alpha))) < r:
+                continue
+        hits += 1
     return hits
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
 from types import SimpleNamespace
 
 from .cosets import maln_support
@@ -127,6 +128,7 @@ class _Automaton:
         self.tallies = [{self.sigs[0]: 1}]
         self.work = 0
         self.paths = ({}, {})  # per slot kind: (state, j) -> completions
+        self.ends = ({}, {})  # per slot kind: (state, j) -> cumulative
         self.slot_ends = ([0], [0])  # per slot kind: cumulative level sizes
 
     def _successors(self, s):
@@ -172,8 +174,14 @@ class _Automaton:
 
     def unrank(self, kind, ell, index):
         """The level-ell form at `index` in slot list `kind` (see form),
-        in letter order a1, a1^-1, a2, ... as the enumeration meets them."""
-        paths = self.paths[kind]
+        in letter order a1, a1^-1, a2, ... as the enumeration meets them.
+
+        paths[s, j] counts the completions of j letters from state s that
+        end in the slot list; ends[s, j] holds the cumulative counts over
+        s's successors, from 0 to paths[s, j], so each letter of the walk
+        is one bisection.
+        """
+        paths, ends = self.paths[kind], self.ends[kind]
         if (0, ell) not in paths:  # the start state's entry comes last
             for i in range(ell, -1, -1):
                 for s in self.level_states[i]:
@@ -181,19 +189,20 @@ class _Automaton:
                     if (s, j) in paths:
                         continue
                     if j:
-                        paths[s, j] = sum(paths[t, j - 1]
-                                          for _, t in self.succ[s])
+                        acc = ends[s, j] = list(accumulate(
+                            (paths[t, j - 1] for _, t in self.succ[s]),
+                            initial=0))
+                        paths[s, j] = acc[-1]
                     else:  # outside U; later slots: no left divisor in U
                         paths[s, 0] = int(self.states[s][6] != 0
                                           and (not kind or self.sigs[s][0]))
         s, word = 0, []
-        for j in range(ell - 1, -1, -1):
-            for y, t in self.succ[s]:
-                if index < paths[t, j]:
-                    break
-                index -= paths[t, j]
+        for j in range(ell, 0, -1):
+            acc = ends[s, j]
+            i = bisect_right(acc, index) - 1
+            index -= acc[i]
+            y, s = self.succ[s][i]
             word.append(y)
-            s = t
         return tuple(word)
 
 

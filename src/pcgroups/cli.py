@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from . import census as census_mod
 from . import hnn as hnn_mod
 from .errors import PcgError
 from .freiheitssatz import magnus_verdict
@@ -94,6 +93,7 @@ def run(argv=None) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd in ("census", "density"):
+        from . import census as census_mod  # only these commands load it
         if cmd == "census":
             row = census_mod.census_row(args.n, args.d, args.k, mode=args.mode,
                                         samples=args.samples, seed=args.seed)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cosets import maln_support, oriented_symbol
-from .errors import LinkNotClique, NoSplitFound
+from .errors import BadParameter, LinkNotClique, NoSplitFound
 from .graphs import CommutationGraph
 from .words import (
     Word,
@@ -32,7 +32,8 @@ class HnnWord:
     chunks are canonical letter tuples over A \\ {t}; exps are +-1, one
     per t-letter; len(chunks) == len(exps) + 1.  u_idx is lk(t), the
     generators of U, as generator indices: hnn_factorize reads it once
-    per HnnWord, and every check below reads it from there.  It takes no
+    per HnnWord, and every check below reads it from there, so each
+    raises BadParameter when asked about a t other than h.t.  It takes no
     part in equality, hashing or repr.
     """
 
@@ -67,6 +68,12 @@ def _u_indices(g: CommutationGraph, t) -> frozenset:
     return g._adj_idx[g.index(t)]
 
 
+def _check_t(t, h):
+    """The checks below read lk(t) from h, so they answer for h.t alone."""
+    if t != h.t:
+        raise BadParameter(f"{t!r} is not the factorisation's letter {h.t!r}")
+
+
 def _wrap_support(adj, h) -> set:
     """Generators of the wrap chunk g_m g_0, read from a geodesic."""
     return {abs(x) for x in reduce_letters(adj, h.chunks[-1] + h.chunks[0])}
@@ -99,6 +106,7 @@ def t_length(h: HnnWord) -> int:
 
 def is_cyclically_reduced_hnn(g: CommutationGraph, t, h: HnnWord) -> bool:
     """True iff h.h is reduced: m <= 1, or g_m g_0 not in U, or e_m = e_1."""
+    _check_t(t, h)
     if len(h.exps) <= 1 or h.exps[-1] == h.exps[0]:
         return True
     return not _wrap_support(g._adj_idx, h) <= h.u_idx
@@ -170,6 +178,7 @@ def _free_reduce_units(units):
 def sigma(g: CommutationGraph, t, h: HnnWord) -> SigmaWord:
     """sigma(p): chunks become double-coset symbols, t-powers expand to
     unit letters, and the result is freely reduced in the free product."""
+    _check_t(t, h)
     return SigmaWord(g, t, _sigma_units(g._adj_idx, h))
 
 
@@ -207,6 +216,7 @@ def smallest_period(seq) -> int:
 
 def is_t_root(g: CommutationGraph, t, h: HnnWord) -> bool:
     """True iff sigma(h), cyclically reduced, is not a proper power."""
+    _check_t(t, h)
     units = cyclically_reduce_units(_sigma_units(g._adj_idx, h))
     return len(units) <= 1 or smallest_period(units) == len(units)
 
@@ -228,6 +238,7 @@ def is_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     Needs lk(t) to be a clique so the support criterion for Maln applies;
     an empty link makes U trivial and every chunk thick.
     """
+    _check_t(t, h)
     adj, u_idx = g._adj_idx, h.u_idx
     if any(len(u_idx - adj[i]) != 1 for i in u_idx):
         raise LinkNotClique(f"lk({t}) is not a clique")

@@ -10,9 +10,12 @@ through the token regex, where the library reads `name` and `name^-1`
 from the graph's letter table.  The census reference builds every normal form
 and walks every signed exponent vector one by one, or sums over every
 (t-length, block count) block, where the library counts both in closed
-form or over the normal-form automaton.  The letter-engine references
-peel divisors by testing every letter against every kept generator, and
-orient a double-coset symbol by comparing whole sort keys.
+form or over the normal-form automaton; its sampler reference calls
+randrange for every draw and bisects for the t-length, and its
+unranking reference scans each state's successors letter by letter.
+The letter-engine references peel divisors by testing every letter
+against every kept generator, and orient a double-coset symbol by
+comparing whole sort keys.
 """
 
 import math
@@ -611,6 +614,68 @@ def block_sample_zy(n, d, k, samples, seed):
         pairs = tuple((symbol(n, w), a) for (w, _), a in zip(drawn, alpha))
         hits += census.smallest_period(pairs) == r
     return hits
+
+
+def randrange_sample_zy(n, d, k, samples, seed):
+    """census._sample_zy with a randrange call per draw, the t-length by
+    bisection over the levels' closed-form sizes, and every symbol read
+    for every all-thick tuple."""
+    counts = census_slots.counts(n, d)
+    rng = random.Random(seed)
+    l_u = census.enumerate_LU(d)
+    f = sum(counts.l_hs) - l_u
+    m = sum(counts.l_hu_s) - 1
+    off_l2 = counts.cyc_min + 2 * k * l_u
+    total = off_l2 + f * census._vector_sum(m, k)
+    block_ends = {}  # t-length -> cumulative r-block sizes, on first use
+    form, symbol, below = census_slots.form, census_slots.symbol, rng.randrange
+    hits = 0
+    for _ in range(samples):
+        x = rng.randrange(total) - off_l2
+        if x < 0:
+            continue
+        l = bisect_t_level(x, f, m, k)
+        x -= f * census._vector_sum(m, l - 1)
+        if l not in block_ends:
+            ends = block_ends[l] = [0]
+            size = 2 * f
+            for r in range(1, l + 1):
+                ends.append(ends[-1] + size)
+                size = size * 2 * m * (l - r) // r
+        r = bisect_right(block_ends[l], x)
+        x -= block_ends[l][r - 1]
+        drawn = [form(n, 0, below(f))]
+        drawn += [form(n, 1, below(m)) for _ in range(r - 1)]
+        if not all(thick for (_, thick) in drawn):
+            continue
+        alpha = census._unrank_alpha(l, r, x // (f * m ** (r - 1)))
+        pairs = tuple((symbol(n, w), a) for (w, _), a in zip(drawn, alpha))
+        if census.smallest_period(pairs) == r:
+            hits += 1
+    return hits
+
+
+def bisect_t_level(x, f, m, k):
+    """The first t-length l <= k whose levels up to l hold more than x
+    type (ii) tuples, by bisection over f _vector_sum(m, j)."""
+    return bisect_right(range(k), x,
+                        key=lambda j: f * census._vector_sum(m, j))
+
+
+def linear_unrank(auto, kind, ell, index):
+    """census_slots._Automaton.unrank by scanning each state's successors
+    letter by letter, over the path counts unrank built."""
+    auto.unrank(kind, ell, 0)  # build the path counts of length ell
+    paths = auto.paths[kind]
+    s, word = 0, []
+    for j in range(ell - 1, -1, -1):
+        for y, t in auto.succ[s]:
+            if index < paths[t, j]:
+                break
+            index -= paths[t, j]
+        word.append(y)
+        s = t
+    return tuple(word)
 
 
 def reference_LH(n, d):

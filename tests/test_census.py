@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 import time
 from itertools import product
@@ -22,12 +23,15 @@ from pcgroups.words import MAX_WORD_LETTERS, canon_letters
 from oracles import (
     SYM_ID,
     alpha_walk_engine,
+    bisect_t_level,
     block_engine,
     block_sample_zy,
     hdata,
     iter_general_forms,
     iter_square_forms,
     iter_strict_composed,
+    linear_unrank,
+    randrange_sample_zy,
     reference_census_row,
     reference_e_prime,
     reference_LH,
@@ -258,6 +262,21 @@ def test_slot_unranking_reuses_its_tables(monkeypatch):
     assert [S.form(6, 1, start + i) for i in range(0, size, 97)] == want
 
 
+def test_bisected_unrank_matches_the_linear_scan():
+    # every form of lengths 1..5 in both slot lists, one bisection per
+    # letter against the scan over each state's successors
+    for n in (6, 7):
+        auto = S.automaton(n, False)
+        S.counts(n, 5)  # count the levels the unranking reads
+        for kind, ell in product((0, 1), range(1, 6)):
+            auto.unrank(kind, ell, 0)
+            size = auto.paths[kind][0, ell]
+            assert size > 0
+            assert [auto.unrank(kind, ell, i) for i in range(size)] \
+                == [linear_unrank(auto, kind, ell, i) for i in range(size)], \
+                (n, kind, ell)
+
+
 def test_unrank_alpha_matches_vector_order():
     for l in range(1, 10):
         for r in range(1, l + 1):
@@ -286,6 +305,66 @@ def test_sample_matches_block_sampler():
             row = C.census_row(n, d, k, mode="sample", samples=200, seed=seed)
             hits = block_sample_zy(n, d, k, 200, seed)
             assert row.enumerated["rho_sample"] == hits / 200, (n, d, k, seed)
+
+
+def test_sample_matches_randrange_sampler():
+    # the inline bit draws, the closed-form t-length and the symbols read
+    # only for repeating vectors give the hits of a randrange call per
+    # draw, a bisected t-length and every symbol read; d = 64 makes slot
+    # lists past len() of a range
+    grid = list(product((5, 6, 7), (0, 1, 3, 8), (0, 1, 4, 40))) + [(5, 64, 4)]
+    for n, d, k in grid:
+        for seed in (1, 2):
+            assert C._sample_zy(n, d, k, 100, seed) \
+                == randrange_sample_zy(n, d, k, 100, seed), (n, d, k, seed)
+
+
+def test_randbelow_matches_randrange():
+    # the draw _sample_zy makes inline is randrange's, and leaves the
+    # generator in the same state, for ranges of one word, of several and
+    # past 2^64
+    sizes = (1, 2, 3, 2 ** 31, 2 ** 64 + 1, 10 ** 40)
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            for n in sizes:
+                assert C._randbelow(ours.getrandbits, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+    # an empty range raises, as randrange does, where a loop over
+    # getrandbits(0) == 0 would never end (the stub stops such a loop)
+    def zeros(bits):
+        nonlocal calls
+        calls += 1
+        assert calls < 100, "the draw loops"
+        return 0
+
+    for n in (0, -1):
+        calls = 0
+        with pytest.raises(ValueError):
+            C._randbelow(zeros, n)
+        with pytest.raises(ValueError):
+            random.Random(1).randrange(n)
+
+
+def test_t_level_matches_bisection():
+    # the closed-form t-length against bisection over the levels' sizes,
+    # on random indices, on both sides of every level boundary and with
+    # m = 0; the last cases reach powers far past the float range
+    rng = random.Random(5)
+    cases = [(192, 80, 7), (1, 1, 30), (3, 0, 50), (1, 0, 5), (7, 2, 200),
+             (5, 10 ** 30, 60), (2, 3 ** 40, 300)]
+    for n, d in ((5, 3), (6, 2), (7, 4)):
+        counts = S.counts(n, d)
+        cases.append((sum(counts.l_hs) - C.enumerate_LU(d),
+                      sum(counts.l_hu_s) - 1, 40))
+    for f, m, k in cases:
+        size = [f * C._vector_sum(m, j) for j in range(k + 1)]
+        xs = {rng.randrange(size[k]) for _ in range(200)}
+        xs.update(x for j in range(1, k) for x in (size[j] - 1, size[j]))
+        xs.update((0, size[k] - 1))
+        for x in sorted(xs):
+            l = bisect_t_level(x, f, m, k)
+            assert C._t_level(x, f, m) == (l, size[l - 1]), (f, m, k, x)
 
 
 def test_census_row_large_k_matches_formulas():

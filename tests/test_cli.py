@@ -88,6 +88,39 @@ def test_census_csv_and_json(capsys):
     assert data["enumerated"]["l2"] == data["formula"]["l2"]
 
 
+def test_census_is_imported_on_first_use(ab):
+    # import pcgroups and the other commands leave the census unloaded;
+    # the attribute, the from-import and the census command load it
+    code = """if True:
+        import sys
+        import pcgroups
+        from pcgroups.cli import run
+        assert run(["normalize", "--graph", sys.argv[1], "--word", "a"]) == 0
+        assert "pcgroups.census" not in sys.modules
+        assert "pcgroups.census_slots" not in sys.modules
+        assert "census" in pcgroups.__all__
+        assert pcgroups.census is sys.modules["pcgroups.census"]
+        from pcgroups import census
+        assert census is pcgroups.census
+        try:
+            pcgroups.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("no AttributeError")
+    """
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", code, ab],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcgroups.cli", "census", "--n", "5", "--d",
+         "1", "--k", "1"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[1].split(",")[:6] \
+        == ["5", "1", "1", "9", "5", "5"]
+
+
 def test_density_sample(capsys):
     args = ["density", "--n", "5", "--d", "2", "--k", "1", "--mode", "sample",
             "--samples", "200", "--seed", "42", "--json"]

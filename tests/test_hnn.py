@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pcgroups.cosets import in_maln, oriented_symbol, parabolic, parabolic_member
-from pcgroups.errors import LinkNotClique, NoSplitFound
+from pcgroups.errors import BadParameter, LinkNotClique, NoSplitFound
 from pcgroups.graphs import build_graph, cycle_with_chord, is_clique, plain_cycle
 from pcgroups.hnn import (
     coset_symbol,
@@ -165,6 +165,18 @@ def test_thickness_needs_clique_link():
     c5 = plain_cycle(5)
     with pytest.raises(LinkNotClique):
         is_t_thick(c5, "t", hnn_factorize(c5, "t", parse_word("a2 t", c5)))
+
+
+def test_checks_refuse_a_t_other_than_the_factorisations():
+    # each check reads lk(t) from the HnnWord, so asked about a2 it would
+    # answer for t: is_t_thick returned True here, where lk(a2) is no clique
+    h = fact("a2 a3 t")
+    checks = (is_t_thick, is_t_root, is_cyclically_reduced_hnn,
+              is_cyclically_t_thick, sigma)
+    for check in checks:
+        check(C5P, "t", h)
+        with pytest.raises(BadParameter):
+            check(C5P, "a2", h)
 
 
 def test_thickness_empty_link():
