@@ -173,8 +173,9 @@ class _Automaton:
         return self.tallies
 
     def unrank(self, kind, ell, index):
-        """The level-ell form at `index` in slot list `kind` (see form),
-        in letter order a1, a1^-1, a2, ... as the enumeration meets them.
+        """(form, state): the level-ell form at `index` in slot list
+        `kind` (see form), in letter order a1, a1^-1, a2, ... as the
+        enumeration meets them, and the id of the state its walk ends in.
 
         paths[s, j] counts the completions of j letters from state s that
         end in the slot list; ends[s, j] holds the cumulative counts over
@@ -203,7 +204,7 @@ class _Automaton:
             index -= acc[i]
             y, s = self.succ[s][i]
             word.append(y)
-        return tuple(word)
+        return tuple(word), s
 
 
 @lru_cache(maxsize=32)
@@ -256,7 +257,9 @@ def _square_unrank(kind, ell, index):
 def form(n, kind, index):
     """(form, thick) at `index` in a slot list: kind 0 the first slot (the
     forms outside U), kind 1 the later slots (nontrivial, no left divisor
-    in U), by length and then in the working system's enumeration order."""
+    in U), by length and then in the working system's enumeration order.
+    At n >= 6 thickness is read from the signature of the state the walk
+    ends in; the square system of n = 5 tests the form's letters."""
     auto = automaton(n, n == 5)
     ends = auto.slot_ends[kind]
     while ends[-1] <= index:
@@ -269,9 +272,12 @@ def form(n, kind, index):
         ends.append(ends[-1] + size)
     ell = bisect_right(ends, index) - 1
     index -= ends[ell]
-    w = (_square_unrank if n == 5 else auto.unrank)(kind, ell, index)
-    thick = maln_support(h_adj(n), {abs(x) for x in w}, frozenset((1, n - 1)))
-    return w, thick
+    if n == 5:
+        w = _square_unrank(kind, ell, index)
+        return w, maln_support(h_adj(n), {abs(x) for x in w},
+                               frozenset((1, n - 1)))
+    w, s = auto.unrank(kind, ell, index)
+    return w, auto.sigs[s][1]
 
 
 @lru_cache(maxsize=4096)

@@ -16,7 +16,10 @@ computes it and serves every layer above:
   it commutes with (Anisimov-Knuth 1979); a scan budget hands long
   commuting runs to a heap walk of the dependence order;
 * split_letters: one pass per side peels the maximal left and right
-  divisors over a vertex subset (the parabolic double-coset split).
+  divisors over a vertex subset (the parabolic double-coset split);
+* _cyclic_core: one worklist pass over any geodesic removes the pairs
+  y ... y^-1 of first and last letters that are a left and a right
+  divisor (cyclic reduction, for cyclic_reduce and conjugate_test).
 
 All geodesics of one element differ only by commutations, so the
 canonical form is a class invariant.
@@ -35,6 +38,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from heapq import heapify, heappop, heappush
 
 from .errors import (
@@ -44,7 +48,7 @@ from .errors import (
     WordSyntaxError,
     ZeroExponent,
 )
-from .graphs import CommutationGraph, complement_components
+from .graphs import CommutationGraph
 
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 
@@ -250,25 +254,65 @@ def is_cyclically_minimal_letters(adj, w):
     return not any(-y in rds for y in lds)
 
 
+def _cyclic_core(adj, w):
+    """(ys, v) for a geodesic w, canonical or not: w = y_1...y_k . v .
+    y_k^-1...y_1^-1 length-additively, v cyclically minimal, ys the y_i
+    in removal order and v a subsequence of w.  One worklist pass.
+
+    A generator g is removable when its first live letter y is a left
+    and its last live letter y^-1 a right divisor: every live generator
+    that does not commute with g occurs only between the two.  Removing
+    the pair changes that test only for g and the generators that do not
+    commute with it, so those are queued again.  Two removable pairs
+    commute and removing one leaves the other removable, so every order
+    ends at one core, and the ys differ only by commutations.  Each
+    generator keeps its positions with a head and a tail pointer, and a
+    generator may sit in the queue more than once; each removal queues
+    at most m generators, each tried in O(m), so the cost is
+    O(|w| + k m^2) for m generators.
+    """
+    occ = {}
+    for p, x in enumerate(w):
+        occ.setdefault(abs(x), []).append(p)
+    head = dict.fromkeys(occ, 0)
+    tail = {g: len(ps) - 1 for g, ps in occ.items()}
+    queue = [g for g, ps in occ.items() if w[ps[0]] == -w[ps[-1]]]
+    deps, ys = {}, []  # deps[g]: the generators of w not commuting with g
+    live = bytearray(b"\x01") * len(w)
+    while queue:
+        g = queue.pop()
+        h, t = head[g], tail[g]
+        if h >= t:
+            continue
+        ps = occ[g]
+        p, q = ps[h], ps[t]
+        y = w[p]
+        if w[q] != -y:
+            continue
+        dg = deps.get(g)
+        if dg is None:
+            nbrs = adj[g]
+            # g is in it too, and its own head and tail pass the test
+            dg = deps[g] = [k for k in occ if k not in nbrs]
+        for k in dg:
+            hk, tk = head[k], tail[k]
+            if hk <= tk and (occ[k][hk] < p or occ[k][tk] > q):
+                break
+        else:
+            head[g], tail[g] = h + 1, t - 1
+            live[p] = live[q] = 0
+            ys.append(y)
+            queue += dg
+    return ys, tuple(compress(w, live))
+
+
 def cyclic_core_letters(adj, w):
-    """Split a canonical minimal form as u^{-1} . v . u with v cyclically
-    minimal; returns (u_letters, v_letters), both canonical.  A left
-    (right) divisor letter is the first (last) occurrence of its generator,
-    so each step drops two letters by index."""
-    cur, ys = w, []
-    while True:
-        rds = right_divisor_letters(adj, cur)
-        y = min((y for y in left_divisor_letters(adj, cur) if -y in rds),
-                key=lambda y: (abs(y), y < 0), default=None)
-        if y is None:
-            break
-        p = cur.index(y)
-        q = len(cur) - 1 - cur[::-1].index(-y)
-        cur = cur[:p] + cur[p + 1:q] + cur[q + 1:]
-        ys.append(y)
-    u = canon_letters(adj, tuple(-y for y in reversed(ys)))
-    v = lexmin_letters(adj, cur)
-    return u, v
+    """Split a geodesic w, canonical or not, as u^{-1} . v . u with v
+    cyclically minimal; returns (u_letters, v_letters), both canonical.
+    The ys of _cyclic_core are a prefix of a geodesic of w's element, so
+    u, their inverse, needs only lexmin_letters."""
+    ys, v = _cyclic_core(adj, w)
+    return lexmin_letters(adj, invert_letters(ys)), lexmin_letters(adj, v)
 
 
 def _pair_rules(adj, u, v):
@@ -326,9 +370,9 @@ def _meets_rules(rules, a0, n0):
 
 def _block_conjugate(adj, u, v):
     """Whether the block v is c^-1 u c for a cut c of the heap u^Z, that
-    is, lies in the rotation closure of u.  u and v are canonical,
-    cyclically minimal, of one length and one support S, and the
-    complement graph on S is connected.
+    is, lies in the rotation closure of u.  u and v are geodesics,
+    canonical or not, cyclically minimal, of one length and one support
+    S, and the complement graph on S is connected.
 
     Two reduced words are equal iff their projections onto every
     dependent pair {a, b} (a = b included) are equal (Cori-Perrin 1985).
@@ -513,14 +557,20 @@ def equal(g: CommutationGraph, w1, w2) -> bool:
     return a.idx == b.idx
 
 
-def _reduced_idx(g, w):
-    """Letters of a geodesic for w: a NormalForm over g is one already,
-    and a text gets its canonical letters from _canon_text."""
+def _geodesic_idx(g, w):
+    """Letters of a geodesic for w, not canonicalised: a NormalForm over
+    g is one already, anything else is parsed and reduced."""
     if isinstance(w, NormalForm) and w.graph is g:
         return w.idx
+    return reduce_letters(g._adj_idx, as_word(g, w).idx)
+
+
+def _reduced_idx(g, w):
+    """Letters of a geodesic for w, as _geodesic_idx gives them, except
+    that a text gets its canonical letters from _canon_text."""
     if isinstance(w, str):
         return _canon_text(g, w)
-    return reduce_letters(g._adj_idx, as_word(g, w).idx)
+    return _geodesic_idx(g, w)
 
 
 def length(g: CommutationGraph, w) -> int:
@@ -541,30 +591,41 @@ def is_cyclically_minimal(g: CommutationGraph, w) -> bool:
 def cyclic_reduce(g: CommutationGraph, w) -> CyclicDecomposition:
     """Write w as u^{-1} . v . u with v cyclically minimal and lengths
     additive: l(w) = 2 l(u) + l(v)."""
-    nf = minimal_form(g, w)
-    u, v = cyclic_core_letters(g._adj_idx, nf.idx)
+    u, v = cyclic_core_letters(g._adj_idx, _reduced_idx(g, w))
     return CyclicDecomposition(NormalForm(Word(g, u)), NormalForm(Word(g, v)))
 
 
-def _blocks(g, core):
+def _blocks(adj, core):
     """Letters of a cyclically minimal tuple over each connected component
-    of the complement graph on its support, each canonical, in the order
-    of complement_components.  The blocks commute with one another."""
-    blocks = []
-    for comp in complement_components(g, {g.name(abs(x)) for x in core}):
-        comp_idx = {g.index(name) for name in comp}
-        blocks.append(lexmin_letters(
-            g._adj_idx, tuple(x for x in core if abs(x) in comp_idx)))
-    return blocks
+    of the complement graph on its support, as subsequences of core,
+    ordered by the least generator index of each component.  The blocks
+    commute with one another.
+    The split works on generator indices and leaves each block as it
+    lies in core: it replaces complement_components over vertex names
+    followed by a lexmin_letters call per block."""
+    comps, rest = [], {abs(x) for x in core}
+    while rest:
+        comp = [min(rest)]
+        rest.discard(comp[0])
+        for b in comp:  # grows while it is read
+            new = rest - adj[b]
+            rest -= new
+            comp += new
+        comps.append(set(comp))
+    if len(comps) == 1:
+        return [tuple(core)]
+    return [tuple([x for x in core if abs(x) in comp]) for comp in comps]
 
 
 def block_decomposition(g: CommutationGraph, v) -> list:
     """Factor a cyclically minimal element along the connected components
-    of the complement graph on its support."""
+    of the complement graph on its support, each factor canonical."""
+    adj = g._adj_idx
     nf = minimal_form(g, v)
-    if not is_cyclically_minimal_letters(g._adj_idx, nf.idx):
+    if not is_cyclically_minimal_letters(adj, nf.idx):
         raise NotCyclicallyMinimal(f"{format_word(nf.word)} is not cyclically minimal")
-    return [NormalForm(Word(g, b)) for b in _blocks(g, nf.idx)]
+    return [NormalForm(Word(g, lexmin_letters(adj, b)))
+            for b in _blocks(adj, nf.idx)]
 
 
 def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
@@ -573,11 +634,15 @@ def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
     other block, so two cores are conjugate iff their blocks pair up by
     support and each pair lies in one block's rotation closure.  Each
     pair is decided by its dependent-pair projections (_block_conjugate),
-    without walking the closure."""
-    b1 = _blocks(g, cyclic_reduce(g, w1).core.idx)
-    b2 = _blocks(g, cyclic_reduce(g, w2).core.idx)
+    without walking the closure.  What it reads (the core's support,
+    the block lengths, the dependent-pair projections) is the same for
+    every geodesic of an element, so it runs on geodesics and never
+    builds a canonical form."""
+    adj = g._adj_idx
+    b1, b2 = (_blocks(adj, _cyclic_core(adj, _geodesic_idx(g, w))[1])
+              for w in (w1, w2))
     if ([({abs(x) for x in b}, len(b)) for b in b1]
             != [({abs(x) for x in b}, len(b)) for b in b2]):
         return False
-    return all(x == y or _block_conjugate(g._adj_idx, x, y)
+    return all(x == y or _block_conjugate(adj, x, y)
                for x, y in zip(b1, b2))

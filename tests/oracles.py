@@ -14,8 +14,10 @@ form or over the normal-form automaton; its sampler reference calls
 randrange for every draw and bisects for the t-length, and its
 unranking reference scans each state's successors letter by letter.
 The letter-engine references peel divisors by testing every letter
-against every kept generator, and orient a double-coset symbol by
-comparing whole sort keys.
+against every kept generator, orient a double-coset symbol by
+comparing whole sort keys, cyclically reduce a canonical form by
+recomputing both divisor sets for every pair they peel, and test
+conjugacy over canonical forms of the words, cores and blocks.
 """
 
 import math
@@ -35,17 +37,22 @@ from pcgroups.errors import (
 from pcgroups.graphs import (
     CommutationGraph,
     build_graph,
+    complement_components,
     cycle_with_chord,
     plain_cycle,
 )
 from pcgroups.words import (
     _TOKEN_RE,
     MAX_WORD_LETTERS,
+    _block_conjugate,
     bounded_int,
+    canon_letters,
     invert_letters,
     is_cyclically_minimal_letters,
     left_divisor_letters,
     lexmin_letters,
+    minimal_form,
+    right_divisor_letters,
     split_letters,
 )
 
@@ -215,6 +222,48 @@ def conjugacy_class_closure(adj, core):
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
+
+
+def cyclic_core_reference(adj, w):
+    """words.cyclic_core_letters by peeling, on a canonical w: each step
+    recomputes both divisor sets over the whole word and drops the least
+    y that is a left divisor while y^-1 is a right divisor.  Returns
+    (u, v), both canonical."""
+    cur, ys = w, []
+    while True:
+        rds = right_divisor_letters(adj, cur)
+        y = min((y for y in left_divisor_letters(adj, cur) if -y in rds),
+                key=lambda y: (abs(y), y < 0), default=None)
+        if y is None:
+            break
+        p = cur.index(y)
+        q = len(cur) - 1 - cur[::-1].index(-y)
+        cur = cur[:p] + cur[p + 1:q] + cur[q + 1:]
+        ys.append(y)
+    u = canon_letters(adj, tuple(-y for y in reversed(ys)))
+    v = lexmin_letters(adj, cur)
+    return u, v
+
+
+def conjugate_test_reference(g, w1, w2):
+    """words.conjugate_test over canonical forms: the canonical form of
+    each word, its core by cyclic_core_reference, the blocks by
+    complement_components, each block canonical, then the same pairing
+    by (support, length) and words._block_conjugate."""
+    adj = g._adj_idx
+    found = []
+    for w in (w1, w2):
+        core = cyclic_core_reference(adj, minimal_form(g, w).idx)[1]
+        found.append([lexmin_letters(adj, tuple(
+            x for x in core if g.name(abs(x)) in comp))
+            for comp in complement_components(
+                g, {g.name(abs(x)) for x in core})])
+    b1, b2 = found
+    if ([({abs(x) for x in b}, len(b)) for b in b1]
+            != [({abs(x) for x in b}, len(b)) for b in b2]):
+        return False
+    return all(x == y or _block_conjugate(adj, x, y)
+               for x, y in zip(b1, b2))
 
 
 def conjugacy_partition(graph, max_len):
@@ -664,7 +713,7 @@ def bisect_t_level(x, f, m, k):
 
 def linear_unrank(auto, kind, ell, index):
     """census_slots._Automaton.unrank by scanning each state's successors
-    letter by letter, over the path counts unrank built."""
+    letter by letter, over the path counts unrank built: (form, state)."""
     auto.unrank(kind, ell, 0)  # build the path counts of length ell
     paths = auto.paths[kind]
     s, word = 0, []
@@ -675,7 +724,7 @@ def linear_unrank(auto, kind, ell, index):
             index -= paths[t, j]
         word.append(y)
         s = t
-    return tuple(word)
+    return tuple(word), s
 
 
 def reference_LH(n, d):

@@ -9,6 +9,7 @@ import pytest
 
 from pcgroups import census as C
 from pcgroups import census_slots as S
+from pcgroups.cosets import maln_support
 from pcgroups.errors import (
     BadAlphabet,
     BadParameter,
@@ -275,6 +276,21 @@ def test_bisected_unrank_matches_the_linear_scan():
             assert [auto.unrank(kind, ell, i) for i in range(size)] \
                 == [linear_unrank(auto, kind, ell, i) for i in range(size)], \
                 (n, kind, ell)
+
+
+def test_thickness_from_the_final_state_matches_maln_support():
+    # at n >= 6 form reads thickness off the state its walk ends in: the
+    # support test it replaced, on 2000 random forms per (n, slot kind)
+    rng = random.Random(49)
+    for n, kind in product((6, 7, 8), (0, 1)):
+        adj, u = S.h_adj(n), frozenset((1, n - 1))
+        lengths, seen = set(), set()
+        for _ in range(2000):
+            w, thick = S.form(n, kind, rng.randrange(10 ** 6))
+            assert thick == maln_support(adj, {abs(x) for x in w}, u), (n, w)
+            lengths.add(len(w))
+            seen.add(thick)
+        assert len(lengths) >= 2 and seen == {True, False}
 
 
 def test_unrank_alpha_matches_vector_order():

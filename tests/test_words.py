@@ -21,13 +21,16 @@ from pcgroups.graphs import build_graph, cycle_with_chord, plain_cycle
 from pcgroups.hnn import hnn_factorize, sigma
 from pcgroups.words import (
     MAX_WORD_LETTERS,
+    _cyclic_core,
     _lexmin_heap,
     block_decomposition,
     canon_letters,
     conjugate_test,
+    cyclic_core_letters,
     cyclic_reduce,
     equal,
     format_word,
+    invert_letters,
     is_cyclically_minimal,
     length,
     lexmin_letters,
@@ -45,6 +48,9 @@ from oracles import (
     catalog,
     closure_canonical,
     conjugacy_class_closure,
+    conjugacy_partition,
+    conjugate_test_reference,
+    cyclic_core_reference,
     parse_word_reference,
     peel_reference,
     random_graph,
@@ -407,6 +413,65 @@ def test_conjugate_test_on_the_wide_block():
         assert time.perf_counter() - start < 1.0, m
 
 
+def _core_cases(rng):
+    """(graph, word) pairs: random words conjugated by random words, up
+    to 60 letters deep, on the catalog and on random graphs with at most
+    seven vertices."""
+    graphs = list(catalog().values())
+    for i in range(1500):
+        g = graphs[i % len(graphs)] if i % 2 else random_graph(rng, 7)
+        w = random_letters(rng, len(g), rng.randrange(0, 16))
+        u = random_letters(rng, len(g), rng.choice((0, 3, 8, 60)))
+        yield g, invert_letters(u) + w + u
+
+
+def test_cyclic_core_matches_the_peeling_reference():
+    # the worklist core against the peeling reference, fed canonical
+    # forms and the non-canonical geodesics of reduce_letters
+    rng = random.Random(47)
+    for g, w in _core_cases(rng):
+        adj = g._adj_idx
+        canonical = canon_letters(adj, w)
+        want = cyclic_core_reference(adj, canonical)
+        geodesic = reduce_letters(adj, w)
+        for form in (canonical, geodesic):
+            assert cyclic_core_letters(adj, form) == want, (g.vertices, w)
+            ys, v = _cyclic_core(adj, form)
+            assert 2 * len(ys) + len(v) == len(form)
+            kept = iter(form)
+            assert all(x in kept for x in v)  # a subsequence of form
+
+
+def test_cyclic_core_of_a_deep_conjugator():
+    # 20000 pairs to remove: a core that rescans the word for each pair
+    # it removes takes minutes here
+    start = time.perf_counter()
+    assert conjugate_test(FREE2, "a^20000 b a^-20000", "b")
+    assert not conjugate_test(FREE2, "a^20000 b a^-20000", "b^-1")
+    dec = cyclic_reduce(FREE2, "a^20000 b a^-20000")
+    assert str(dec.core) == "b" and str(dec.conjugator) == "a^-20000"
+    assert time.perf_counter() - start < 10.0
+
+
+def test_conjugate_test_matches_the_reference_and_the_partition():
+    # every element of the radius-4 ball of each catalog graph against a
+    # random member of its class and a random element of its length
+    rng = random.Random(48)
+    for g in catalog().values():
+        oracle, class_of = conjugacy_partition(g, 4)
+        members, by_length = {}, {}
+        for node, cid in class_of.items():
+            members.setdefault(cid, []).append(node)
+            by_length.setdefault(len(node), []).append(node)
+        for node in sorted(oracle.dist):
+            for other in (rng.choice(members[class_of[node]]),
+                          rng.choice(by_length[len(node)])):
+                v1, v2 = word_from_idx(g, node), word_from_idx(g, other)
+                claimed = conjugate_test(g, v1, v2)
+                assert claimed == (class_of[node] == class_of[other])
+                assert claimed == conjugate_test_reference(g, v1, v2)
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -464,6 +529,25 @@ def test_minimal_form_idempotent_and_sound(letters):
     assert minimal_form(C5P, nf.word).idx == nf.idx
     assert equal(C5P, word, nf.word)
     assert len(nf) <= len(letters)
+
+
+_CATALOG = catalog()
+
+
+@given(st.sampled_from(sorted(_CATALOG)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_conjugate_test_holds_on_conjugates_and_is_symmetric(name, data):
+    g = _CATALOG[name]
+    letters = st.lists(st.sampled_from(
+        [s * i for i in range(1, len(g) + 1) for s in (1, -1)]), max_size=10)
+    w, c, other = (tuple(data.draw(letters)) for _ in range(3))
+    conj = invert_letters(c) + w + c
+    word, conj_word, other_word = (word_from_idx(g, x)
+                                   for x in (w, conj, other))
+    assert conjugate_test(g, word, conj_word)
+    assert conjugate_test(g, conj_word, word)
+    assert (conjugate_test(g, word, other_word)
+            == conjugate_test(g, other_word, word))
 
 
 def small_corpus(g, max_len):
