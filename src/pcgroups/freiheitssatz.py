@@ -14,8 +14,15 @@ root as it is.  _theorem_main calls the public hnn checks on one HnnWord
 per candidate t; lk(t) is read once per HnnWord, by hnn_factorize.  The
 public check_theorem_main and check_amalgam validate and call the same
 helpers.
-Reports serialise through a small writer whose text equals
-json.dumps(report.to_json_dict(), indent=k) byte for byte.
+The chord advisories of a plain cycle run only when n >= 3, since the
+main theorem's EMBEDS needs n >= 3, and only for candidates t with
+supp(s) outside st(t).
+
+FreiReport.to_json(indent=k) writes its text straight from its records
+for an int k: each record states its JSON key order once, in _KEYS, and
+writes its own fields; to_json_dict builds the dicts from the same keys.
+The text equals json.dumps(report.to_json_dict(), indent=k) byte for
+byte; indent=None is json.dumps itself.
 """
 
 from __future__ import annotations
@@ -54,6 +61,46 @@ RESTRICTED_EMBEDS = "RESTRICTED_EMBEDS"
 DECIDABLE = "decidable"
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _scalar(v):
+    """json.dumps(v) for a str, None, bool or number."""
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if v is None:
+        return "null"
+    if isinstance(v, str):
+        return _encode_str(v)
+    if isinstance(v, int):
+        return int.__repr__(v)
+    return json.dumps(v)
+
+
+def _array(items, pad, step):
+    """A JSON array of written items; pad is the line break and
+    indentation of its brackets, step one level of indentation."""
+    if not items:
+        return "[]"
+    inner = pad + step
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+@lru_cache(maxsize=64)
+def _object_format(keys, pad, step):
+    """%-format of a nonempty JSON object with the str keys, one %s per
+    value, its braces at pad."""
+    inner = pad + step
+    return "{" + inner + ("," + inner).join(
+        [_encode_str(k).replace("%", "%%") + ": %s" for k in keys]) + pad + "}"
+
+
+def _names(names, pad, step):
+    return _array([_encode_str(v) for v in names], pad, step)
+
+
 @dataclass
 class TheoremMainRecord:
     t: str
@@ -64,17 +111,24 @@ class TheoremMainRecord:
     t_root: bool
     verdict: str
 
+    _KEYS = ("t", "lk_clique", "t_thick", "cyclically_t_thick",
+             "not_in_star", "t_root", "verdict")  # the field order
+
     def hypotheses_hold(self):
         return (self.lk_clique and bool(self.t_thick)
                 and bool(self.cyclically_t_thick)
                 and self.not_in_star and self.t_root)
 
-    def to_json_dict(self):  # keys in field order
-        return {"t": self.t, "lk_clique": self.lk_clique,
-                "t_thick": self.t_thick,
-                "cyclically_t_thick": self.cyclically_t_thick,
-                "not_in_star": self.not_in_star, "t_root": self.t_root,
-                "verdict": self.verdict}
+    def _values(self):
+        return (self.t, self.lk_clique, self.t_thick, self.cyclically_t_thick,
+                self.not_in_star, self.t_root, self.verdict)
+
+    def to_json_dict(self):
+        return dict(zip(self._KEYS, self._values()))
+
+    def _as_json(self, pad, step):
+        return _object_format(self._KEYS, pad, step) % tuple(
+            map(_scalar, self._values()))
 
 
 @dataclass
@@ -84,13 +138,24 @@ class AmalgamRecord:
     supp_independent: bool
     decomposition: dict | None  # {"Y": [...], "lk_Y": [...], "X": [...]}
 
-    def to_json_dict(self):  # keys in field order; fresh lists
+    _KEYS = ("synchronised", "supp_clique", "supp_independent",
+             "decomposition")  # the field order
+
+    def to_json_dict(self):  # fresh lists
         d = self.decomposition
-        return {"synchronised": self.synchronised,
-                "supp_clique": self.supp_clique,
-                "supp_independent": self.supp_independent,
-                "decomposition": None if d is None
-                else {k: list(v) for k, v in d.items()}}
+        return dict(zip(self._KEYS, (
+            self.synchronised, self.supp_clique, self.supp_independent,
+            None if d is None else {k: list(v) for k, v in d.items()})))
+
+    def _as_json(self, pad, step):
+        d = self.decomposition
+        inner = pad + step
+        parts = "null" if d is None else "{}" if not d else _object_format(
+            tuple(d), inner, step) % tuple(
+                [_names(v, inner + step, step) for v in d.values()])
+        return _object_format(self._KEYS, pad, step) % (
+            _scalar(self.synchronised), _scalar(self.supp_clique),
+            _scalar(self.supp_independent), parts)
 
 
 def _witness_text(witness):
@@ -104,12 +169,21 @@ class Conclusion:
     justification: str
     witness: dict | None = None
 
-    def to_json_dict(self):
-        just = self.justification
+    _KEYS = ("subset", "status", "justification")
+
+    def _full_justification(self):
         if self.witness:
-            just = f"{just}({_witness_text(self.witness)})"
-        return {"subset": list(self.subset), "status": self.status,
-                "justification": just}
+            return f"{self.justification}({_witness_text(self.witness)})"
+        return self.justification
+
+    def to_json_dict(self):
+        return dict(zip(self._KEYS, (list(self.subset), self.status,
+                                     self._full_justification())))
+
+    def _as_json(self, pad, step):
+        return _object_format(self._KEYS, pad, step) % (
+            _names(self.subset, pad + step, step), _scalar(self.status),
+            _scalar(self._full_justification()))
 
 
 @dataclass
@@ -125,25 +199,33 @@ class FreiReport:
     conjugacy_problem: str
     advisories: list = field(default_factory=list)
 
+    _KEYS = ("s", "n", "per_t", "amalgam", "conclusions", "order_of_s",
+             "word_problem", "conjugacy_problem")
+
     def to_json_dict(self):
-        conclusions = [c.to_json_dict() for c in self.conclusions]
-        conclusions += [c.to_json_dict() for c in self.advisories]
-        return {
-            "s": format_word(self.s.word),
-            "n": self.n,
-            "per_t": [r.to_json_dict() for r in self.per_t],
-            "amalgam": self.amalgam.to_json_dict(),
-            "conclusions": conclusions,
-            "order_of_s": self.order_of_s,
-            "word_problem": self.word_problem,
-            "conjugacy_problem": self.conjugacy_problem,
-        }
+        return dict(zip(self._KEYS, (
+            format_word(self.s.word), self.n,
+            [r.to_json_dict() for r in self.per_t],
+            self.amalgam.to_json_dict(),
+            [c.to_json_dict() for c in self.conclusions + self.advisories],
+            self.order_of_s, self.word_problem, self.conjugacy_problem)))
 
     def to_json(self, indent=2):
-        """json.dumps(self.to_json_dict(), indent=indent), byte for byte."""
+        """json.dumps(self.to_json_dict(), indent=indent), byte for byte;
+        for an int indent the text is written from the records."""
         if indent is None:
             return json.dumps(self.to_json_dict())
-        return _json_text(self.to_json_dict(), indent)
+        step = " " * indent
+        pad = "\n" + step
+        inner = pad + step
+        return _object_format(self._KEYS, "\n", step) % (
+            _encode_str(format_word(self.s.word)), _scalar(self.n),
+            _array([r._as_json(inner, step) for r in self.per_t], pad, step),
+            self.amalgam._as_json(pad, step),
+            _array([c._as_json(inner, step)
+                    for c in self.conclusions + self.advisories], pad, step),
+            _scalar(self.order_of_s), _scalar(self.word_problem),
+            _scalar(self.conjugacy_problem))
 
     def conclusion_for(self, subset):
         target = tuple(sorted(subset))
@@ -170,39 +252,6 @@ class FreiReport:
         lines.append(f"  word problem: {self.word_problem}")
         lines.append(f"  conjugacy problem: {self.conjugacy_problem}")
         return "\n".join(lines)
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _json_text(value, indent, pad="\n"):
-    """json.dumps(value, indent=indent) for an int indent, byte for byte,
-    on JSON values whose dict keys are str.  pad is the line break and
-    indentation of the enclosing level."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + " " * indent
-        return "{" + inner + ("," + inner).join(
-            [_encode_str(k) + ": " + _json_text(v, indent, inner)
-             for k, v in value.items()]) + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + " " * indent
-        return "[" + inner + ("," + inner).join(
-            [_json_text(v, indent, inner) for v in value]) + pad + "]"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return json.dumps(value)  # a float, or a TypeError as json.dumps gives
 
 
 def _relator_root(g, s, n):
@@ -375,14 +424,19 @@ def _cycle_chord_advisories(g, nf, supp, n):
     neighbours of t makes the main theorem apply, the parabolic away from
     st(t) still embeds in the quotient over the original graph.  The
     root is canonicalised again over each chorded graph, whose chord
-    changes the commutations."""
+    changes the commutations.  Only a candidate that can reach EMBEDS
+    there is tried: that needs n >= 3 and supp(s) outside st(t), and the
+    chord, between two vertices of st(t), leaves st(t) as it is."""
     m = len(g)
-    if m < 5 or len(g.edges) != m:
+    if n < 3 or m < 5 or len(g.edges) != m:
         return []
     if any(len(g.neighbours(v)) != 2 for v in g.vertices):
         return []
     out = []
     for t in sorted(supp, key=g.index):
+        st_t = star(g, t)
+        if supp <= st_t:
+            continue
         p, q = sorted(g.neighbours(t), key=g.index)
         if g.adjacent(p, q):
             continue
@@ -393,7 +447,7 @@ def _cycle_chord_advisories(g, nf, supp, n):
         except (NotCyclicallyMinimal, TNotInSupport):
             continue
         if rec.verdict == EMBEDS:
-            subset = tuple(v for v in g.vertices if v not in star(g, t))
+            subset = tuple(v for v in g.vertices if v not in st_t)
             out.append(Conclusion(
                 subset, RESTRICTED_EMBEDS, f"cycle_chord_reduction(t={t})"))
     return out

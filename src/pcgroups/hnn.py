@@ -6,6 +6,18 @@ g0 t^{e1} g1 ... t^{em} gm (reduced: an inner chunk in U forces equal
 neighbouring exponents).  Replacing each chunk by its double-coset
 symbol lands in the free product of a free group on the symbols with
 the infinite cyclic group on t; primitivity there defines t-roots.
+
+t-root lemma.  Let h have m >= 1 t-letters, no pinch (no e_i = -e_{i+1}
+around an inner chunk in U), e_1 = e_m, and a primitive cyclic sequence
+of exponents exps.  Then h is a t-root.  Proof sketch: symbol units never
+touch, and two t-units touch only around a chunk in U, so without a
+pinch sigma(h) is freely reduced as written.  Cyclic reduction can then
+strip only the end symbols: the t-units t^{e_1} and t^{e_m} met next
+have one sign.  The cyclically reduced sigma(h) thus holds all m
+t-letters in order.  If it were the r-th power of a word with r >= 2,
+rotating it by a period would map t-letters to t-letters, and exps
+would be the r-th power of the exponents of one period, with m/r < m
+letters: not primitive.  is_t_root uses the lemma to skip the symbols.
 """
 
 from __future__ import annotations
@@ -151,12 +163,18 @@ def coset_symbol(adj, u_idx, chunk):
 
     The positive orientation of each symbol is the lex-smaller of the
     representative and its inverse, so symbols are identified up to the
-    D+/D- pairing.  The core needs linearising again only when a left
-    divisor was peeled.  Deleting right-divisor letters from a lex-least
-    word leaves it lex-least: each of them commutes with every later
-    letter that stays, so a forbidden factor b.u.a of what is left (see
-    lexmin_letters) was one of the word with them put back.
+    D+/D- pairing; a letter comes before its inverse, so a one-letter
+    chunk outside U is its own core, oriented by its sign.  The core
+    needs linearising again only when a left divisor was peeled.
+    Deleting right-divisor letters from a lex-least word leaves it
+    lex-least: each of them commutes with every later letter that stays,
+    so a forbidden factor b.u.a of what is left (see lexmin_letters) was
+    one of the word with them put back.
     """
+    if len(chunk) <= 1:
+        if not chunk or abs(chunk[0]) in u_idx:
+            return None
+        return (chunk, 1) if chunk[0] > 0 else ((-chunk[0],), -1)
     left, core, _ = split_letters(adj, chunk, u_idx)
     if not core:
         return None
@@ -198,11 +216,12 @@ def _sigma_units(adj, h):
 
 
 def cyclically_reduce_units(units):
-    units = list(units)
-    while len(units) >= 2 and units[0][0] == units[-1][0] \
-            and units[0][1] == -units[-1][1]:
-        units = units[1:-1]
-    return tuple(units)
+    """Strip inverse first/last pairs: two indices move in, one slice."""
+    i, j = 0, len(units) - 1
+    while i < j and units[i][0] == units[j][0] and units[i][1] == -units[j][1]:
+        i += 1
+        j -= 1
+    return tuple(units[i:j + 1])
 
 
 def smallest_period(seq) -> int:
@@ -214,9 +233,25 @@ def smallest_period(seq) -> int:
     return n
 
 
+def _has_pinch(h) -> bool:
+    """Some inner chunk lies in U between t-letters of opposite signs."""
+    u_idx = h.u_idx
+    return any(e != f and all(abs(x) in u_idx for x in c)
+               for e, f, c in zip(h.exps, h.exps[1:], h.chunks[1:]))
+
+
 def is_t_root(g: CommutationGraph, t, h: HnnWord) -> bool:
-    """True iff sigma(h), cyclically reduced, is not a proper power."""
+    """True iff sigma(h), cyclically reduced, is not a proper power.
+
+    By the t-root lemma (module docstring) the t-exponents decide when h
+    has no pinch, e_1 = e_m and exps is primitive; otherwise the symbols
+    of sigma(h) are built.
+    """
     _check_t(t, h)
+    exps = h.exps
+    if exps and exps[0] == exps[-1] and not _has_pinch(h) \
+            and smallest_period(exps) == len(exps):
+        return True
     units = cyclically_reduce_units(_sigma_units(g._adj_idx, h))
     return len(units) <= 1 or smallest_period(units) == len(units)
 

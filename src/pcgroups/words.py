@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import compress
 from heapq import heapify, heappop, heappush
@@ -393,12 +393,48 @@ def _block_conjugate(adj, u, v):
 # public word types
 
 
-@dataclass(frozen=True)
-class Word:
+_set_field = object.__setattr__
+
+
+class _Frozen:
+    """A slotted value class that compares, hashes, prints and refuses
+    assignment as the frozen dataclass of its __slots__ would."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(" + ", ".join(
+            [f"{f}={getattr(self, f)!r}" for f in self.__slots__]) + ")"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Word(_Frozen):
     """A (not necessarily reduced) word over the generators of `graph`."""
 
-    graph: CommutationGraph
-    idx: tuple  # tuple of signed 1-based generator indices
+    __slots__ = ("graph", "idx")  # idx: tuple of signed 1-based indices
+
+    def __init__(self, graph: CommutationGraph, idx: tuple):
+        _set_field(self, "graph", graph)
+        _set_field(self, "idx", idx)
 
     @property
     def letters(self):
@@ -412,11 +448,13 @@ class Word:
         return format_word(self)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(_Frozen):
     """Canonical minimal form of a group element."""
 
-    word: Word
+    __slots__ = ("word",)
+
+    def __init__(self, word: Word):
+        _set_field(self, "word", word)
 
     @property
     def idx(self):

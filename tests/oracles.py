@@ -17,7 +17,9 @@ The letter-engine references peel divisors by testing every letter
 against every kept generator, orient a double-coset symbol by
 comparing whole sort keys, cyclically reduce a canonical form by
 recomputing both divisor sets for every pair they peel, and test
-conjugacy over canonical forms of the words, cores and blocks.
+conjugacy over canonical forms of the words, cores and blocks.  The
+t-root reference always builds sigma(h), strips its inverse end pairs
+one slice at a time and tests every rotation.
 """
 
 import math
@@ -41,6 +43,7 @@ from pcgroups.graphs import (
     cycle_with_chord,
     plain_cycle,
 )
+from pcgroups.hnn import sigma
 from pcgroups.words import (
     _TOKEN_RE,
     MAX_WORD_LETTERS,
@@ -202,6 +205,24 @@ def oriented_symbol_reference(adj, core):
     if _key(core) <= _key(inv):
         return (core, 1)
     return (inv, -1)
+
+
+def cyclically_reduce_units_reference(units):
+    """hnn.cyclically_reduce_units, one slice per inverse end pair."""
+    units = tuple(units)
+    while len(units) >= 2 and units[0][0] == units[-1][0] \
+            and units[0][1] == -units[-1][1]:
+        units = units[1:-1]
+    return units
+
+
+def is_t_root_reference(g, t, h):
+    """hnn.is_t_root from the symbols alone: sigma(h), cyclically
+    reduced, is not a proper power."""
+    units = cyclically_reduce_units_reference(sigma(g, t, h).units)
+    n = len(units)
+    return not any(n % p == 0 and units == units[p:] + units[:p]
+                   for p in range(1, n))
 
 
 def conjugacy_class_closure(adj, core):

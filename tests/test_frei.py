@@ -18,16 +18,20 @@ from pcgroups.freiheitssatz import (
     EMBEDS,
     RESTRICTED_EMBEDS,
     UNKNOWN,
-    _json_text,
+    AmalgamRecord,
+    Conclusion,
+    FreiReport,
+    TheoremMainRecord,
     check_amalgam,
     check_theorem_main,
     magnus_verdict,
 )
 from pcgroups.graphs import (CommutationGraph, build_graph, cycle_with_chord,
-                             plain_cycle)
+                             plain_cycle, star)
 from pcgroups.hnn import hnn_factorize, is_cyclically_t_thick, is_t_thick
-from pcgroups.words import Word, cyclic_reduce, format_word, support
-from oracles import catalog, random_graph
+from pcgroups.words import (NormalForm, Word, cyclic_reduce, format_word,
+                            support)
+from oracles import catalog, is_t_root_reference, random_graph
 
 P4 = build_graph(["a", "b", "c", "t"], [("t", "a"), ("a", "b"), ("b", "c")])
 F2XZ = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -233,17 +237,40 @@ def test_cycle_chord_advisory():
                for c in report.advisories)
 
 
+# The JSON keys of each record of a report, in order.
+KEY_ORDER = {
+    "report": ["s", "n", "per_t", "amalgam", "conclusions", "order_of_s",
+               "word_problem", "conjugacy_problem"],
+    "per_t": ["t", "lk_clique", "t_thick", "cyclically_t_thick",
+              "not_in_star", "t_root", "verdict"],
+    "amalgam": ["synchronised", "supp_clique", "supp_independent",
+                "decomposition"],
+    "decomposition": ["Y", "lk_Y", "X"],
+    "conclusion": ["subset", "status", "justification"],
+}
+
+
+def _key_orders(data):
+    """The key lists of every object of a report's JSON, by record."""
+    yield "report", list(data)
+    for rec in data["per_t"]:
+        yield "per_t", list(rec)
+    yield "amalgam", list(data["amalgam"])
+    if data["amalgam"]["decomposition"] is not None:
+        yield "decomposition", list(data["amalgam"]["decomposition"])
+    for c in data["conclusions"]:
+        yield "conclusion", list(c)
+
+
 def test_json_schema_fields():
     report = magnus_verdict(C5P, "a2 a3 t", 3)
     data = json.loads(report.to_json())
-    assert list(data) == ["s", "n", "per_t", "amalgam", "conclusions",
-                          "order_of_s", "word_problem", "conjugacy_problem"]
     assert data["s"] == "a2 a3 t"
-    assert {"t", "lk_clique", "t_thick", "cyclically_t_thick",
-            "not_in_star", "t_root", "verdict"} == set(data["per_t"][0])
-    assert {"subset", "status", "justification"} == set(data["conclusions"][0])
-    assert {"synchronised", "supp_clique", "supp_independent",
-            "decomposition"} == set(data["amalgam"])
+    seen = set()
+    for record, keys in _key_orders(data):
+        assert keys == KEY_ORDER[record], record
+        seen.add(record)
+    assert seen == set(KEY_ORDER) - {"decomposition"}
 
 
 def _centred(g):
@@ -388,6 +415,23 @@ def test_chord_advisories_build_each_chorded_graph_once(monkeypatch):
         assert got == _chord_advisory_reference(g, nf, 3), (g, nf)
 
 
+def test_chord_advisories_equal_the_main_theorem_on_each_chorded_graph():
+    # the advisory skips n < 3 and every t with supp(s) inside st(t); the
+    # reference tries every t of the support on its chorded graph
+    rng = random.Random(67)
+    found = set()
+    for g in (plain_cycle(5), plain_cycle(6), plain_cycle(7)):
+        for n in range(1, 6):
+            for _ in range(12):
+                nf = _random_root(g, rng)
+                got = [c.justification
+                       for c in magnus_verdict(g, str(nf), n).advisories]
+                assert got == _chord_advisory_reference(g, nf, n), (g, nf, n)
+                if got:
+                    found.add(n)
+    assert found == {3, 4, 5}
+
+
 def _check_short_graphs():
     """The graphs of the check-short benchmark: P4, C4, C4 with a chord,
     the plain 5-cycle (chord advisories), C'5, C'6 and C'5 with a central
@@ -469,18 +513,55 @@ def test_one_validation_per_graph_and_one_link_per_candidate(monkeypatch):
             nf = _random_root(g, rng)
             validated.clear()
             links.clear()
-            report = magnus_verdict(g, str(nf), rng.randint(1, 4))
+            n = rng.randint(1, 4)
+            report = magnus_verdict(g, str(nf), n)
             assert validated[0] is g
-            if g not in plain:
+            if g not in plain or n < 3:
                 assert validated == [g]
             chorded = validated[1:]
             assert len({id(h) for h in chorded}) == len(chorded)
             assert len(chorded) <= len(report.per_t)
+            if g in plain and n >= 3:
+                # one chorded graph per t whose star leaves out some of supp
+                supp = support(g, nf)
+                assert len(chorded) == sum(not supp <= star(g, t)
+                                           for t in supp)
             pairs = [(id(h), t) for h, t in links]
             assert len(set(pairs)) == len(pairs)
             assert [t for h, t in links if h is g] == [r.t for r in report.per_t]
             split += any(h not in validated for h, _ in links)
     assert split
+    # below n = 3 the main theorem cannot conclude EMBEDS, so a plain
+    # cycle tries no chorded graph, though some of these roots get an
+    # advisory at n = 3
+    advised = 0
+    for g in plain:
+        for _ in range(8):
+            nf = _random_root(g, rng)
+            for n in (1, 2):
+                validated.clear()
+                report = magnus_verdict(g, str(nf), n)
+                assert validated == [g], (g, nf, n)
+                assert not any("cycle_chord_reduction" in c.justification
+                               for c in report.advisories)
+            advised += bool(magnus_verdict(g, str(nf), 3).advisories)
+    assert advised
+
+
+def test_t_root_matches_the_symbol_reference_on_verdict_roots():
+    # hnn.is_t_root decides some roots from the t-exponents alone; the
+    # reference builds sigma every time
+    rng = random.Random(83)
+    answers = set()
+    for g in _verdict_graphs() + _check_short_graphs():
+        for _ in range(20):
+            nf = _random_root(g, rng)
+            for t in support(g, nf):
+                h = hnn_factorize(g, t, nf)
+                want = is_t_root_reference(g, t, h)
+                assert hnn.is_t_root(g, t, h) == want, (g, nf, t)
+                answers.add((len(h.exps) > 1, want))
+    assert answers == {(False, True), (True, True), (True, False)}
 
 
 def test_verdict_runs_the_public_hypothesis_checks(monkeypatch):
@@ -594,16 +675,23 @@ def _report_corpus():
 
 
 def test_report_json_is_json_dumps_byte_for_byte():
+    # the report writes its text from its records; the corpus reaches
+    # every record shape
     count = 0
     routes, decomposed = set(), set()
     for report in _report_corpus():
         data = report.to_json_dict()
-        for k in (None, 0, 2, 4):
+        for k in (None, 0, 1, 2, 4):
             assert report.to_json(indent=k) == json.dumps(data, indent=k)
         assert report.to_json() == json.dumps(data, indent=2)
+        for record, keys in _key_orders(data):
+            assert keys == KEY_ORDER[record], record
         for rec in report.per_t:
             assert rec.to_json_dict() == asdict(rec)
             assert list(rec.to_json_dict()) == [f.name for f in fields(rec)]
+            if not rec.lk_clique:
+                assert rec.t_thick is rec.cyclically_t_thick is None
+                routes.add("lk_clique false")
         am = report.amalgam
         assert am.to_json_dict() == asdict(am)
         assert list(am.to_json_dict()) == [f.name for f in fields(am)]
@@ -614,23 +702,51 @@ def test_report_json_is_json_dumps_byte_for_byte():
                           if r in c["justification"])
         decomposed.add(am.decomposition is not None)
     assert count >= 700
-    assert routes == {"centre_split", "cycle_chord_reduction",
-                      "corollary_clique_converse("}
+    assert routes == {"lk_clique false", "centre_split",
+                      "cycle_chord_reduction", "corollary_clique_converse("}
     assert decomposed == {True, False}
 
 
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
-    max_leaves=40)
+_TEXT = st.text(max_size=6)
+_CONCLUSIONS = st.lists(st.builds(
+    Conclusion, st.lists(_TEXT, max_size=3).map(tuple), _TEXT, _TEXT,
+    st.none() | st.dictionaries(_TEXT, _TEXT, max_size=2)), max_size=3)
+
+
+@st.composite
+def _hand_built_reports(draw):
+    """Reports of any field values of the declared types, the letters of
+    the root over C'5."""
+    flag = st.sampled_from([True, False, None])
+    letters = draw(st.lists(st.sampled_from([1, -1, 2, -3, 5]), max_size=6))
+    per_t = draw(st.lists(st.builds(
+        TheoremMainRecord, _TEXT, st.booleans(), flag, flag, st.booleans(),
+        st.booleans(), _TEXT), max_size=3))
+    amalgam = draw(st.builds(
+        AmalgamRecord, st.booleans(), st.booleans(), st.booleans(),
+        st.none() | st.dictionaries(_TEXT, st.lists(_TEXT, max_size=3),
+                                    max_size=3)))
+    return FreiReport(
+        C5P, NormalForm(Word(C5P, tuple(letters))), draw(st.integers()),
+        per_t, amalgam, draw(_CONCLUSIONS),
+        draw(st.integers() | st.floats() | _TEXT), draw(_TEXT), draw(_TEXT),
+        draw(_CONCLUSIONS))
+
+
+_ODD_TEXT = ["%s", "100%", "é", "\U0001f600\n\"", "%(x)s", ""]
 
 
 @settings(max_examples=200, deadline=None)
-@given(_JSON_VALUES, st.integers(-2, 8))
-@example({"Y": ["a", "é"], "": {}, "☃": [[], {}, [1.5, None, True]],
-          "\U0001f600\n\"": -10**30}, 0)
-def test_json_writer_is_json_dumps_byte_for_byte(value, indent):
-    assert _json_text(value, indent) == json.dumps(value, indent=indent)
+@given(_hand_built_reports(), st.integers(-2, 8))
+@example(FreiReport(
+    C5P, NormalForm(Word(C5P, (1, 1, -2))), -10**30,
+    [TheoremMainRecord("%s", False, None, None, True, False, "%%")],
+    AmalgamRecord(True, False, True, {k: _ODD_TEXT for k in _ODD_TEXT}),
+    [Conclusion(tuple(_ODD_TEXT), "%", "%d", {"%": "%%"})], 1.5, "é",
+    "%s", [Conclusion((), "", "")]), 0)
+def test_json_writer_is_json_dumps_byte_for_byte(report, indent):
+    assert report.to_json(indent=indent) == json.dumps(
+        report.to_json_dict(), indent=indent)
 
 
 def test_json_dicts_hand_out_no_part_of_the_report():

@@ -7,7 +7,9 @@ from pcgroups.cosets import in_maln, oriented_symbol, parabolic, parabolic_membe
 from pcgroups.errors import BadParameter, LinkNotClique, NoSplitFound
 from pcgroups.graphs import build_graph, cycle_with_chord, is_clique, plain_cycle
 from pcgroups.hnn import (
+    HnnWord,
     coset_symbol,
+    cyclically_reduce_units,
     hnn_factorize,
     is_cyclically_reduced_hnn,
     is_cyclically_t_thick,
@@ -27,7 +29,8 @@ from pcgroups.words import (
     word_from_idx,
 )
 
-from oracles import all_words, random_graph, random_letters
+from oracles import (all_words, cyclically_reduce_units_reference,
+                     is_t_root_reference, random_graph, random_letters)
 
 C5P = cycle_with_chord(5)
 
@@ -219,6 +222,63 @@ def test_t_root_examples():
     assert is_t_root(C5P, "t", fact("a2 t"))
     assert not is_t_root(C5P, "t", fact("t^2"))
     assert is_t_root(C5P, "t", fact("a2"))
+
+
+def _hand_built(g, t, chunks, exps):
+    """An HnnWord as given, reduced or not; hnn_factorize never makes a
+    pinch, so these reach the paths it cannot."""
+    return HnnWord(g, t, tuple(tuple(c) for c in chunks), tuple(exps),
+                   g._adj_idx[g.index(t)])
+
+
+def test_t_root_reads_the_exponents_only_where_they_decide():
+    # C'5: lk(t) = {a1, a4}; a2 and a3 lie outside it
+    t, a1, a2, a3 = 1, 2, 3, 4
+    cases = {
+        # t a1 t^-1 . t a2 t a2: the pinch t a1 t^-1 cancels in sigma,
+        # which is then (t [a2])^2, although e_1 = e_m and the
+        # exponents (1, -1, 1, 1) are primitive
+        "pinch": (((), (a1,), (), (a2,), (a2,)), (1, -1, 1, 1), False),
+        # t^-1 (a3 t)^2 t: the end t-letters cancel cyclically, leaving
+        # ([a3] t)^2, although (-1, 1, 1, 1) is primitive
+        "e_1 != e_m": (((), (a3,), (a3,), (), ()), (-1, 1, 1, 1), False),
+        "e_1 != e_m, a root": (((a2,), (a3,), (-a2,)), (1, -1), True),
+        "m = 0": (((a2, a3),), (), True),
+        "m = 0, empty": (((),), (), True),
+        "m = 1": (((a3,), (a2,)), (1,), True),
+        "m = 1 in U": (((a1,), ()), (-1,), True),
+        "exps a power, a root": (((a2,), (a3,), (-a2,)), (1, 1), True),
+        "power": (((a2,), (a2,), ()), (1, 1), False),
+    }
+    for name, (chunks, exps, want) in cases.items():
+        h = _hand_built(C5P, "t", chunks, exps)
+        assert is_t_root_reference(C5P, "t", h) == want, name
+        assert is_t_root(C5P, "t", h) == want, name
+
+
+def test_t_root_matches_the_symbol_reference_on_random_words():
+    rng = random.Random(37)
+    for g in [C5P, cycle_with_chord(6)] + [random_graph(rng) for _ in range(15)]:
+        for t in g.vertices:
+            for _ in range(30):
+                w = random_letters(rng, len(g), rng.randint(0, 14))
+                h = hnn_factorize(g, t, word_from_idx(g, w))
+                assert is_t_root(g, t, h) == is_t_root_reference(g, t, h)
+
+
+def test_cyclically_reduce_units_strips_each_inverse_end_pair():
+    rng = random.Random(39)
+    syms = [None, (1,), (2, 3)]
+    for _ in range(2000):
+        half = [(rng.choice(syms), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 5))]
+        mid = [(rng.choice(syms), rng.choice((1, -1)))
+               for _ in range(rng.randint(0, 3))]
+        units = tuple(half + mid + [(s, -e) for s, e in reversed(half)])
+        assert cyclically_reduce_units(units) == \
+            cyclically_reduce_units_reference(units)
+    long = ((None, 1),) * 20000 + ((None, -1),) * 20000
+    assert cyclically_reduce_units(long) == ()
 
 
 def test_t_root_constructed_powers_fail():

@@ -1,7 +1,10 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
 import time
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +42,7 @@ from pcgroups.words import (
     reduce_letters,
     split_letters,
     support,
+    NormalForm,
     Word,
     word_from_idx,
 )
@@ -870,3 +874,37 @@ def test_peel_reads_every_letter_on_free_abelian_graphs():
         assert (side, kept) == peel_reference(adj, w, yidx)
         assert sorted(side + kept) == sorted(w)
         assert all(abs(x) in yidx for x in side)
+
+
+# Frozen dataclass twins of Word and NormalForm: the behaviour the
+# slotted classes keep.
+_DataWord = make_dataclass("Word", [("graph", object), ("idx", tuple)],
+                           frozen=True)
+_DataNormalForm = make_dataclass("NormalForm", [("word", object)], frozen=True)
+
+
+def test_word_and_normal_form_keep_the_frozen_dataclass_behaviour():
+    # slotted value classes: equality, hashing, repr and immutability as
+    # the frozen dataclasses had them
+    g, h = cycle_with_chord(5), plain_cycle(5)
+    for graph, idx in ((g, ()), (g, (1, -2, 3)), (h, (1, -2, 3))):
+        w, nf = Word(graph, idx), NormalForm(Word(graph, idx))
+        dw = _DataWord(graph, idx)
+        dnf = _DataNormalForm(dw)
+        assert repr(w) == repr(dw) and repr(nf) == repr(dnf)
+        assert hash(w) == hash(dw) and hash(nf) == hash(dnf)
+        assert w == Word(graph, idx) and nf == NormalForm(Word(graph, idx))
+        assert w != Word(graph, idx + (4,)) and w != Word(plain_cycle(6), idx)
+        assert w != nf and nf != w and w != dw and w != (graph, idx)
+        assert w.__eq__((graph, idx)) is NotImplemented
+        assert len({w, Word(graph, idx)}) == 1
+        for obj, name in ((w, "idx"), (w, "graph"), (w, "other"),
+                          (nf, "word"), (nf, "other")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, ())
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert not hasattr(w, "__dict__") and not hasattr(nf, "__dict__")
+        for twin in (copy.copy(nf), copy.deepcopy(nf),
+                     pickle.loads(pickle.dumps(nf))):
+            assert twin == nf and twin.idx == idx
