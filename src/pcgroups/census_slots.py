@@ -212,13 +212,25 @@ def automaton(n, square):
     return _Automaton(n, square)
 
 
+# The letters that may follow each letter in a reduced word over the
+# square system's two alphabets, {a2, a4} and {a1, a3}, in letter order.
+_FOLLOW = {y: tuple(z for z in letters if z != -y)
+           for letters in ((2, -2, 4, -4), (1, -1, 3, -3)) for y in letters}
+
+
 def _free_word(letters, length, rank):
     """The reduced word at `rank` among those of `length` over the two
-    generators of `letters`, in depth-first letter order."""
+    generators of `letters` (one of the square system's alphabets), in
+    depth-first letter order."""
     out = []
-    for pos in range(length):
-        q, rank = divmod(rank, 3 ** (length - 1 - pos))
-        out.append([y for y in letters if not out or y != -out[-1]][q])
+    choices = letters
+    block = 3 ** length  # words per choice of the next letter, times 3
+    for _ in range(length):
+        block //= 3
+        q, rank = divmod(rank, block)
+        y = choices[q]
+        out.append(y)
+        choices = _FOLLOW[y]
     return tuple(out)
 
 
@@ -229,24 +241,34 @@ def _square_unrank(kind, ell, index):
     or led by a2 and by a3: the first half of the first part's words and
     the second half of the second's.  The first slot takes every pair but
     a4^{+-p} a1^{+-q}, the forms inside U, whose parts rank 3^p - 1 or
-    last, and 0 or 3^(q-1)."""
-    for p in range(ell + 1):
+    last, and 0 or 3^(q-1).
+
+    The block of a p with 0 < p < ell holds 4 * 3^(ell-2) pairs in the
+    later slots and 16 * 3^(ell-2) - 4 in the first, whatever p is, so p
+    is found by one division past the block of p = 0."""
+    def size(p):  # the pairs in the block of p, less the excluded ones
         n1, n2 = (4 * 3 ** (x - 1) if x else 1 for x in (p, ell - p))
         if kind:
-            skip = n2 // 2
-            size = (n1 + 1) // 2 * (n2 - skip)
+            return (n1 + 1) // 2 * (n2 - n2 // 2)
+        return n1 * n2 - (2 if p else 1) * (2 if p < ell else 1)
+
+    p, first = 0, size(0)
+    if index >= first:
+        index -= first
+        mid = size(1) if ell > 1 else 0
+        if index < (ell - 1) * mid:
+            p, index = divmod(index, mid)
+            p += 1
         else:
-            excluded = sorted({x * n2 + y for x in (3 ** p - 1, n1 - 1)
-                               for y in (0, n2 // 4)})
-            size = n1 * n2 - len(excluded)
-        if index < size:
-            break
-        index -= size
+            p, index = ell, index - (ell - 1) * mid
+    n1, n2 = (4 * 3 ** (x - 1) if x else 1 for x in (p, ell - p))
     if kind:
+        skip = n2 // 2
         r1, r2 = divmod(index, n2 - skip)
         r2 += skip
     else:
-        for x in excluded:
+        for x in sorted({x * n2 + y for x in (3 ** p - 1, n1 - 1)
+                         for y in (0, n2 // 4)}):
             index += x <= index
         r1, r2 = divmod(index, n2)
     return (_free_word((2, -2, 4, -4), p, r1)

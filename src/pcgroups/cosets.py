@@ -16,6 +16,7 @@ from .words import (
     NormalForm,
     Word,
     _reduced_idx,
+    canonical_split,
     invert_letters,
     lexmin_letters,
     split_letters,
@@ -56,12 +57,21 @@ def strip_divisors(ctx: ParabolicContext, w) -> DoubleCosetRep:
     """Factor w = left . core . right with left, right in the parabolic and
     core without parabolic divisors on either side.  Left-greedy: the
     maximal left divisor is taken first.  The maximal divisors are fixed
-    by the element, so any geodesic of w (_reduced_idx) splits alike."""
+    by the element, so any geodesic of w (_reduced_idx) splits alike.
+    The letters of a text (through _canon_text) and of a NormalForm over
+    the graph are canonical, so canonical_split's interior-hole rule
+    leaves only right to linearise; a Word's geodesic gets all three
+    parts linearised."""
     g = ctx.graph
     adj = g._adj_idx
-    parts = split_letters(adj, _reduced_idx(g, w), ctx.subset_idx)
-    left, core, right = (NormalForm(Word(g, lexmin_letters(adj, p)))
-                         for p in parts)
+    idx = _reduced_idx(g, w)
+    if isinstance(w, str) or (isinstance(w, NormalForm) and w.graph is g):
+        left, core, right = canonical_split(adj, idx, ctx.subset_idx)
+        parts = tuple(left), core, lexmin_letters(adj, right)
+    else:
+        parts = [lexmin_letters(adj, p)
+                 for p in split_letters(adj, idx, ctx.subset_idx)]
+    left, core, right = (NormalForm(Word(g, p)) for p in parts)
     return DoubleCosetRep(left=left, core=core, right=right)
 
 
@@ -69,7 +79,27 @@ def oriented_symbol(adj, core):
     """Positively oriented double-coset symbol of a canonical core:
     (core, 1) or (canonical core^{-1}, -1), whichever is lex-smaller.
     The two have one length, so the first letter where they differ
-    decides, under the letter order (generator, then + before -)."""
+    decides, under the letter order (generator, then + before -).
+
+    The first letter of the canonical core^{-1} is the least inverse of
+    a right-divisor letter of core, so when every such inverse comes
+    after core[0], core is the symbol and core^{-1} is never built.  The
+    right-divisor letters are read from the end of core while some
+    generator commutes with every letter read."""
+    if not core:
+        return (core, 1)
+    x = core[0]
+    key = 2 * abs(x) + (x < 0)  # the letter order as one int
+    free = None
+    for y in reversed(core):
+        gen = abs(y)
+        if (free is None or gen in free) and 2 * gen + (y > 0) <= key:
+            break
+        free = adj[gen] if free is None else free & adj[gen]
+        if not free:
+            return (core, 1)
+    else:
+        return (core, 1)
     inv = lexmin_letters(adj, invert_letters(core))
     for x, y in zip(core, inv):
         if x != y:

@@ -29,11 +29,10 @@ from .errors import BadParameter, LinkNotClique, NoSplitFound
 from .graphs import CommutationGraph
 from .words import (
     Word,
+    canonical_split,
     format_word,
-    lexmin_letters,
     minimal_form,
     reduce_letters,
-    split_letters,
 )
 
 
@@ -164,22 +163,28 @@ def coset_symbol(adj, u_idx, chunk):
     The positive orientation of each symbol is the lex-smaller of the
     representative and its inverse, so symbols are identified up to the
     D+/D- pairing; a letter comes before its inverse, so a one-letter
-    chunk outside U is its own core, oriented by its sign.  The core
-    needs linearising again only when a left divisor was peeled.
-    Deleting right-divisor letters from a lex-least word leaves it
-    lex-least: each of them commutes with every later letter that stays,
-    so a forbidden factor b.u.a of what is left (see lexmin_letters) was
-    one of the word with them put back.
+    chunk outside U is its own core, oriented by its sign.
+
+    The core is canonical as words.canonical_split peels it, by two
+    lemmas on the forbidden factors b.u.a (a < b, a commuting with b and
+    with every letter of u) that a word is lex-least without
+    (Anisimov-Knuth 1979):
+    * deleting right-divisor letters from a lex-least word leaves it
+      lex-least: each of them commutes with every later letter that
+      stays, so a forbidden factor of what is left, with them put back
+      inside u, was one of the word;
+    * the kept letters of a left peel form a factor of the chunk, and so
+      are lex-least, unless a left letter comes after a kept letter (an
+      interior hole).
+    So the core is linearised again only after an interior hole.
     """
     if len(chunk) <= 1:
         if not chunk or abs(chunk[0]) in u_idx:
             return None
         return (chunk, 1) if chunk[0] > 0 else ((-chunk[0],), -1)
-    left, core, _ = split_letters(adj, chunk, u_idx)
+    core = canonical_split(adj, chunk, u_idx)[1]
     if not core:
         return None
-    if left:
-        core = lexmin_letters(adj, core)
     return oriented_symbol(adj, core)
 
 

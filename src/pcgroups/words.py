@@ -8,15 +8,20 @@ Canonical form: the lexicographically least geodesic under the letter
 order (generator index, then sign with + before -).  One letter engine
 computes it and serves every layer above:
 
-* reduce_letters: one left-to-right pass; each letter cancels the last
-  kept letter it does not commute with when that letter is its inverse
-  (Wrathall 1988), which leaves a geodesic;
-* lexmin_letters: each letter inserted into the lex-least word built
-  so far, before the leftmost larger letter among the trailing letters
-  it commutes with (Anisimov-Knuth 1979); a scan budget hands long
-  commuting runs to a heap walk of the dependence order;
+* canon_letters: one left-to-right insertion pass.  Each letter scans
+  back over the trailing letters of the canonical form built so far
+  that it commutes with.  If the scan ends at its inverse, the two
+  cancel (Wrathall 1988); otherwise the letter goes in before the
+  leftmost larger letter it passed (Anisimov-Knuth 1979).  A scan
+  budget hands long commuting runs to a heap walk of the dependence
+  order;
+* lexmin_letters: the same insertion without cancelling, for words
+  known to be geodesic, and reduce_letters: the cancellation alone,
+  for callers that need only a geodesic;
 * split_letters: one pass per side peels the maximal left and right
   divisors over a vertex subset (the parabolic double-coset split);
+  canonical_split does it on a canonical form and linearises the core
+  again only after an interior hole;
 * _cyclic_core: one worklist pass over any geodesic removes the pairs
   y ... y^-1 of first and last letters that are a left and a right
   divisor (cyclic reduction, for cyclic_reduce and conjugate_test).
@@ -38,7 +43,7 @@ import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 from heapq import heapify, heappop, heappush
 
 from .errors import (
@@ -101,10 +106,42 @@ def reduce_letters(adj, w):
     return tuple(out)
 
 
-# Scan budget of lexmin_letters: _SCAN_START, plus _SCAN_PER_LETTER for
-# each letter taken in, less each letter's scan length; no scan passes it.
+# Scan budget of the insertion scan: _SCAN_START, plus _SCAN_PER_LETTER
+# for each letter taken in, less each letter's scan length; no scan
+# passes it.
 _SCAN_START = 64
 _SCAN_PER_LETTER = 8
+
+
+def _insert(adj, w, cancel):
+    """Insert each letter of w into the lex-least word built so far, as
+    lexmin_letters describes; with cancel, a letter x whose scan ends at
+    x^-1 deletes that letter instead (see canon_letters).  Returns the
+    letters as a tuple, or None once a scan would pass the budget."""
+    out = []
+    budget = _SCAN_START
+    for x in w:
+        gen = abs(x)
+        nbrs = adj[gen]
+        n = j = pos = len(out)
+        budget += _SCAN_PER_LETTER
+        stop = n - budget if budget < n else 0
+        while j > stop:
+            y = abs(out[j - 1])
+            if y not in nbrs:
+                break
+            j -= 1
+            if y > gen:
+                pos = j
+        else:
+            if j and abs(out[j - 1]) in nbrs:
+                return None
+        budget -= n - j
+        if cancel and j and out[j - 1] == -x:
+            del out[j - 1]
+        else:
+            out.insert(pos, x)
+    return tuple(out)
 
 
 def lexmin_letters(adj, w):
@@ -132,27 +169,8 @@ def lexmin_letters(adj, w):
     letter steps, list.insert's moves included (they move only scanned
     letters).
     """
-    out = []
-    budget = _SCAN_START
-    for x in w:
-        gen = abs(x)
-        nbrs = adj[gen]
-        n = j = pos = len(out)
-        budget += _SCAN_PER_LETTER
-        stop = n - budget if budget < n else 0
-        while j > stop:
-            y = abs(out[j - 1])
-            if y not in nbrs:
-                break
-            j -= 1
-            if y > gen:
-                pos = j
-        else:
-            if j and abs(out[j - 1]) in nbrs:
-                return _lexmin_heap(adj, w)
-        budget -= n - j
-        out.insert(pos, x)
-    return tuple(out)
+    out = _insert(adj, w, False)
+    return _lexmin_heap(adj, w) if out is None else out
 
 
 def _lexmin_heap(adj, w):
@@ -193,20 +211,45 @@ def _lexmin_heap(adj, w):
 
 
 def canon_letters(adj, w):
-    return lexmin_letters(adj, reduce_letters(adj, w))
+    """Canonical form of any word w, in one insertion pass.
+
+    Each letter x runs the insertion scan of lexmin_letters over the
+    canonical form of the prefix read so far.  When the letter that
+    ends the scan is x^-1, that letter is deleted and x is not
+    inserted; otherwise x is inserted as in lexmin_letters.  Both steps
+    keep the list the canonical form of the prefix read so far:
+    * the scan passes exactly the trailing letters that commute with x,
+      and so stops at the last letter that does not commute with x or
+      has its generator; that letter is x^-1 iff x^-1 is a right
+      divisor, which is Wrathall's cancellation test (reduce_letters),
+      so the new list is geodesic;
+    * deleting a right-divisor letter from a lex-least word leaves it
+      lex-least: the letter commutes with every later letter, so a
+      forbidden factor b.u.a of what is left would have been one of the
+      word with it put back, the letter joining u when it lies between
+      b and a, since it commutes with a.
+    When a scan would pass the budget, the heap walk starts over on the
+    geodesic reduce_letters gives.
+    """
+    out = _insert(adj, w, True)
+    return _lexmin_heap(adj, reduce_letters(adj, w)) if out is None else out
 
 
 def _peel(adj, w, yidx):
-    """(side, kept): a letter over yidx joins the side when every letter
-    kept before it commutes with it.  free holds the generators of yidx
-    that commute with every letter kept so far; once it is empty, no
-    later letter can join the side and the rest of w is kept in one
-    slice."""
+    """(side, kept, hole): a letter over yidx joins the side when every
+    letter kept before it commutes with it.  free holds the generators
+    of yidx that commute with every letter kept so far; once it is
+    empty, no later letter can join the side and the rest of w is kept
+    in one slice.  hole tells whether a side letter comes after a kept
+    letter."""
     side, kept = [], []
+    hole = False
     free = yidx
     for i, x in enumerate(w):
         gen = abs(x)
         if gen in free:
+            if kept:
+                hole = True
             side.append(x)
             continue
         kept.append(x)
@@ -214,7 +257,7 @@ def _peel(adj, w, yidx):
         if not free:
             kept.extend(w[i + 1:])
             break
-    return side, kept
+    return side, kept, hole
 
 
 def split_letters(adj, w, yidx):
@@ -225,9 +268,33 @@ def split_letters(adj, w, yidx):
     has no left or right divisor over yidx.  The three parts are
     subsequences of w, geodesic but not linearised.
     """
-    left, rest = _peel(adj, w, yidx)
-    right, core = _peel(adj, rest[::-1], yidx)
+    left, rest, _ = _peel(adj, w, yidx)
+    right, core, _ = _peel(adj, rest[::-1], yidx)
     return tuple(left), tuple(core[::-1]), tuple(right[::-1])
+
+
+def canonical_split(adj, c, yidx):
+    """split_letters for a canonical c, with left and core canonical as
+    they come out: (left, core, right), left and right as lists, right
+    not linearised.
+
+    Interior-hole rule.  Call a left letter that comes after a kept
+    letter of c an interior hole.
+    * left is lex-least: each left letter commutes with every kept
+      letter before it, so a forbidden factor b.u.a of left (see
+      lexmin_letters) would be one of c, with those kept letters in u.
+    * Without an interior hole the left letters are a prefix of c, so
+      the kept letters are a factor of c, and lex-least.  The core is
+      the kept letters less the right letters, each of which commutes
+      with every later letter that stays; deleting such letters keeps a
+      word lex-least (see canon_letters), so the core needs no
+      linearising.  After an interior hole it is linearised again.
+    """
+    left, kept, hole = _peel(adj, c, yidx)
+    right, core, _ = _peel(adj, kept[::-1], yidx)
+    core.reverse()
+    core = lexmin_letters(adj, core) if hole else tuple(core)
+    return left, core, right[::-1]
 
 
 def left_divisor_letters(adj, w):
@@ -261,48 +328,65 @@ def _cyclic_core(adj, w):
 
     A generator g is removable when its first live letter y is a left
     and its last live letter y^-1 a right divisor: every live generator
-    that does not commute with g occurs only between the two.  Removing
-    the pair changes that test only for g and the generators that do not
-    commute with it, so those are queued again.  Two removable pairs
-    commute and removing one leaves the other removable, so every order
-    ends at one core, and the ys differ only by commutations.  Each
-    generator keeps its positions with a head and a tail pointer, and a
-    generator may sit in the queue more than once; each removal queues
-    at most m generators, each tried in O(m), so the cost is
-    O(|w| + k m^2) for m generators.
+    that does not commute with g occurs only between the two.  Two
+    removable pairs commute and removing one leaves the other removable,
+    so every order ends at one core, and the ys differ only by
+    commutations.  Each generator keeps the positions of its first and
+    last live letters.  A candidate that fails the test waits on the
+    generator found outside its pair, and is tried again only when that
+    generator loses a pair, or after losing a pair itself.  First
+    letters only move right and last letters left, so a generator that
+    passed the test for g's pair passes it until g loses that pair, and
+    the retried test resumes where it stopped.  Each pair thus costs one
+    pass over the generators not commuting with g plus one step per
+    wake-up, and the whole O(|w| + m^2 + k m) for m generators.
     """
     occ = {}
     for p, x in enumerate(w):
         occ.setdefault(abs(x), []).append(p)
-    head = dict.fromkeys(occ, 0)
-    tail = {g: len(ps) - 1 for g, ps in occ.items()}
-    queue = [g for g, ps in occ.items() if w[ps[0]] == -w[ps[-1]]]
+    none = len(w)  # first[g] of a generator with no live letter left
+    first = [none] * len(adj)  # position of g's first live letter
+    last = [-1] * len(adj)  # and of its last
+    queue = []
+    for g, ps in occ.items():
+        p, q = first[g], last[g] = ps[0], ps[-1]
+        if w[p] == -w[q]:
+            queue.append(g)
+    head, tail = {}, {}  # g -> index in occ[g] of first[g] and last[g]
     deps, ys = {}, []  # deps[g]: the generators of w not commuting with g
+    waiting = {}  # k -> the candidates that failed on k
+    passed = {}  # g -> how many of deps[g] passed g's pair
     live = bytearray(b"\x01") * len(w)
     while queue:
         g = queue.pop()
-        h, t = head[g], tail[g]
-        if h >= t:
+        p, q = first[g], last[g]
+        if p >= q:
             continue
-        ps = occ[g]
-        p, q = ps[h], ps[t]
         y = w[p]
         if w[q] != -y:
             continue
         dg = deps.get(g)
         if dg is None:
             nbrs = adj[g]
-            # g is in it too, and its own head and tail pass the test
+            # g is in it too, and its own first and last pass the test
             dg = deps[g] = [k for k in occ if k not in nbrs]
-        for k in dg:
-            hk, tk = head[k], tail[k]
-            if hk <= tk and (occ[k][hk] < p or occ[k][tk] > q):
+        i = passed.get(g, 0)
+        for k in islice(dg, i, None) if i else dg:
+            if first[k] < p or last[k] > q:
+                passed[g] = i
+                waiting.setdefault(k, []).append(g)
                 break
+            i += 1
         else:
-            head[g], tail[g] = h + 1, t - 1
+            passed[g] = 0
+            ps = occ[g]
+            h, t = head.get(g, 0) + 1, tail.get(g, len(ps) - 1) - 1
+            head[g], tail[g] = h, t
+            first[g], last[g] = (ps[h], ps[t]) if h <= t else (none, -1)
             live[p] = live[q] = 0
             ys.append(y)
-            queue += dg
+            queue.append(g)
+            queue += waiting.pop(g, ())
     return ys, tuple(compress(w, live))
 
 

@@ -12,8 +12,11 @@ and walks every signed exponent vector one by one, or sums over every
 (t-length, block count) block, where the library counts both in closed
 form or over the normal-form automaton; its sampler reference calls
 randrange for every draw and bisects for the t-length, and its
-unranking reference scans each state's successors letter by letter.
-The letter-engine references peel divisors by testing every letter
+unranking references scan each state's successors letter by letter and
+walk every length p of the square system's first part.
+The letter-engine references canonicalise in two passes (reduce, then
+linearise), linearise every part of a double-coset split again, peel
+divisors by testing every letter
 against every kept generator, orient a double-coset symbol by
 comparing whole sort keys, cyclically reduce a canonical form by
 recomputing both divisor sets for every pair they peel, and test
@@ -55,6 +58,7 @@ from pcgroups.words import (
     left_divisor_letters,
     lexmin_letters,
     minimal_form,
+    reduce_letters,
     right_divisor_letters,
     split_letters,
 )
@@ -185,17 +189,42 @@ def random_letters(rng, n_gens, length):
 
 
 def peel_reference(adj, w, yidx):
-    """(side, kept) as words._peel gives them, with no early exit: a
-    letter over yidx joins the side when every generator kept before it
-    commutes with it."""
+    """(side, kept, hole) as words._peel gives them, with no early exit:
+    a letter over yidx joins the side when every generator kept before
+    it commutes with it, and hole tells whether a side letter follows a
+    kept letter."""
     side, kept, kept_gens = [], [], set()
+    hole = False
     for x in w:
         if abs(x) in yidx and kept_gens <= adj[abs(x)]:
+            hole = hole or bool(kept)
             side.append(x)
         else:
             kept.append(x)
             kept_gens.add(abs(x))
-    return side, kept
+    return side, kept, hole
+
+
+def canon_reference(adj, w):
+    """words.canon_letters in two passes: reduce_letters, then
+    lexmin_letters."""
+    return lexmin_letters(adj, reduce_letters(adj, w))
+
+
+def coset_symbol_reference(adj, u_idx, chunk):
+    """hnn.coset_symbol with every U-core linearised again and oriented
+    by comparing whole sort keys."""
+    core = lexmin_letters(adj, split_letters(adj, chunk, u_idx)[1])
+    return oriented_symbol_reference(adj, core) if core else None
+
+
+def strip_divisors_reference(ctx, w):
+    """cosets.strip_divisors as (left, core, right) letter tuples: the
+    canonical form of w split, and every part linearised again."""
+    g = ctx.graph
+    adj = g._adj_idx
+    return tuple(lexmin_letters(adj, part) for part in split_letters(
+        adj, minimal_form(g, w).idx, ctx.subset_idx))
 
 
 def oriented_symbol_reference(adj, core):
@@ -730,6 +759,41 @@ def bisect_t_level(x, f, m, k):
     type (ii) tuples, by bisection over f _vector_sum(m, j)."""
     return bisect_right(range(k), x,
                         key=lambda j: f * census._vector_sum(m, j))
+
+
+def square_unrank_reference(kind, ell, index):
+    """census_slots._square_unrank walking p = 0..ell and building the
+    set of excluded pairs at every p; each part unranked by repeated
+    divmod against a fresh power of 3."""
+    for p in range(ell + 1):
+        n1, n2 = (4 * 3 ** (x - 1) if x else 1 for x in (p, ell - p))
+        if kind:
+            skip = n2 // 2
+            size = (n1 + 1) // 2 * (n2 - skip)
+        else:
+            excluded = sorted({x * n2 + y for x in (3 ** p - 1, n1 - 1)
+                               for y in (0, n2 // 4)})
+            size = n1 * n2 - len(excluded)
+        if index < size:
+            break
+        index -= size
+    if kind:
+        r1, r2 = divmod(index, n2 - skip)
+        r2 += skip
+    else:
+        for x in excluded:
+            index += x <= index
+        r1, r2 = divmod(index, n2)
+
+    def free_word(letters, length, rank):
+        out = []
+        for pos in range(length):
+            q, rank = divmod(rank, 3 ** (length - 1 - pos))
+            out.append([y for y in letters if not out or y != -out[-1]][q])
+        return tuple(out)
+
+    return (free_word((2, -2, 4, -4), p, r1)
+            + free_word((1, -1, 3, -3), ell - p, r2))
 
 
 def linear_unrank(auto, kind, ell, index):

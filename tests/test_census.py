@@ -37,6 +37,7 @@ from oracles import (
     reference_e_prime,
     reference_LH,
     reference_LHU,
+    square_unrank_reference,
     vector_count,
 )
 
@@ -276,6 +277,26 @@ def test_bisected_unrank_matches_the_linear_scan():
             assert [auto.unrank(kind, ell, i) for i in range(size)] \
                 == [linear_unrank(auto, kind, ell, i) for i in range(size)], \
                 (n, kind, ell)
+
+
+def test_square_unrank_matches_the_walk_over_every_part_length():
+    # n = 5: every index of both slot lists up to length 6, and 300
+    # random indices at lengths 20, 57 and 200 with the ends of each list
+    auto = S.automaton(5, True)
+    rng = random.Random(50)
+    for ell in (*range(7), 20, 57, 200):
+        level = auto.upto(ell)[ell]
+        sizes = (sum(level.values()) - (4 * ell if ell else 1),
+                 sum(c for sig, c in level.items() if sig[0]) if ell else 0)
+        for kind, size in enumerate(sizes):
+            if ell < 7:
+                picks = range(size)
+            else:
+                picks = [0, size - 1] + [rng.randrange(size)
+                                         for _ in range(300)]
+            for i in picks:
+                assert S._square_unrank(kind, ell, i) \
+                    == square_unrank_reference(kind, ell, i), (kind, ell, i)
 
 
 def test_thickness_from_the_final_state_matches_maln_support():

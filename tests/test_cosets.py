@@ -12,13 +12,17 @@ from pcgroups.cosets import (
 )
 from pcgroups.errors import NotAClique
 from pcgroups.graphs import build_graph, cycle_with_chord
+from pcgroups import cosets
 from pcgroups.words import (
+    _peel,
     canon_letters,
     equal,
+    format_word,
     left_divisor_letters,
     minimal_form,
     right_divisor_letters,
     support,
+    Word,
     word_from_idx,
 )
 
@@ -27,6 +31,7 @@ from oracles import (
     oriented_symbol_reference,
     random_graph,
     random_letters,
+    strip_divisors_reference,
 )
 
 C5P = cycle_with_chord(5)
@@ -173,3 +178,49 @@ def test_oriented_symbol_matches_comparing_whole_keys():
             assert got == oriented_symbol_reference(adj, core)
             signs.add(got[1])
     assert signs == {1, -1}
+
+
+def test_strip_divisors_matches_the_always_lexmin_reference():
+    # seeded random graphs and subsets, words of up to 80 letters given
+    # as text, as a NormalForm and as a Word, against a reference that
+    # linearises all three parts of the canonical form's split; text and
+    # NormalForm letters are canonical and skip the left and (without an
+    # interior hole) the core linearising
+    rng = random.Random(1816)
+    holes = set()
+    for _ in range(300):
+        g = random_graph(rng)
+        ctx = parabolic(g, rng.sample(g.vertices,
+                                      rng.randrange(0, len(g) + 1)))
+        w = random_letters(rng, len(g), rng.randrange(0, 81))
+        word = Word(g, w)
+        nf = minimal_form(g, word)
+        want = strip_divisors_reference(ctx, word)
+        for given in (format_word(word), nf, word):
+            rep = strip_divisors(ctx, given)
+            assert (rep.left.idx, rep.core.idx, rep.right.idx) == want
+        holes.add(_peel(g._adj_idx, nf.idx, ctx.subset_idx)[2])
+    assert holes == {True, False}
+
+
+def test_oriented_symbol_builds_the_inverse_only_when_needed(monkeypatch):
+    # core is the symbol without building core^-1 when every inverse of a
+    # right-divisor letter comes after core[0]
+    built = []
+    lexmin = cosets.lexmin_letters
+
+    def counted(adj, w):
+        built.append(w)
+        return lexmin(adj, w)
+
+    monkeypatch.setattr(cosets, "lexmin_letters", counted)
+    adj = C5P._adj_idx  # t, a1, a2, a3, a4 are 1..5
+    # a1 a2: both letters are right divisors, and a1^-1, a2^-1 come
+    # after a1
+    assert oriented_symbol(adj, (2, 3)) == ((2, 3), 1)
+    assert built == []
+    # a3 a1^-1: the inverse starts with a1, before a3
+    assert oriented_symbol(adj, (4, -2)) == ((2, -4), -1)
+    # a1 a3 a1^-1: both start with a1, and a3 comes before a3^-1
+    assert oriented_symbol(adj, (2, 4, -2)) == ((2, 4, -2), 1)
+    assert built == [(2, -4), (2, -4, -2)]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pcgroups.cosets import in_maln, oriented_symbol, parabolic, parabolic_member
+from pcgroups.cosets import in_maln, parabolic, parabolic_member
 from pcgroups.errors import BadParameter, LinkNotClique, NoSplitFound
 from pcgroups.graphs import build_graph, cycle_with_chord, is_clique, plain_cycle
 from pcgroups.hnn import (
@@ -19,8 +19,10 @@ from pcgroups.hnn import (
     t_length,
     unique_position_factorization,
 )
+from pcgroups import words
 from pcgroups.words import (
     canon_letters,
+    canonical_split,
     equal,
     lexmin_letters,
     minimal_form,
@@ -29,8 +31,9 @@ from pcgroups.words import (
     word_from_idx,
 )
 
-from oracles import (all_words, cyclically_reduce_units_reference,
-                     is_t_root_reference, random_graph, random_letters)
+from oracles import (all_words, coset_symbol_reference,
+                     cyclically_reduce_units_reference, is_t_root_reference,
+                     random_graph, random_letters)
 
 C5P = cycle_with_chord(5)
 
@@ -131,8 +134,10 @@ def test_sigma_orientation_pairs_inverses():
 
 
 def test_coset_symbol_matches_linearising_every_core():
-    # coset_symbol linearises a chunk's U-core again only after a left
-    # peel; the reference linearises every core
+    # canonical chunks on seeded random graphs, every t, against a
+    # reference that linearises every U-core again; coset_symbol
+    # linearises a core again only after an interior hole (a left letter
+    # that comes after a kept letter)
     rng = random.Random(31)
     cases = set()
     for g in [C5P, cycle_with_chord(7)] + [random_graph(rng) for _ in range(25)]:
@@ -143,15 +148,22 @@ def test_coset_symbol_matches_linearising_every_core():
             for _ in range(60):
                 chunk = canon_letters(adj, tuple(
                     rng.choice(others) * rng.choice((1, -1))
-                    for _ in range(rng.randint(0, 20))))
-                left, core, right = split_letters(adj, chunk, u_idx)
-                canon = lexmin_letters(adj, core)
-                want = oriented_symbol(adj, canon) if core else None
-                assert coset_symbol(adj, u_idx, chunk) == want
-                # only a left peel can leave the core out of lexmin order
-                assert core == canon or left
-                cases.add((bool(left), bool(right), core == canon))
-    assert (True, False, False) in cases and (False, True, True) in cases
+                    for _ in range(rng.randint(0, 40))))
+                assert coset_symbol(adj, u_idx, chunk) \
+                    == coset_symbol_reference(adj, u_idx, chunk)
+                left, core, right = canonical_split(adj, chunk, u_idx)
+                parts = split_letters(adj, chunk, u_idx)
+                # left is lex-least as peeled, right is left as it lies
+                assert tuple(left) == lexmin_letters(adj, parts[0]) \
+                    == parts[0]
+                assert core == lexmin_letters(adj, parts[1])
+                assert tuple(right) == parts[2]
+                # only an interior hole can leave the core out of order
+                hole = words._peel(adj, chunk, u_idx)[2]
+                assert hole or core == parts[1]
+                cases.add((hole, bool(left), bool(right), core == parts[1]))
+    assert {(True, True, False, False), (False, True, False, True),
+            (False, False, True, True)} <= cases
 
 
 def test_thickness_examples():

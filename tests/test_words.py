@@ -49,6 +49,7 @@ from pcgroups.words import (
 
 from oracles import (
     all_words,
+    canon_reference,
     catalog,
     closure_canonical,
     conjugacy_class_closure,
@@ -457,6 +458,20 @@ def test_cyclic_core_of_a_deep_conjugator():
     assert time.perf_counter() - start < 10.0
 
 
+def test_cyclic_core_of_a_deep_conjugator_over_many_generators():
+    # rank 300: every generator is a candidate, and a blocked candidate
+    # waits on the generator that blocks it instead of being tried again
+    # after every removal
+    g = build_graph([f"g{i}" for i in range(300)], [])
+    adj = g._adj_idx
+    rng = random.Random(1814)
+    u = reduce_letters(adj, random_letters(rng, 300, 600))
+    w = reduce_letters(adj, invert_letters(u) + (1, 2) + u)
+    ys, v = _cyclic_core(adj, w)
+    assert v == (1, 2) and 2 * len(ys) + 2 == len(w)
+    assert cyclic_core_letters(adj, w) == cyclic_core_reference(adj, w)
+
+
 def test_conjugate_test_matches_the_reference_and_the_partition():
     # every element of the radius-4 ball of each catalog graph against a
     # random member of its class and a random element of its length
@@ -793,6 +808,66 @@ def test_lexmin_needs_no_heap_walk_on_random_words(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# canon_letters: one insertion pass against reduce, then linearise
+
+
+def test_one_pass_canon_matches_two_passes_and_the_closure():
+    # seeded random graphs on 2-12 vertices, words of up to 400 letters,
+    # plain and wrapped as a . b . a^-1 so that long cancellations run
+    # through commuting letters
+    rng = random.Random(1811)
+    closures = wrapped = 0
+    for _ in range(120):
+        g = random_graph(rng)
+        adj = g._adj_idx
+        for _ in range(12):
+            length = rng.choice((rng.randrange(0, 9), rng.randrange(0, 61),
+                                 rng.randrange(0, 401)))
+            w = random_letters(rng, len(g), length)
+            if rng.random() < 0.3:
+                a = random_letters(rng, len(g), rng.randrange(0, 41))
+                w = a + w + invert_letters(a)
+                wrapped += 1
+            c = canon_letters(adj, w)
+            assert c == canon_reference(adj, w) == _lexmin_heap(
+                adj, reduce_letters(adj, w))
+            assert canon_letters(adj, c) == c
+            if len(w) <= 8:
+                assert c == closure_canonical(adj, w)
+                closures += 1
+    assert closures >= 300 and wrapped >= 300
+
+
+def _reduced_mixed_signs(rng, n, length):
+    """A reduced word over the free-abelian graph on n generators: one
+    sign per generator, letters in random order."""
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    return tuple(signs[g - 1] * g
+                 for g in (rng.randrange(1, n + 1) for _ in range(length)))
+
+
+def test_one_pass_canon_falls_back_on_free_abelian_mixed_signs(monkeypatch):
+    # every letter commutes, so each scan runs to the start of the word
+    # or to its own generator, the budget runs out and the heap walk
+    # finishes on the reduced word; the answer is the exponent-sum form
+    calls = _count_heap_walks(monkeypatch)
+    rng = random.Random(1812)
+    for n in (12, 40):
+        adj = _free_abelian(n)._adj_idx
+        for length in (80, 140, 260, 500):
+            for w in (_reduced_mixed_signs(rng, n, length),
+                      random_letters(rng, n, length)):
+                want = []
+                for i in range(1, n + 1):
+                    e = sum(1 if x == i else -1 for x in w if abs(x) == i)
+                    want += [i if e > 0 else -i] * abs(e)
+                before = len(calls)
+                assert canon_letters(adj, w) == tuple(want)
+                assert calls[before:] == [len(want)]
+                assert canon_reference(adj, w) == tuple(want)
+
+
+# ---------------------------------------------------------------------------
 # _peel: the early exit against testing every letter
 
 
@@ -807,8 +882,8 @@ class _CountedLetters(tuple):
 
 
 def _split_reference(adj, w, yidx):
-    left, rest = peel_reference(adj, w, yidx)
-    right, core = peel_reference(adj, rest[::-1], yidx)
+    left, rest, _ = peel_reference(adj, w, yidx)
+    right, core, _ = peel_reference(adj, rest[::-1], yidx)
     return tuple(left), tuple(core[::-1]), tuple(right[::-1])
 
 
@@ -833,8 +908,8 @@ def test_peel_matches_the_reference():
                                         rng.randrange(0, len(g) + 1)))
             w = random_letters(rng, len(g), rng.randrange(0, 61))
             for v in (w, reduce_letters(adj, w)):
-                side, kept = words._peel(adj, v, yidx)
-                assert (side, kept) == peel_reference(adj, v, yidx)
+                side, kept, hole = words._peel(adj, v, yidx)
+                assert (side, kept, hole) == peel_reference(adj, v, yidx)
                 assert split_letters(adj, v, yidx) == _split_reference(
                     adj, v, yidx)
 
@@ -849,9 +924,9 @@ def test_peel_stops_reading_after_one_kept_letter_on_edgeless_graphs():
         yidx = frozenset(rng.sample(range(1, len(g) + 1),
                                     rng.randrange(1, len(g) + 1)))
         w = _CountedLetters(random_letters(rng, len(g), rng.randrange(1, 61)))
-        side, kept = words._peel(adj, w, yidx)
+        side, kept, hole = words._peel(adj, w, yidx)
         seen = w.seen
-        assert (side, kept) == peel_reference(adj, w, yidx)
+        assert (side, kept, hole) == peel_reference(adj, w, yidx)
         if kept:
             assert seen == len(side) + 1
             exits += seen < len(w)
@@ -869,9 +944,9 @@ def test_peel_reads_every_letter_on_free_abelian_graphs():
         yidx = frozenset(rng.sample(range(1, len(g) + 1),
                                     rng.randrange(1, len(g) + 1)))
         w = _CountedLetters(random_letters(rng, len(g), rng.randrange(0, 61)))
-        side, kept = words._peel(adj, w, yidx)
+        side, kept, hole = words._peel(adj, w, yidx)
         assert w.seen == len(w)
-        assert (side, kept) == peel_reference(adj, w, yidx)
+        assert (side, kept, hole) == peel_reference(adj, w, yidx)
         assert sorted(side + kept) == sorted(w)
         assert all(abs(x) in yidx for x in side)
 
