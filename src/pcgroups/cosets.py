@@ -19,7 +19,7 @@ from .words import (
     canonical_split,
     invert_letters,
     lexmin_letters,
-    split_letters,
+    minimal_form,
     support,
 )
 
@@ -56,21 +56,14 @@ def parabolic_member(ctx: ParabolicContext, w) -> bool:
 def strip_divisors(ctx: ParabolicContext, w) -> DoubleCosetRep:
     """Factor w = left . core . right with left, right in the parabolic and
     core without parabolic divisors on either side.  Left-greedy: the
-    maximal left divisor is taken first.  The maximal divisors are fixed
-    by the element, so any geodesic of w (_reduced_idx) splits alike.
-    The letters of a text (through _canon_text) and of a NormalForm over
-    the graph are canonical, so canonical_split's interior-hole rule
-    leaves only right to linearise; a Word's geodesic gets all three
-    parts linearised."""
+    maximal left divisor is taken first.  The split runs on the canonical
+    letters of w, so canonical_split's interior-hole rule leaves only
+    right to linearise."""
     g = ctx.graph
     adj = g._adj_idx
-    idx = _reduced_idx(g, w)
-    if isinstance(w, str) or (isinstance(w, NormalForm) and w.graph is g):
-        left, core, right = canonical_split(adj, idx, ctx.subset_idx)
-        parts = tuple(left), core, lexmin_letters(adj, right)
-    else:
-        parts = [lexmin_letters(adj, p)
-                 for p in split_letters(adj, idx, ctx.subset_idx)]
+    idx = minimal_form(g, w).idx
+    left, core, right = canonical_split(adj, idx, ctx.subset_idx)
+    parts = tuple(left), core, lexmin_letters(adj, right)
     left, core, right = (NormalForm(Word(g, p)) for p in parts)
     return DoubleCosetRep(left=left, core=core, right=right)
 

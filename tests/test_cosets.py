@@ -183,9 +183,9 @@ def test_oriented_symbol_matches_comparing_whole_keys():
 def test_strip_divisors_matches_the_always_lexmin_reference():
     # seeded random graphs and subsets, words of up to 80 letters given
     # as text, as a NormalForm and as a Word, against a reference that
-    # linearises all three parts of the canonical form's split; text and
-    # NormalForm letters are canonical and skip the left and (without an
-    # interior hole) the core linearising
+    # linearises all three parts of the canonical form's split; every
+    # input is split on its canonical letters, which skips the left and
+    # (without an interior hole) the core linearising
     rng = random.Random(1816)
     holes = set()
     for _ in range(300):
