@@ -24,7 +24,7 @@ from types import SimpleNamespace
 from .cosets import maln_support
 from .errors import BadParameter, BudgetExceeded
 from .graphs import cycle_with_chord
-from .words import lexmin_letters, split_letters
+from .words import canon_letters, canonical_split
 
 # automaton steps (states x letters, summed over levels) one system may
 # spend reaching its chunk budget d
@@ -305,9 +305,11 @@ def form(n, kind, index):
 @lru_cache(maxsize=4096)
 def symbol(n, w):
     """The double-coset symbol of a form outside U, as its canonical
-    U-core: distinct U-cores never share a symbol."""
+    U-core: distinct U-cores never share a symbol.  The U-core is fixed
+    by the element, so it is split from w's canonical form."""
     adj = h_adj(n)
-    return lexmin_letters(adj, split_letters(adj, w, frozenset((1, n - 1)))[1])
+    u_idx = frozenset((1, n - 1))
+    return canonical_split(adj, canon_letters(adj, w), u_idx)[1]
 
 
 @lru_cache(maxsize=32)

@@ -16,10 +16,9 @@ from .words import (
     NormalForm,
     Word,
     _reduced_idx,
+    canon_letters,
     canonical_split,
     invert_letters,
-    lexmin_letters,
-    minimal_form,
     support,
 )
 
@@ -61,9 +60,9 @@ def strip_divisors(ctx: ParabolicContext, w) -> DoubleCosetRep:
     right to linearise."""
     g = ctx.graph
     adj = g._adj_idx
-    idx = minimal_form(g, w).idx
+    idx = _reduced_idx(g, w)
     left, core, right = canonical_split(adj, idx, ctx.subset_idx)
-    parts = tuple(left), core, lexmin_letters(adj, right)
+    parts = tuple(left), core, canon_letters(adj, right)
     left, core, right = (NormalForm(Word(g, p)) for p in parts)
     return DoubleCosetRep(left=left, core=core, right=right)
 
@@ -93,7 +92,7 @@ def oriented_symbol(adj, core):
             return (core, 1)
     else:
         return (core, 1)
-    inv = lexmin_letters(adj, invert_letters(core))
+    inv = canon_letters(adj, invert_letters(core))
     for x, y in zip(core, inv):
         if x != y:
             if (abs(x), x < 0) < (abs(y), y < 0):

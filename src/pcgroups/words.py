@@ -8,20 +8,20 @@ Canonical form: the lexicographically least geodesic under the letter
 order (generator index, then sign with + before -).  One letter engine
 computes it and serves every layer above:
 
-* canon_letters: one left-to-right insertion pass.  Each letter scans
-  back over the trailing letters of the canonical form built so far
-  that it commutes with.  If the scan ends at its inverse, the two
-  cancel (Wrathall 1988); otherwise the letter goes in before the
-  leftmost larger letter it passed (Anisimov-Knuth 1979).  A scan
-  budget hands long commuting runs to a heap walk of the dependence
-  order;
-* lexmin_letters: the same insertion without cancelling, for words
-  known to be geodesic, and reduce_letters: the cancellation alone,
-  for callers that need only a geodesic;
-* split_letters: one pass per side peels the maximal left and right
-  divisors over a vertex subset (the parabolic double-coset split);
-  canonical_split does it on a canonical form and linearises the core
-  again only after an interior hole;
+* canon_letters: one left-to-right insertion pass, the only routine
+  that linearises letters.  Each letter scans back over the trailing
+  letters of the canonical form built so far that it commutes with.
+  If the scan ends at its inverse, the two cancel (Wrathall 1988);
+  otherwise the letter goes in before the leftmost larger letter it
+  passed (Anisimov-Knuth 1979).  A scan budget hands long commuting
+  runs to _canon_heap, a heap walk of the dependence order that
+  cancels by the same test as it walks;
+* reduce_letters: the cancellation alone, for callers that need only
+  a geodesic (conjugate_test and the wrap chunk of hnn);
+* canonical_split: one pass per side of a canonical form peels the
+  maximal left and right divisors over a vertex subset (the parabolic
+  double-coset split), and linearises the core again only after an
+  interior hole;
 * _cyclic_core: one worklist pass over any geodesic removes the pairs
   y ... y^-1 of first and last letters that are a left and a right
   divisor (cyclic reduction, for cyclic_reduce and conjugate_test).
@@ -113,11 +113,10 @@ _SCAN_START = 64
 _SCAN_PER_LETTER = 8
 
 
-def _insert(adj, w, cancel):
-    """Insert each letter of w into the lex-least word built so far, as
-    lexmin_letters describes; with cancel, a letter x whose scan ends at
-    x^-1 deletes that letter instead (see canon_letters).  Returns the
-    letters as a tuple, or None once a scan would pass the budget."""
+def _insert(adj, w):
+    """Insert each letter of w into the canonical form built so far, as
+    canon_letters describes.  Returns the letters as a tuple, or None
+    once a scan would pass the budget."""
     out = []
     budget = _SCAN_START
     for x in w:
@@ -137,66 +136,52 @@ def _insert(adj, w, cancel):
             if j and abs(out[j - 1]) in nbrs:
                 return None
         budget -= n - j
-        if cancel and j and out[j - 1] == -x:
+        if j and out[j - 1] == -x:
             del out[j - 1]
         else:
             out.insert(pos, x)
     return tuple(out)
 
 
-def lexmin_letters(adj, w):
-    """Lex-least word commutation-equivalent to w, reduced or not.
+def _canon_heap(adj, w):
+    """Canonical form of any word w, by a heap walk: the fallback of
+    canon_letters, linear in |w| times the generators seen.
 
-    Each letter x goes into the lex-least word built so far: it scans
-    back over the trailing letters that commute with x and is inserted
-    before the leftmost of them that is larger, or at the end when none
-    is.  A scanned letter has another generator than x, so comparing
-    generators is enough.  A word is lex-least iff it has no factor
-    b.u.a with a < b where a commutes with b and with every letter of u
-    (Anisimov-Knuth 1979), and insertion creates no such factor:
-    * x is no such a: b.u would lie in the scan, since the letter that
-      ends the scan does not commute with x, and the scanned letters
-      before x are all smaller;
-    * x is no such b: a < x < y for the letter y just after x, and a
-      would commute with y and the letters between, so y...a was a
-      forbidden factor of the old word;
-    * a factor with x inside u was one of the old word without x.
-
-    One scan costs its length, so a long run of commuting letters makes
-    insertion quadratic.  The running budget pays for the scans: a scan
-    that would pass it stops there, and _lexmin_heap starts over on w.
-    That caps the wasted work at _SCAN_START + _SCAN_PER_LETTER * |w|
-    letter steps, list.insert's moves included (they move only scanned
-    letters).
-    """
-    out = _insert(adj, w, False)
-    return _lexmin_heap(adj, w) if out is None else out
-
-
-def _lexmin_heap(adj, w):
-    """Lex-least commutation-equivalent word of w, by a heap walk: the
-    fallback of lexmin_letters, linear in |w| times the generators seen.
-
-    Each position depends on the last earlier occurrence of every
-    generator that equals its own or does not commute with it; dependent
-    positions keep their order.  Popping the least ready letter from a
-    heap keyed by (generator, sign) linearises this partial order
+    Each live letter depends on the last earlier live letter of every
+    generator that equals its own or does not commute with it.  A letter
+    x cancels the last live letter p of its generator when w[p] = x^-1
+    and every other generator it does not commute with has its last live
+    letter before p: Wrathall's test, as in canon_letters.  below[p] is
+    the live letter of p's generator before p, which becomes the last
+    again.  A cancelled letter has no live successor, so the live
+    letters count live predecessors only, and a cancelled one counts -1
+    and below, so it is never ready.  Popping the least ready letter
+    from a heap keyed by (generator, sign) linearises this partial order
     greedily, which gives the lexicographic minimum over the class.
     Equal letters are dependent, so no two ready letters tie.
     """
     m = len(w)
-    if m <= 1:
-        return tuple(w)
-    last = {}  # generator -> its last position so far
+    last = {}  # generator -> its last live position so far
+    below = [None] * m
     succ = [[] for _ in range(m)]
     npred = [0] * m
     for q, x in enumerate(w):
-        nbrs = adj[abs(x)]
-        for gen, p in last.items():
-            if gen not in nbrs:
-                succ[p].append(q)
-                npred[q] += 1
-        last[abs(x)] = q
+        gen = abs(x)
+        nbrs = adj[gen]
+        deps = [p for k, p in last.items() if k not in nbrs]
+        p = last.get(gen)
+        if p is not None and w[p] == -x and max(deps) == p:
+            npred[p] = npred[q] = -1
+            if below[p] is None:
+                del last[gen]
+            else:
+                last[gen] = below[p]
+            continue
+        for p in deps:
+            succ[p].append(q)
+        npred[q] = len(deps)
+        below[q] = last.get(gen)
+        last[gen] = q
     heap = [(abs(w[q]), w[q] < 0, q) for q in range(m) if not npred[q]]
     heapify(heap)
     out = []
@@ -213,26 +198,43 @@ def _lexmin_heap(adj, w):
 def canon_letters(adj, w):
     """Canonical form of any word w, in one insertion pass.
 
-    Each letter x runs the insertion scan of lexmin_letters over the
-    canonical form of the prefix read so far.  When the letter that
-    ends the scan is x^-1, that letter is deleted and x is not
-    inserted; otherwise x is inserted as in lexmin_letters.  Both steps
-    keep the list the canonical form of the prefix read so far:
+    Each letter x scans back over the trailing letters of the canonical
+    form of the prefix read so far that commute with x.  A scanned
+    letter has another generator than x, so comparing generators is
+    enough.  When the letter that ends the scan is x^-1, that letter is
+    deleted and x is not inserted; otherwise x goes in before the
+    leftmost larger letter it passed, or at the end when none is.  Both
+    steps keep the list the canonical form of the prefix read so far:
     * the scan passes exactly the trailing letters that commute with x,
       and so stops at the last letter that does not commute with x or
       has its generator; that letter is x^-1 iff x^-1 is a right
-      divisor, which is Wrathall's cancellation test (reduce_letters),
+      divisor, which is Wrathall's cancellation test (Wrathall 1988),
       so the new list is geodesic;
+    * a word is lex-least iff it has no factor b.u.a with a < b where a
+      commutes with b and with every letter of u (Anisimov-Knuth 1979),
+      and inserting x creates no such factor: x is no such a, since b.u
+      would lie in the scan, whose letters before x are all smaller; x
+      is no such b, since a < x < y for the letter y just after x, and a
+      would commute with y and the letters between, so y...a was a
+      forbidden factor of the old word; and a factor with x inside u
+      was one of the old word without x;
     * deleting a right-divisor letter from a lex-least word leaves it
       lex-least: the letter commutes with every later letter, so a
       forbidden factor b.u.a of what is left would have been one of the
       word with it put back, the letter joining u when it lies between
       b and a, since it commutes with a.
-    When a scan would pass the budget, the heap walk starts over on the
-    geodesic reduce_letters gives.
+    On a geodesic no scan ends at x^-1, since a geodesic prefix times x
+    is geodesic, so the pass only linearises.
+
+    One scan costs its length, so a long run of commuting letters makes
+    insertion quadratic.  The running budget pays for the scans: a scan
+    that would pass it stops there, and _canon_heap starts over on w.
+    That caps the wasted work at _SCAN_START + _SCAN_PER_LETTER * |w|
+    letter steps, list.insert's moves included (they move only scanned
+    letters).
     """
-    out = _insert(adj, w, True)
-    return _lexmin_heap(adj, reduce_letters(adj, w)) if out is None else out
+    out = _insert(adj, w)
+    return _canon_heap(adj, w) if out is None else out
 
 
 def _peel(adj, w, yidx):
@@ -260,29 +262,19 @@ def _peel(adj, w, yidx):
     return side, kept, hole
 
 
-def split_letters(adj, w, yidx):
-    """Split a minimal form w as left . core . right, length-additively.
-
-    left is the maximal left divisor of w over the generators yidx, and
-    right the maximal right divisor over yidx of what remains, so core
-    has no left or right divisor over yidx.  The three parts are
-    subsequences of w, geodesic but not linearised.
-    """
-    left, rest, _ = _peel(adj, w, yidx)
-    right, core, _ = _peel(adj, rest[::-1], yidx)
-    return tuple(left), tuple(core[::-1]), tuple(right[::-1])
-
-
 def canonical_split(adj, c, yidx):
-    """split_letters for a canonical c, with left and core canonical as
-    they come out: (left, core, right), left and right as lists, right
-    not linearised.
+    """Split a canonical c as left . core . right, length-additively:
+    left is the maximal left divisor of c over the generators yidx, and
+    right the maximal right divisor over yidx of what remains, so core
+    has no left or right divisor over yidx.  Returns (left, core,
+    right), left and right as lists, left and core canonical, right a
+    geodesic not linearised.
 
     Interior-hole rule.  Call a left letter that comes after a kept
     letter of c an interior hole.
     * left is lex-least: each left letter commutes with every kept
       letter before it, so a forbidden factor b.u.a of left (see
-      lexmin_letters) would be one of c, with those kept letters in u.
+      canon_letters) would be one of c, with those kept letters in u.
     * Without an interior hole the left letters are a prefix of c, so
       the kept letters are a factor of c, and lex-least.  The core is
       the kept letters less the right letters, each of which commutes
@@ -293,32 +285,8 @@ def canonical_split(adj, c, yidx):
     left, kept, hole = _peel(adj, c, yidx)
     right, core, _ = _peel(adj, kept[::-1], yidx)
     core.reverse()
-    core = lexmin_letters(adj, core) if hole else tuple(core)
+    core = canon_letters(adj, core) if hole else tuple(core)
     return left, core, right[::-1]
-
-
-def left_divisor_letters(adj, w):
-    """Single letters x with w = x . w' length-additively (w minimal):
-    the letters that commute with every letter before them."""
-    out = set()
-    seen = set()
-    for x in w:
-        if seen <= adj[abs(x)]:
-            out.add(x)
-        seen.add(abs(x))
-    return out
-
-
-def right_divisor_letters(adj, w):
-    return {-x for x in left_divisor_letters(adj, invert_letters(w))}
-
-
-def is_cyclically_minimal_letters(adj, w):
-    lds = left_divisor_letters(adj, w)
-    if not lds:
-        return True
-    rds = right_divisor_letters(adj, w)
-    return not any(-y in rds for y in lds)
 
 
 def _cyclic_core(adj, w):
@@ -393,10 +361,9 @@ def _cyclic_core(adj, w):
 def cyclic_core_letters(adj, w):
     """Split a geodesic w, canonical or not, as u^{-1} . v . u with v
     cyclically minimal; returns (u_letters, v_letters), both canonical.
-    The ys of _cyclic_core are a prefix of a geodesic of w's element, so
-    u, their inverse, needs only lexmin_letters."""
+    u, the inverse of the ys of _cyclic_core, and v are geodesics."""
     ys, v = _cyclic_core(adj, w)
-    return lexmin_letters(adj, invert_letters(ys)), lexmin_letters(adj, v)
+    return canon_letters(adj, invert_letters(ys)), canon_letters(adj, v)
 
 
 def _pair_rules(adj, u, v):
@@ -660,39 +627,28 @@ def _canon_text(g, text):
     return canon_letters(g._adj_idx, parse_word(text, g).idx)
 
 
+def _reduced_idx(g, w):
+    """Canonical letters of w: a NormalForm over g is canonical by
+    construction and gives its letters as they are; one over an equal
+    graph held in another object is canonicalised again.  A text goes
+    through _canon_text."""
+    if isinstance(w, NormalForm) and w.graph is g:
+        return w.idx
+    if isinstance(w, str):
+        return _canon_text(g, w)
+    return canon_letters(g._adj_idx, as_word(g, w).idx)
+
+
 def minimal_form(g: CommutationGraph, w) -> NormalForm:
-    """Canonical geodesic representative of the element of w.  A
-    NormalForm over g is canonical by construction and is returned as it
-    is; one over an equal graph held in another object is canonicalised
-    again.  A text goes through _canon_text."""
+    """Canonical geodesic representative of the element of w; a
+    NormalForm over g is returned as it is."""
     if isinstance(w, NormalForm) and w.graph is g:
         return w
-    if isinstance(w, str):
-        return NormalForm(Word(g, _canon_text(g, w)))
-    w = as_word(g, w)
-    return NormalForm(Word(g, canon_letters(g._adj_idx, w.idx)))
+    return NormalForm(Word(g, _reduced_idx(g, w)))
 
 
 def equal(g: CommutationGraph, w1, w2) -> bool:
-    a = minimal_form(g, w1)
-    b = minimal_form(g, w2)
-    return a.idx == b.idx
-
-
-def _geodesic_idx(g, w):
-    """Letters of a geodesic for w, not canonicalised: a NormalForm over
-    g is one already, anything else is parsed and reduced."""
-    if isinstance(w, NormalForm) and w.graph is g:
-        return w.idx
-    return reduce_letters(g._adj_idx, as_word(g, w).idx)
-
-
-def _reduced_idx(g, w):
-    """Letters of a geodesic for w, as _geodesic_idx gives them, except
-    that a text gets its canonical letters from _canon_text."""
-    if isinstance(w, str):
-        return _canon_text(g, w)
-    return _geodesic_idx(g, w)
+    return _reduced_idx(g, w1) == _reduced_idx(g, w2)
 
 
 def length(g: CommutationGraph, w) -> int:
@@ -705,9 +661,9 @@ def support(g: CommutationGraph, w) -> set:
 
 
 def is_cyclically_minimal(g: CommutationGraph, w) -> bool:
-    """No letter is a left divisor while its inverse is a right divisor."""
-    nf = minimal_form(g, w)
-    return is_cyclically_minimal_letters(g._adj_idx, nf.idx)
+    """No letter is a left divisor while its inverse is a right divisor:
+    _cyclic_core finds no such pair to remove."""
+    return not _cyclic_core(g._adj_idx, _reduced_idx(g, w))[0]
 
 
 def cyclic_reduce(g: CommutationGraph, w) -> CyclicDecomposition:
@@ -724,7 +680,7 @@ def _blocks(adj, core):
     commute with one another.
     The split works on generator indices and leaves each block as it
     lies in core: it replaces complement_components over vertex names
-    followed by a lexmin_letters call per block."""
+    followed by a canon_letters call per block."""
     comps, rest = [], {abs(x) for x in core}
     while rest:
         comp = [min(rest)]
@@ -743,11 +699,12 @@ def block_decomposition(g: CommutationGraph, v) -> list:
     """Factor a cyclically minimal element along the connected components
     of the complement graph on its support, each factor canonical."""
     adj = g._adj_idx
-    nf = minimal_form(g, v)
-    if not is_cyclically_minimal_letters(adj, nf.idx):
-        raise NotCyclicallyMinimal(f"{format_word(nf.word)} is not cyclically minimal")
-    return [NormalForm(Word(g, lexmin_letters(adj, b)))
-            for b in _blocks(adj, nf.idx)]
+    idx = _reduced_idx(g, v)
+    if _cyclic_core(adj, idx)[0]:
+        raise NotCyclicallyMinimal(
+            f"{format_word(Word(g, idx))} is not cyclically minimal")
+    return [NormalForm(Word(g, canon_letters(adj, b)))
+            for b in _blocks(adj, idx)]
 
 
 def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
@@ -761,7 +718,13 @@ def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
     every geodesic of an element, so it runs on geodesics and never
     builds a canonical form."""
     adj = g._adj_idx
-    b1, b2 = (_blocks(adj, _cyclic_core(adj, _geodesic_idx(g, w))[1])
+
+    def geodesic(w):  # a NormalForm over g is one already
+        if isinstance(w, NormalForm) and w.graph is g:
+            return w.idx
+        return reduce_letters(adj, as_word(g, w).idx)
+
+    b1, b2 = (_blocks(adj, _cyclic_core(adj, geodesic(w))[1])
               for w in (w1, w2))
     if ([({abs(x) for x in b}, len(b)) for b in b1]
             != [({abs(x) for x in b}, len(b)) for b in b2]):

@@ -14,13 +14,15 @@ form or over the normal-form automaton; its sampler reference calls
 randrange for every draw and bisects for the t-length, and its
 unranking references scan each state's successors letter by letter and
 walk every length p of the square system's first part.
-The letter-engine references canonicalise in two passes (reduce, then
-linearise), linearise every part of a double-coset split again, peel
-divisors by testing every letter
-against every kept generator, orient a double-coset symbol by
-comparing whole sort keys, cyclically reduce a canonical form by
-recomputing both divisor sets for every pair they peel, and test
-conjugacy over canonical forms of the words, cores and blocks.  The
+The letter-engine references keep their own letter routines and call
+no canonical form of the library: they canonicalise in two passes
+(reduce, then linearise by a heap walk that never cancels), split a
+double coset by two peels and linearise every part again, peel divisors
+by testing every letter against every kept generator, orient a
+double-coset symbol by comparing whole sort keys, test cyclic minimality
+and cyclically reduce a canonical form by recomputing both divisor-letter
+sets for every pair they peel, and test conjugacy over canonical forms
+of the words, cores and blocks.  The
 t-root reference always builds sigma(h), strips its inverse end pairs
 one slice at a time and tests every rotation.
 """
@@ -29,6 +31,7 @@ import math
 import random
 from bisect import bisect_right
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import product
 
 from pcgroups import census, census_slots
@@ -51,16 +54,10 @@ from pcgroups.words import (
     _TOKEN_RE,
     MAX_WORD_LETTERS,
     _block_conjugate,
+    as_word,
     bounded_int,
-    canon_letters,
     invert_letters,
-    is_cyclically_minimal_letters,
-    left_divisor_letters,
-    lexmin_letters,
-    minimal_form,
     reduce_letters,
-    right_divisor_letters,
-    split_letters,
 )
 
 
@@ -205,16 +202,77 @@ def peel_reference(adj, w, yidx):
     return side, kept, hole
 
 
+def lexmin_reference(adj, w):
+    """Lex-least word commutation-equivalent to w, reduced or not, by a
+    heap walk that never cancels: each position depends on the last
+    earlier occurrence of every generator that equals its own or does
+    not commute with it, and popping the least ready letter linearises
+    this partial order greedily.  On a geodesic this is the canonical
+    form."""
+    last = {}
+    succ = [[] for _ in w]
+    npred = [0] * len(w)
+    for q, x in enumerate(w):
+        for gen, p in last.items():
+            if gen not in adj[abs(x)]:
+                succ[p].append(q)
+                npred[q] += 1
+        last[abs(x)] = q
+    heap = [(abs(w[q]), w[q] < 0, q) for q in range(len(w)) if not npred[q]]
+    heapify(heap)
+    out = []
+    while heap:
+        p = heappop(heap)[2]
+        out.append(w[p])
+        for q in succ[p]:
+            npred[q] -= 1
+            if not npred[q]:
+                heappush(heap, (abs(w[q]), w[q] < 0, q))
+    return tuple(out)
+
+
 def canon_reference(adj, w):
     """words.canon_letters in two passes: reduce_letters, then
-    lexmin_letters."""
-    return lexmin_letters(adj, reduce_letters(adj, w))
+    lexmin_reference."""
+    return lexmin_reference(adj, reduce_letters(adj, w))
+
+
+def split_reference(adj, w, yidx):
+    """Split a geodesic w as left . core . right by two peels: left the
+    maximal left divisor over yidx, right the maximal right divisor over
+    yidx of what remains; the parts as subsequences of w, not
+    linearised."""
+    left, rest, _ = peel_reference(adj, w, yidx)
+    right, core, _ = peel_reference(adj, rest[::-1], yidx)
+    return tuple(left), tuple(core[::-1]), tuple(right[::-1])
+
+
+def left_divisor_reference(adj, w):
+    """Single letters x with w = x . w' length-additively (w geodesic):
+    the letters that commute with every letter before them."""
+    out, seen = set(), set()
+    for x in w:
+        if seen <= adj[abs(x)]:
+            out.add(x)
+        seen.add(abs(x))
+    return out
+
+
+def right_divisor_reference(adj, w):
+    return {-x for x in left_divisor_reference(adj, invert_letters(w))}
+
+
+def is_cyclically_minimal_reference(adj, w):
+    """words.is_cyclically_minimal on a geodesic w: no left-divisor
+    letter y whose inverse is a right-divisor letter."""
+    rds = right_divisor_reference(adj, w)
+    return not any(-y in rds for y in left_divisor_reference(adj, w))
 
 
 def coset_symbol_reference(adj, u_idx, chunk):
     """hnn.coset_symbol with every U-core linearised again and oriented
     by comparing whole sort keys."""
-    core = lexmin_letters(adj, split_letters(adj, chunk, u_idx)[1])
+    core = lexmin_reference(adj, split_reference(adj, chunk, u_idx)[1])
     return oriented_symbol_reference(adj, core) if core else None
 
 
@@ -223,14 +281,15 @@ def strip_divisors_reference(ctx, w):
     canonical form of w split, and every part linearised again."""
     g = ctx.graph
     adj = g._adj_idx
-    return tuple(lexmin_letters(adj, part) for part in split_letters(
-        adj, minimal_form(g, w).idx, ctx.subset_idx))
+    c = canon_reference(adj, as_word(g, w).idx)
+    return tuple(lexmin_reference(adj, part)
+                 for part in split_reference(adj, c, ctx.subset_idx))
 
 
 def oriented_symbol_reference(adj, core):
     """cosets.oriented_symbol by comparing the sort keys of the core and
     of its canonical inverse whole."""
-    inv = lexmin_letters(adj, invert_letters(core))
+    inv = lexmin_reference(adj, invert_letters(core))
     if _key(core) <= _key(inv):
         return (core, 1)
     return (inv, -1)
@@ -260,14 +319,14 @@ def conjugacy_class_closure(adj, core):
     generate every split because u can be peeled one letter at a time.
     The reference for conjugate_test, which decides each block by its
     dependent-pair projections instead."""
-    start = lexmin_letters(adj, core)
+    start = lexmin_reference(adj, core)
     seen = {start}
     stack = [start]
     while stack:
         cur = stack.pop()
-        for y in left_divisor_letters(adj, cur):
+        for y in left_divisor_reference(adj, cur):
             p = cur.index(y)
-            nxt = lexmin_letters(adj, cur[:p] + cur[p + 1:] + (y,))
+            nxt = lexmin_reference(adj, cur[:p] + cur[p + 1:] + (y,))
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -281,8 +340,8 @@ def cyclic_core_reference(adj, w):
     (u, v), both canonical."""
     cur, ys = w, []
     while True:
-        rds = right_divisor_letters(adj, cur)
-        y = min((y for y in left_divisor_letters(adj, cur) if -y in rds),
+        rds = right_divisor_reference(adj, cur)
+        y = min((y for y in left_divisor_reference(adj, cur) if -y in rds),
                 key=lambda y: (abs(y), y < 0), default=None)
         if y is None:
             break
@@ -290,8 +349,8 @@ def cyclic_core_reference(adj, w):
         q = len(cur) - 1 - cur[::-1].index(-y)
         cur = cur[:p] + cur[p + 1:q] + cur[q + 1:]
         ys.append(y)
-    u = canon_letters(adj, tuple(-y for y in reversed(ys)))
-    v = lexmin_letters(adj, cur)
+    u = lexmin_reference(adj, tuple(-y for y in reversed(ys)))
+    v = lexmin_reference(adj, cur)
     return u, v
 
 
@@ -303,8 +362,9 @@ def conjugate_test_reference(g, w1, w2):
     adj = g._adj_idx
     found = []
     for w in (w1, w2):
-        core = cyclic_core_reference(adj, minimal_form(g, w).idx)[1]
-        found.append([lexmin_letters(adj, tuple(
+        canonical = canon_reference(adj, as_word(g, w).idx)
+        core = cyclic_core_reference(adj, canonical)[1]
+        found.append([lexmin_reference(adj, tuple(
             x for x in core if g.name(abs(x)) in comp))
             for comp in complement_components(
                 g, {g.name(abs(x)) for x in core})])
@@ -460,8 +520,8 @@ class SlotData:
         self.mid_list, self.mid_sym, self.mid_thick = [], [], []
         self.cyc_min_count = 0
         for w in hdata.forms(d):
-            left, core, _ = split_letters(adj, w, u_idx)
-            sym = oriented_symbol(adj, lexmin_letters(adj, core))
+            left, core, _ = split_reference(adj, w, u_idx)
+            sym = oriented_symbol(adj, lexmin_reference(adj, core))
             supp = {abs(x) for x in w}
             in_u = supp <= u_idx
             thick = in_u or maln_support(adj, supp, u_idx)
@@ -472,7 +532,7 @@ class SlotData:
                 self.mid_list.append(w)
                 self.mid_sym.append(sym)
                 self.mid_thick.append(thick)
-            if is_cyclically_minimal_letters(adj, w):
+            if is_cyclically_minimal_reference(adj, w):
                 self.cyc_min_count += 1
 
     def tallies(self, *, thick_only, strict):
@@ -510,7 +570,7 @@ def iter_strict_composed(n, d, k, limit=200_000):
         return tuple((abs(x) + 1) * (1 if x > 0 else -1) for x in w)
 
     for w in slot.first_list:
-        if is_cyclically_minimal_letters(hd.adj, w):
+        if is_cyclically_minimal_reference(hd.adj, w):
             count += 1
             yield ("L0", lift(w))
     m = n - 1

@@ -24,16 +24,15 @@ from pcgroups.words import (
     canon_letters,
     canonical_split,
     equal,
-    lexmin_letters,
     minimal_form,
     parse_word,
-    split_letters,
     word_from_idx,
 )
 
 from oracles import (all_words, coset_symbol_reference,
                      cyclically_reduce_units_reference, is_t_root_reference,
-                     random_graph, random_letters)
+                     lexmin_reference, random_graph, random_letters,
+                     split_reference)
 
 C5P = cycle_with_chord(5)
 
@@ -152,11 +151,11 @@ def test_coset_symbol_matches_linearising_every_core():
                 assert coset_symbol(adj, u_idx, chunk) \
                     == coset_symbol_reference(adj, u_idx, chunk)
                 left, core, right = canonical_split(adj, chunk, u_idx)
-                parts = split_letters(adj, chunk, u_idx)
+                parts = split_reference(adj, chunk, u_idx)
                 # left is lex-least as peeled, right is left as it lies
-                assert tuple(left) == lexmin_letters(adj, parts[0]) \
+                assert tuple(left) == lexmin_reference(adj, parts[0]) \
                     == parts[0]
-                assert core == lexmin_letters(adj, parts[1])
+                assert core == lexmin_reference(adj, parts[1])
                 assert tuple(right) == parts[2]
                 # only an interior hole can leave the core out of order
                 hole = words._peel(adj, chunk, u_idx)[2]

@@ -24,10 +24,12 @@ from pcgroups.graphs import build_graph, cycle_with_chord, plain_cycle
 from pcgroups.hnn import hnn_factorize, sigma
 from pcgroups.words import (
     MAX_WORD_LETTERS,
+    _canon_heap,
     _cyclic_core,
-    _lexmin_heap,
+    _insert,
     block_decomposition,
     canon_letters,
+    canonical_split,
     conjugate_test,
     cyclic_core_letters,
     cyclic_reduce,
@@ -36,11 +38,9 @@ from pcgroups.words import (
     invert_letters,
     is_cyclically_minimal,
     length,
-    lexmin_letters,
     minimal_form,
     parse_word,
     reduce_letters,
-    split_letters,
     support,
     NormalForm,
     Word,
@@ -56,10 +56,13 @@ from oracles import (
     conjugacy_partition,
     conjugate_test_reference,
     cyclic_core_reference,
+    is_cyclically_minimal_reference,
+    lexmin_reference,
     parse_word_reference,
     peel_reference,
     random_graph,
     random_letters,
+    split_reference,
 )
 
 FREE2 = build_graph(["a", "b"], [])
@@ -735,10 +738,12 @@ def test_long_words_invariant_under_swaps_and_inserted_pairs():
 
 
 # ---------------------------------------------------------------------------
-# lexmin_letters: insertion against the heap walk and the move closure
+# the lex-least insertion against the heap walk and the move closure
 
 
 def test_lexmin_insertion_matches_the_heap_walk_and_the_closure():
+    # both engines of canon_letters on the same words, reduced or not;
+    # on a geodesic both equal the heap walk that never cancels
     rng = random.Random(2026)
     closures = 0
     for _ in range(100):
@@ -748,23 +753,25 @@ def test_lexmin_insertion_matches_the_heap_walk_and_the_closure():
             length = rng.choice((rng.randrange(0, 9), rng.randrange(0, 61)))
             w = random_letters(rng, len(g), length)
             r = reduce_letters(adj, w)
-            assert lexmin_letters(adj, w) == _lexmin_heap(adj, w)
-            assert lexmin_letters(adj, r) == _lexmin_heap(adj, r)
+            assert _insert(adj, w) == _canon_heap(adj, w) == canon_letters(
+                adj, w)
+            assert _insert(adj, r) == _canon_heap(adj, r) \
+                == lexmin_reference(adj, r)
             if length <= 8:
-                assert lexmin_letters(adj, r) == closure_canonical(adj, w)
+                assert canon_letters(adj, w) == closure_canonical(adj, w)
                 closures += 1
     assert closures >= 1000
 
 
 def _count_heap_walks(monkeypatch):
     calls = []
-    heap_walk = words._lexmin_heap
+    heap_walk = words._canon_heap
 
     def counted(adj, w):
         calls.append(len(w))
         return heap_walk(adj, w)
 
-    monkeypatch.setattr(words, "_lexmin_heap", counted)
+    monkeypatch.setattr(words, "_canon_heap", counted)
     return calls
 
 
@@ -775,13 +782,13 @@ def test_lexmin_long_commuting_runs_fall_back_to_the_heap_walk(monkeypatch):
     rng = random.Random(12)
     w = tuple(rng.randrange(1, 13) for _ in range(3000))
     adj = free_abelian._adj_idx
-    assert lexmin_letters(adj, w) == _lexmin_heap(adj, w) == tuple(sorted(w))
+    assert canon_letters(adj, w) == _canon_heap(adj, w) == tuple(sorted(w))
     # x and y are central over the free pair a, b
     g = build_graph(["a", "b", "x", "y"],
                     [(u, v) for u in "abx" for v in "xy" if u != v])
     w = (1, 2) * 30 + (3, 4) * 1000
     adj = g._adj_idx
-    assert (lexmin_letters(adj, w) == _lexmin_heap(adj, w)
+    assert (canon_letters(adj, w) == _canon_heap(adj, w)
             == (1, 2) * 30 + (3,) * 1000 + (4,) * 1000)
     assert calls == [3000, 2060]
 
@@ -799,7 +806,7 @@ def test_lexmin_needs_no_heap_walk_on_random_words(monkeypatch):
         for length in range(25, 401, 25):
             for _ in range(4):
                 w = word_from_idx(g, random_letters(rng, len(g), length))
-                assert lexmin_letters(g._adj_idx, w.idx) == _lexmin_heap(
+                assert _insert(g._adj_idx, w.idx) == _canon_heap(
                     g._adj_idx, w.idx)
                 minimal_form(g, w)
                 strip_divisors(u, w)
@@ -829,8 +836,7 @@ def test_one_pass_canon_matches_two_passes_and_the_closure():
                 w = a + w + invert_letters(a)
                 wrapped += 1
             c = canon_letters(adj, w)
-            assert c == canon_reference(adj, w) == _lexmin_heap(
-                adj, reduce_letters(adj, w))
+            assert c == canon_reference(adj, w) == _canon_heap(adj, w)
             assert canon_letters(adj, c) == c
             if len(w) <= 8:
                 assert c == closure_canonical(adj, w)
@@ -849,12 +855,13 @@ def _reduced_mixed_signs(rng, n, length):
 def test_one_pass_canon_falls_back_on_free_abelian_mixed_signs(monkeypatch):
     # every letter commutes, so each scan runs to the start of the word
     # or to its own generator, the budget runs out and the heap walk
-    # finishes on the reduced word; the answer is the exponent-sum form
+    # starts over on the whole word, cancelling as it walks; the answer
+    # is the exponent-sum form
     calls = _count_heap_walks(monkeypatch)
     rng = random.Random(1812)
     for n in (12, 40):
         adj = _free_abelian(n)._adj_idx
-        for length in (80, 140, 260, 500):
+        for length in (80, 140, 260, 500, 1000, 3000):
             for w in (_reduced_mixed_signs(rng, n, length),
                       random_letters(rng, n, length)):
                 want = []
@@ -863,8 +870,77 @@ def test_one_pass_canon_falls_back_on_free_abelian_mixed_signs(monkeypatch):
                     want += [i if e > 0 else -i] * abs(e)
                 before = len(calls)
                 assert canon_letters(adj, w) == tuple(want)
-                assert calls[before:] == [len(want)]
+                assert calls[before:] == [len(w)]
                 assert canon_reference(adj, w) == tuple(want)
+
+
+def test_canon_heap_matches_the_references_on_unreduced_words():
+    # the heap walk alone, cancelling as it walks, on seeded random
+    # unreduced words over random graphs on 2-12 vertices, plain and
+    # wrapped as a . b . a^-1, against reduce-then-linearise and, on
+    # short words, the move closure; the free-abelian words that force
+    # it are in test_one_pass_canon_falls_back_on_free_abelian_mixed_signs
+    rng = random.Random(1901)
+    closures = cancelled = 0
+    for _ in range(150):
+        g = random_graph(rng)
+        adj = g._adj_idx
+        for _ in range(12):
+            length = rng.choice((rng.randrange(0, 9), rng.randrange(0, 121)))
+            w = random_letters(rng, len(g), length)
+            if rng.random() < 0.3:
+                a = random_letters(rng, len(g), rng.randrange(0, 41))
+                w = a + w + invert_letters(a)
+            c = _canon_heap(adj, w)
+            assert c == canon_reference(adj, w), (g.vertices, w)
+            cancelled += len(c) < len(w)
+            if len(w) <= 8:
+                assert c == closure_canonical(adj, w)
+                closures += 1
+    assert closures >= 300 and cancelled >= 500
+    # a^k b^k a^-k and its interleaved kin on the free-abelian pair: the
+    # a letters cancel across b blocks, and the insertion scans pass
+    # their budget, so canon_letters answers through the heap walk
+    adj = AB._adj_idx
+    for k in (100, 400, 1500):
+        for w in ((1,) * k + (2,) * k + (-1,) * k,
+                  (1, 2) * k + (-1,) * k + (2, -1) * k):
+            assert _insert(adj, w) is None
+            assert canon_letters(adj, w) == _canon_heap(adj, w) \
+                == canon_reference(adj, w)
+
+
+def test_minimal_form_of_a_long_cancelling_word_stays_fast():
+    # the a letters cancel across a b block they commute with: a scan
+    # back over the block for each cancellation is quadratic here (about
+    # 20 s), and the heap walk that cancels as it walks is linear
+    text = "a^20000 b^20000 a^-20000"
+    start = time.perf_counter()
+    assert str(minimal_form(AB, text)) == "b^20000"
+    word = parse_word(text, AB)
+    assert support(AB, word) == {"b"} and length(AB, word) == 20000
+    assert time.perf_counter() - start < 2.0
+
+
+def test_is_cyclically_minimal_matches_the_divisor_letter_reference():
+    # random words conjugated by random words on the catalog and on
+    # random graphs, and every word of up to three letters on the
+    # catalog, against the test on left- and right-divisor letters
+    rng = random.Random(1903)
+    verdicts = set()
+    for g, w in _core_cases(rng):
+        want = is_cyclically_minimal_reference(
+            g._adj_idx, canon_reference(g._adj_idx, w))
+        assert is_cyclically_minimal(g, Word(g, w)) == want, (g.vertices, w)
+        verdicts.add(want)
+    for g in catalog().values():
+        adj = g._adj_idx
+        for n in range(4):
+            for w in all_words(len(g), n):
+                assert is_cyclically_minimal(g, Word(g, w)) \
+                    == is_cyclically_minimal_reference(adj,
+                                                       canon_reference(adj, w))
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -881,12 +957,6 @@ class _CountedLetters(tuple):
             yield x
 
 
-def _split_reference(adj, w, yidx):
-    left, rest, _ = peel_reference(adj, w, yidx)
-    right, core, _ = peel_reference(adj, rest[::-1], yidx)
-    return tuple(left), tuple(core[::-1]), tuple(right[::-1])
-
-
 def _edgeless(n):
     return build_graph([f"v{i}" for i in range(n)], [])
 
@@ -898,7 +968,9 @@ def _free_abelian(n):
 
 def test_peel_matches_the_reference():
     # seeded random graphs on 2-12 vertices, words of up to 60 letters,
-    # reduced or not, against every subset size from empty to all
+    # reduced or not, against every subset size from empty to all; the
+    # split of the canonical form against two reference peels, the core
+    # linearised again
     rng = random.Random(1207)
     for _ in range(300):
         g = random_graph(rng)
@@ -910,8 +982,10 @@ def test_peel_matches_the_reference():
             for v in (w, reduce_letters(adj, w)):
                 side, kept, hole = words._peel(adj, v, yidx)
                 assert (side, kept, hole) == peel_reference(adj, v, yidx)
-                assert split_letters(adj, v, yidx) == _split_reference(
-                    adj, v, yidx)
+            c = canon_letters(adj, w)
+            left, core, right = split_reference(adj, c, yidx)
+            assert canonical_split(adj, c, yidx) == (
+                list(left), lexmin_reference(adj, core), list(right))
 
 
 def test_peel_stops_reading_after_one_kept_letter_on_edgeless_graphs():
