@@ -426,11 +426,18 @@ def _cycle_chord_advisories(g, nf, supp, n):
     root is canonicalised again over each chorded graph, whose chord
     changes the commutations.  Only a candidate that can reach EMBEDS
     there is tried: that needs n >= 3 and supp(s) outside st(t), and the
-    chord, between two vertices of st(t), leaves st(t) as it is."""
+    chord, between two vertices of st(t), leaves st(t) as it is.
+    A 2-regular graph is a plain cycle only when it is connected: a
+    disjoint union of cycles gets no advisory."""
     m = len(g)
     if n < 3 or m < 5 or len(g.edges) != m:
         return []
     if any(len(g.neighbours(v)) != 2 for v in g.vertices):
+        return []
+    walk = [g.vertices[0]]
+    for v in walk:  # grows while it is read
+        walk += [u for u in g.neighbours(v) if u not in walk]
+    if len(walk) != m:
         return []
     out = []
     for t in sorted(supp, key=g.index):

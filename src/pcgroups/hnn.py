@@ -86,7 +86,9 @@ def _check_t(t, h):
 
 
 def _wrap_support(adj, h) -> set:
-    """Generators of the wrap chunk g_m g_0, read from a geodesic."""
+    """Generators of the wrap chunk g_m g_0, read from its geodesic.
+    reduce_letters finds it in one linear pass, also when letters of g_m
+    cancel letters of g_0 across a long block they commute with."""
     return {abs(x) for x in reduce_letters(adj, h.chunks[-1] + h.chunks[0])}
 
 

@@ -14,10 +14,12 @@ computes it and serves every layer above:
   If the scan ends at its inverse, the two cancel (Wrathall 1988);
   otherwise the letter goes in before the leftmost larger letter it
   passed (Anisimov-Knuth 1979).  A scan budget hands long commuting
-  runs to _canon_heap, a heap walk of the dependence order that
-  cancels by the same test as it walks;
-* reduce_letters: the cancellation alone, for callers that need only
-  a geodesic (conjugate_test and the wrap chunk of hnn);
+  runs to _canon_heap, a heap walk of the dependence order of the
+  geodesic reduce_letters gives;
+* reduce_letters: the cancellation alone, one linear pass with no scan
+  that decides the test from the last live position of each generator,
+  for _canon_heap and the callers that need only a geodesic
+  (conjugate_test and the wrap chunk of hnn);
 * canonical_split: one pass per side of a canonical form peels the
   maximal left and right divisors over a vertex subset (the parabolic
   double-coset split), and linearises the core again only after an
@@ -85,25 +87,40 @@ def invert_letters(w):
 
 
 def reduce_letters(adj, w):
-    """Minimal form of w in one left-to-right pass.
+    """Geodesic of w in one left-to-right pass: the letters that survive
+    Wrathall's cancellation test (Wrathall 1988), in input order.
 
-    adj is the 1-based index adjacency of the graph.  Each letter x looks
-    back to the last kept letter it does not commute with (a letter of
-    the same generator counts as not commuting): if that letter is
-    x^{-1} the two cancel, otherwise x is kept.  By the cancellation
-    property of pc groups the kept word stays geodesic at every step.
+    adj is the 1-based index adjacency of the graph.  last[k] is the
+    position of the last live letter of generator k, below[p] that of
+    the live letter of p's generator before p.  Letter x cancels the last
+    live letter p of its generator when w[p] = x^-1 and no generator seen
+    that does not commute with x has its last live letter after p: then
+    x^-1 is a right divisor, and the live word stays geodesic.  Only such
+    a candidate reads the generators seen, each listed once, so the pass
+    is linear in |w| times the generators seen.
     """
-    out = []
-    for x in w:
-        nbrs = adj[abs(x)]
-        j = len(out) - 1
-        while j >= 0 and abs(out[j]) in nbrs:
-            j -= 1
-        if j >= 0 and out[j] == -x:
-            del out[j]
-        else:
-            out.append(x)
-    return tuple(out)
+    last = [-1] * len(adj)
+    below = [-1] * len(w)
+    out = list(w)  # a cancelled letter becomes 0
+    seen = []
+    for q, x in enumerate(w):
+        gen = abs(x)
+        p = last[gen]
+        if p < 0:
+            if gen not in seen:
+                seen.append(gen)
+        elif out[p] != x:
+            nbrs = adj[gen]
+            for k in seen:
+                if last[k] > p and k not in nbrs:
+                    break
+            else:
+                out[p] = out[q] = 0
+                last[gen] = below[p]
+                continue
+        below[q] = p
+        last[gen] = q
+    return tuple(filter(None, out))
 
 
 # Scan budget of the insertion scan: _SCAN_START, plus _SCAN_PER_LETTER
@@ -144,45 +161,28 @@ def _insert(adj, w):
 
 
 def _canon_heap(adj, w):
-    """Canonical form of any word w, by a heap walk: the fallback of
-    canon_letters, linear in |w| times the generators seen.
+    """Canonical form of any word w, by a heap walk of its geodesic
+    reduce_letters(adj, w): the fallback of canon_letters, linear in
+    |w| times the generators seen.
 
-    Each live letter depends on the last earlier live letter of every
-    generator that equals its own or does not commute with it.  A letter
-    x cancels the last live letter p of its generator when w[p] = x^-1
-    and every other generator it does not commute with has its last live
-    letter before p: Wrathall's test, as in canon_letters.  below[p] is
-    the live letter of p's generator before p, which becomes the last
-    again.  A cancelled letter has no live successor, so the live
-    letters count live predecessors only, and a cancelled one counts -1
-    and below, so it is never ready.  Popping the least ready letter
-    from a heap keyed by (generator, sign) linearises this partial order
-    greedily, which gives the lexicographic minimum over the class.
-    Equal letters are dependent, so no two ready letters tie.
+    Each letter depends on the last earlier letter of every generator
+    that equals its own or does not commute with it.  Popping the least
+    ready letter from a heap keyed by (generator, sign) linearises this
+    partial order greedily, which gives the lexicographic minimum over
+    the class.  Equal letters are dependent, so no two ready letters tie.
     """
-    m = len(w)
-    last = {}  # generator -> its last live position so far
-    below = [None] * m
-    succ = [[] for _ in range(m)]
-    npred = [0] * m
+    w = reduce_letters(adj, w)
+    last = {}  # generator -> its last position so far
+    succ = [[] for _ in w]
+    npred = [0] * len(w)
     for q, x in enumerate(w):
-        gen = abs(x)
-        nbrs = adj[gen]
+        nbrs = adj[abs(x)]
         deps = [p for k, p in last.items() if k not in nbrs]
-        p = last.get(gen)
-        if p is not None and w[p] == -x and max(deps) == p:
-            npred[p] = npred[q] = -1
-            if below[p] is None:
-                del last[gen]
-            else:
-                last[gen] = below[p]
-            continue
         for p in deps:
             succ[p].append(q)
         npred[q] = len(deps)
-        below[q] = last.get(gen)
-        last[gen] = q
-    heap = [(abs(w[q]), w[q] < 0, q) for q in range(m) if not npred[q]]
+        last[abs(x)] = q
+    heap = [(abs(x), x < 0, q) for q, x in enumerate(w) if not npred[q]]
     heapify(heap)
     out = []
     while heap:

@@ -16,8 +16,9 @@ unranking references scan each state's successors letter by letter and
 walk every length p of the square system's first part.
 The letter-engine references keep their own letter routines and call
 no canonical form of the library: they canonicalise in two passes
-(reduce, then linearise by a heap walk that never cancels), split a
-double coset by two peels and linearise every part again, peel divisors
+(reduce by a back-scan, then linearise by a heap walk that never
+cancels), split a double coset by two peels and linearise every part
+again, peel divisors
 by testing every letter against every kept generator, orient a
 double-coset symbol by comparing whole sort keys, test cyclic minimality
 and cyclically reduce a canonical form by recomputing both divisor-letter
@@ -57,7 +58,6 @@ from pcgroups.words import (
     as_word,
     bounded_int,
     invert_letters,
-    reduce_letters,
 )
 
 
@@ -231,10 +231,29 @@ def lexmin_reference(adj, w):
     return tuple(out)
 
 
+def reduce_reference(adj, w):
+    """Geodesic of w by a scan: each letter x looks back to the last kept
+    letter it does not commute with (a letter of the same generator
+    counts as not commuting); if that letter is x^-1 the two cancel,
+    otherwise x is kept.  Quadratic where letters cancel across a long
+    block they commute with."""
+    out = []
+    for x in w:
+        nbrs = adj[abs(x)]
+        j = len(out) - 1
+        while j >= 0 and abs(out[j]) in nbrs:
+            j -= 1
+        if j >= 0 and out[j] == -x:
+            del out[j]
+        else:
+            out.append(x)
+    return tuple(out)
+
+
 def canon_reference(adj, w):
-    """words.canon_letters in two passes: reduce_letters, then
+    """words.canon_letters in two passes: reduce_reference, then
     lexmin_reference."""
-    return lexmin_reference(adj, reduce_letters(adj, w))
+    return lexmin_reference(adj, reduce_reference(adj, w))
 
 
 def split_reference(adj, w, yidx):

@@ -25,7 +25,6 @@ from pcgroups.words import (
     cyclic_core_letters,
     equal,
     minimal_form,
-    reduce_letters,
     word_from_idx,
 )
 
@@ -35,6 +34,7 @@ from oracles import (
     conjugacy_class_closure,
     conjugacy_partition,
     iter_strict_composed,
+    reduce_reference,
 )
 
 C5P = cycle_with_chord(5)
@@ -225,7 +225,7 @@ def test_criterion_6b_double_coset_oracle():
     for w in elements:
         word = word_from_idx(C5P, w)
         core = double_coset_rep(ctx, word)
-        best = min(len(reduce_letters(adj, u + w + v))
+        best = min(len(reduce_reference(adj, u + w + v))
                    for u in big_ball for v in big_ball)
         if len(core) != best:
             ok = False
@@ -248,7 +248,7 @@ def test_criterion_6c_maln_oracle():
         claimed = in_maln(C5P, {"a1", "a4"}, word_from_idx(C5P, w))
         w_inv = tuple(-x for x in reversed(w))
         direct = all(
-            not ({abs(x) for x in reduce_letters(adj, w_inv + v + w)} <= b_idx)
+            not ({abs(x) for x in reduce_reference(adj, w_inv + v + w)} <= b_idx)
             for v in v_ball)
         if claimed != direct:
             ok = False

@@ -438,6 +438,20 @@ def test_chord_advisories_equal_the_main_theorem_on_each_chorded_graph():
     assert found == {3, 4, 5}
 
 
+def test_chord_advisory_needs_one_cycle():
+    # C5 + C3 and C6 + C3 are 2-regular with as many edges as vertices,
+    # but no plain cycle, so no root gets a chord advisory
+    rng = random.Random(71)
+    for k in (5, 6):
+        names = [f"a{i}" for i in range(k)] + ["b0", "b1", "b2"]
+        edges = [(names[i], names[(i + 1) % k]) for i in range(k)]
+        g = build_graph(names, edges + [("b0", "b1"), ("b1", "b2"),
+                                        ("b2", "b0")])
+        for _ in range(100):
+            nf = _random_root(g, rng)
+            assert not magnus_verdict(g, str(nf), 3).advisories, (g, nf)
+
+
 def _check_short_graphs():
     """The graphs of the check-short benchmark: P4, C4, C4 with a chord,
     the plain 5-cycle (chord advisories), C'5, C'6 and C'5 with a central

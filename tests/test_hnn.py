@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -108,6 +109,19 @@ def test_cyclically_reduced():
     assert not is_cyclically_reduced_hnn(C5P, "t", fact("t a2 t^-1"))
     assert is_cyclically_reduced_hnn(C5P, "t", fact("a2 t a3 t"))
     assert is_cyclically_reduced_hnn(C5P, "t", fact("a2 a3"))
+
+
+def test_wrap_chunk_cancelling_across_a_long_commuting_block_stays_fast():
+    # g_m g_0 = a^N c^N a^-N: the a letters cancel across the c block they
+    # commute with and leave c^N in U = lk(t), a pinch of h.h.  A back-scan
+    # walks the whole c block for each a^-1 (about 3.5 s at N = 8000).
+    g = build_graph(["t", "a", "c"], [("a", "c"), ("t", "c")])
+    for n in (3, 8000):
+        h = fact(f"a^-{n} t a t^-1 a^{n} c^{n}", g)
+        assert h.chunks[-1] == (2,) * n + (3,) * n and h.exps == (1, -1)
+        start = time.perf_counter()
+        assert not is_cyclically_reduced_hnn(g, "t", h)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_sigma_strips_link_letters():

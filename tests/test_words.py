@@ -62,6 +62,7 @@ from oracles import (
     peel_reference,
     random_graph,
     random_letters,
+    reduce_reference,
     split_reference,
 )
 
@@ -448,6 +449,37 @@ def test_cyclic_core_matches_the_peeling_reference():
             assert 2 * len(ys) + len(v) == len(form)
             kept = iter(form)
             assert all(x in kept for x in v)  # a subsequence of form
+
+
+def test_reduce_letters_matches_the_scanning_reference():
+    # the position pass cancels the pairs the back-scan cancels, on
+    # unreduced and conjugated words and on the shapes where the scan
+    # is quadratic
+    rng = random.Random(20)
+    graphs = [build_graph(["v0"], [])]
+    graphs += [random_graph(rng) for _ in range(80)]
+    for g in graphs:
+        adj = g._adj_idx
+        for _ in range(40):
+            w = random_letters(rng, len(g), rng.randrange(0, 61))
+            u = random_letters(rng, len(g), rng.randrange(0, 21))
+            for v in (w, invert_letters(u) + w[:20] + u):
+                assert reduce_letters(adj, v) == reduce_reference(adj, v), \
+                    (g, v)
+    for g in (FREE2, AB):
+        adj = g._adj_idx
+        for n in (1, 2, 7, 300):
+            for v in ((1, -1) * n, (1,) * n + (2,) * n + (-1,) * n):
+                assert reduce_letters(adj, v) == reduce_reference(adj, v)
+
+
+def test_conjugate_test_of_a_long_cancelling_word_stays_fast():
+    # each a^-1 cancels across the b block it commutes with; a back-scan
+    # walks the whole block for each (about 3.5 s at 8000 letters a part)
+    start = time.perf_counter()
+    assert conjugate_test(AB, "a^8000 b^8000 a^-8000", "b^8000")
+    assert not conjugate_test(AB, "a^8000 b^8000 a^-8000", "b^7999 a")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cyclic_core_of_a_deep_conjugator():
