@@ -161,6 +161,16 @@ def test_composed_formula_match_small():
         assert comp["z2_l2"] == C.formula_z2ii(tH, tHU, k)
 
 
+def test_thick_unit_count_is_positive():
+    """t_HU >= 1: the identity lies in L_H^U, has no left divisor in U
+    and is thick, so the type (ii) z2 term always divides by 2 t_HU > 0
+    and has the form of formula_l2."""
+    for n, d in product(range(5, 9), range(0, 7)):
+        row = C.census_row(n, d, 1)
+        assert row.enumerated["t_HU"] >= 1, (n, d)
+        assert row.formula["t_HU"] >= 1, (n, d)
+
+
 def test_composed_spec_values():
     assert C.enumerate_composed(5, 0, 1)["l_dk"] == 3
     assert C.enumerate_composed(5, 1, 2)["l2"] == 216
