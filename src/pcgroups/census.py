@@ -33,7 +33,7 @@ import math
 import random
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -237,12 +237,10 @@ def formula_l2_stratum(lH, lHU, r):
     return 2 ** r * lH * lHU ** (r - 1)
 
 
-def formula_z2ii(tH, tHU, k):
-    if k == 0:
-        return 0
-    if tHU == 0:
-        return 0
-    return 2 * tH * _exact_div((2 * tHU + 1) ** k - 1, 2 * tHU)
+# The type (ii) part of z2 is l2 over the thick counts t_H, t_HU; its
+# divisor 2 t_HU is never 0, since the identity is a thick form with no
+# left divisor in U.
+formula_z2ii = formula_l2
 
 
 def tpower_bound(a, b, c, k):
@@ -463,15 +461,7 @@ class CensusRow:
                 f"{rho:.6f}", self.mode, self.seed]
 
     def to_json_dict(self):
-        return {
-            "n": self.n, "d": self.d, "k": self.k,
-            "enumerated": self.enumerated,
-            "formula": self.formula,
-            "mode": self.mode,
-            "seed": self.seed,
-            "samples": self.samples,
-            "rho_se": self.rho_se,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self, indent=2):
         return json.dumps(self.to_json_dict(), indent=indent)

@@ -19,16 +19,17 @@ main theorem's EMBEDS needs n >= 3, and only for candidates t with
 supp(s) outside st(t).
 
 FreiReport.to_json(indent=k) writes its text straight from its records
-for an int k: each record states its JSON key order once, in _KEYS, and
-writes its own fields; to_json_dict builds the dicts from the same keys.
-The text equals json.dumps(report.to_json_dict(), indent=k) byte for
-byte; indent=None is json.dumps itself.
+for an int k: each record writes its own fields in its JSON key order,
+_KEYS (the field order of TheoremMainRecord and AmalgamRecord), and
+to_json_dict builds the dicts from the same keys.  The text equals
+json.dumps(report.to_json_dict(), indent=k) byte for byte; indent=None
+is json.dumps itself.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from .errors import (BadParameter, ConflictingVerdicts, LinkNotClique,
@@ -101,7 +102,14 @@ def _names(names, pad, step):
     return _array([_encode_str(v) for v in names], pad, step)
 
 
-@dataclass
+def _record(cls):
+    """dataclass(cls) whose JSON keys, _KEYS, are its field names."""
+    cls = dataclass(cls)
+    cls._KEYS = tuple([f.name for f in fields(cls)])
+    return cls
+
+
+@_record
 class TheoremMainRecord:
     t: str
     lk_clique: bool
@@ -111,41 +119,32 @@ class TheoremMainRecord:
     t_root: bool
     verdict: str
 
-    _KEYS = ("t", "lk_clique", "t_thick", "cyclically_t_thick",
-             "not_in_star", "t_root", "verdict")  # the field order
-
     def hypotheses_hold(self):
         return (self.lk_clique and bool(self.t_thick)
                 and bool(self.cyclically_t_thick)
                 and self.not_in_star and self.t_root)
 
-    def _values(self):
-        return (self.t, self.lk_clique, self.t_thick, self.cyclically_t_thick,
-                self.not_in_star, self.t_root, self.verdict)
-
     def to_json_dict(self):
-        return dict(zip(self._KEYS, self._values()))
+        return {k: getattr(self, k) for k in self._KEYS}
 
     def _as_json(self, pad, step):
         return _object_format(self._KEYS, pad, step) % tuple(
-            map(_scalar, self._values()))
+            [_scalar(getattr(self, k)) for k in self._KEYS])
 
 
-@dataclass
+@_record
 class AmalgamRecord:
     synchronised: bool
     supp_clique: bool
     supp_independent: bool
     decomposition: dict | None  # {"Y": [...], "lk_Y": [...], "X": [...]}
 
-    _KEYS = ("synchronised", "supp_clique", "supp_independent",
-             "decomposition")  # the field order
-
     def to_json_dict(self):  # fresh lists
-        d = self.decomposition
-        return dict(zip(self._KEYS, (
-            self.synchronised, self.supp_clique, self.supp_independent,
-            None if d is None else {k: list(v) for k, v in d.items()})))
+        data = {k: getattr(self, k) for k in self._KEYS}
+        if self.decomposition is not None:
+            data["decomposition"] = {
+                k: list(v) for k, v in self.decomposition.items()}
+        return data
 
     def _as_json(self, pad, step):
         d = self.decomposition

@@ -189,10 +189,9 @@ def cycle_with_chord(n: int) -> CommutationGraph:
     """
     if n < 5:
         raise BadParameter(f"cycle_with_chord needs n >= 5, got {n}")
-    verts = ["t"] + [f"a{i}" for i in range(1, n)]
-    edges = [("t", "a1"), (f"a{n-1}", "t"), ("a1", f"a{n-1}")]
-    edges += [(f"a{i}", f"a{i+1}") for i in range(1, n - 1)]
-    return CommutationGraph(verts, edges)
+    g = plain_cycle(n)
+    return CommutationGraph(g.vertices, [tuple(e) for e in g.edges]
+                            + [("a1", f"a{n-1}")])
 
 
 def plain_cycle(n: int) -> CommutationGraph:
@@ -205,32 +204,32 @@ def plain_cycle(n: int) -> CommutationGraph:
     return CommutationGraph(verts, edges)
 
 
+def _complement_components(adj, ys) -> list:
+    """Connected components of the complement graph on the generator
+    indices ys, as index sets ordered by their least index.  adj is the
+    graph's index adjacency."""
+    comps, rest = [], set(ys)
+    while rest:
+        comp = [min(rest)]
+        rest.discard(comp[0])
+        for b in comp:  # grows while it is read
+            new = rest - adj[b]
+            rest -= new
+            comp += new
+        comps.append(set(comp))
+    return comps
+
+
 def complement_components(g: CommutationGraph, Y) -> list:
     """Connected components of the complement graph restricted to Y.
 
     Returned as a list of vertex sets, ordered by the declaration order of
-    their smallest member.  Used by the block decomposition.
+    their smallest member.  The block decomposition and conjugate_test
+    run the same search on generator indices.
     """
-    Y = list(Y)
-    g.check_subset(Y)
-    ys = [v for v in g.vertices if v in set(Y)]
-    remaining = set(ys)
-    comps = []
-    for v in ys:
-        if v not in remaining:
-            continue
-        comp = {v}
-        stack = [v]
-        remaining.discard(v)
-        while stack:
-            u = stack.pop()
-            for w in list(remaining):
-                if w not in g._adj[u]:  # non-edge in g == edge in complement
-                    comp.add(w)
-                    remaining.discard(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
+    ys = {g.index(v) for v in Y}
+    return [{g.name(i) for i in comp}
+            for comp in _complement_components(g._adj_idx, ys)]
 
 
 def central_vertices(g: CommutationGraph) -> set:

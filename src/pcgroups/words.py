@@ -55,7 +55,7 @@ from .errors import (
     WordSyntaxError,
     ZeroExponent,
 )
-from .graphs import CommutationGraph
+from .graphs import CommutationGraph, _complement_components
 
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 
@@ -677,19 +677,8 @@ def _blocks(adj, core):
     """Letters of a cyclically minimal tuple over each connected component
     of the complement graph on its support, as subsequences of core,
     ordered by the least generator index of each component.  The blocks
-    commute with one another.
-    The split works on generator indices and leaves each block as it
-    lies in core: it replaces complement_components over vertex names
-    followed by a canon_letters call per block."""
-    comps, rest = [], {abs(x) for x in core}
-    while rest:
-        comp = [min(rest)]
-        rest.discard(comp[0])
-        for b in comp:  # grows while it is read
-            new = rest - adj[b]
-            rest -= new
-            comp += new
-        comps.append(set(comp))
+    commute with one another."""
+    comps = _complement_components(adj, {abs(x) for x in core})
     if len(comps) == 1:
         return [tuple(core)]
     return [tuple([x for x in core if abs(x) in comp]) for comp in comps]
