@@ -125,7 +125,7 @@ def is_normal_form(n, w, square=False) -> bool:
         raise BadParameter("square normal forms exist only for n = 5")
     state = slots.START
     for y in w:
-        state = slots.step(n, square, state, y)
+        state = slots.step(square, state, slots.letter_facts(n, y))
         if state is None:
             return False
     return True

@@ -11,6 +11,15 @@ they are a regular language (so is the square system of n = 5), and one
 cached transfer-matrix pass (Flajolet-Sedgewick, Analytic Combinatorics,
 ch. V) counts them level by level by these properties, in time linear
 in d.  Sample mode unranks the forms it draws from the same counts.
+
+A state keeps only what the signatures of its extensions can still
+read (the merges and their lemmas are in _Automaton), so at n = 6 the
+automaton has 211 states where the plain components reach 781, near
+the 198 of its Moore minimum, and step reads each letter's facts from
+a table built once per n.  Of a drawn form the census also reads its
+double-coset symbol, split from its canonical form; a square form of
+n = 5 is an {a2, a4} part and an {a1, a3} part that commute letter by
+letter, so its canonical form is the merge of the two.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
+from heapq import merge
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -48,39 +58,56 @@ def h_adj(n):
     return chord_graph(n).induced([f"a{i}" for i in range(1, n)])._adj_idx
 
 
-def wrap(n, i):
-    return (i - 1) % (n - 1) + 1
-
-
 START = (0, False, 0, 0, 0, 0, 0, 3)  # automaton state of the empty word
 
 
-def step(n, square, state, y):
-    """The state after letter y, or None if y may not follow (see
-    _Automaton)."""
+def letter_facts(n, y):
+    """What step reads of letter y: (y, |y|, the generators one below,
+    one above and two above |y| on the cycle, its effect on a1 and on
+    a_{n-1}, the fl bits it sets, and its class as a first letter).  Its
+    effect on a generator of U is 0 if y commutes with it, y's sign if y
+    is that generator, and 2 otherwise."""
+    m, j, sign = n - 1, abs(y), 1 if y > 0 else -1
+    inner = 2 < j < m - 1
+    return (y, j, (j - 2) % m + 1, j % m + 1, (j + 1) % m + 1,
+            sign if j == 1 else 0 if j in (2, m) else 2,
+            sign if j == m else 0 if j in (m - 1, 1) else 2,
+            3 if inner else (j == 2) | (j == m - 1) << 1,
+            0 if inner else 1 if j == 2 else 2 if j == m - 1 else 3)
+
+
+def step(square, state, letter):
+    """The state after a letter, given by its letter_facts, or None if it
+    may not follow (see _Automaton)."""
+    y, j, below, above, above2, e1, em, bits, first = letter
     last, flag, l1, lm, r1, rm, fl, cls = state
-    m, j, g = n - 1, abs(y), abs(last)
+    g = abs(last)
     if last == -y or (square and g in (1, 3) and j in (2, 4)):
         return None
     if last and not square:
-        if g == wrap(n, j + 1) or (flag and g == wrap(n, j - 1)):
+        if g == above or (flag and g == below):
             return None
-        flag = flag if j == g else g == wrap(n, j + 2)
-    sign = 1 if y > 0 else -1
-    near_1, near_m = j in (2, m), j in (m - 1, 1)  # commute with a1, a_{n-1}
-    if l1 == 0:
-        l1 = sign if j == 1 else 0 if near_1 else 2
-    if lm == 0:
-        lm = sign if j == m else 0 if near_m else 2
-    r1 = sign if j == 1 else r1 if near_1 else 0
-    rm = sign if j == m else rm if near_m else 0
-    inner = 2 < j < m - 1
-    fl = 4 if inner or fl == 4 else fl | (j == 2) | (j == m - 1) << 1
+        flag = flag if j == g else g == above2
+    if e1:
+        l1, r1 = l1 or e1, 0 if e1 == 2 else e1
+    if em:
+        lm, rm = lm or em, 0 if em == 2 else em
     if not last:
-        cls = 0 if inner else 1 if j == 2 else 2 if j == m - 1 else 3
+        cls = first
+    # keep only what later signatures can read (see _Automaton)
+    if l1 == -1 or l1 == 2 and lm in (1, -1):
+        l1, lm, r1, rm = -1, -1, 0, 0
+    else:
+        if l1 == 1:
+            r1 = -(r1 == -1)
+            if lm in (-1, 2):
+                lm = -1
+        elif l1 == 2:
+            r1 = abs(r1)
+        rm = -(rm == -1) if lm == 1 else abs(rm) if lm == 2 else 0
     if l1 in (1, -1) or lm in (1, -1):
         cls = 3
-    return (y, flag, l1, lm, r1, rm, fl, cls)
+    return (y, flag, l1, lm, r1, rm, fl | bits, cls)
 
 
 def _signature(state):
@@ -90,10 +117,8 @@ def _signature(state):
     U-core, None for other forms; and the first letter's class."""
     _, _, l1, lm, r1, rm, fl, cls = state
     free, x = l1 in (0, 2) and lm in (0, 2), l1 == 1 and r1 == -1
-    r = None
-    if free and fl and r1 == rm == 0:
-        r = (fl in (2, 3, 4)) + (fl in (1, 3, 4))
-    return (free, fl in (0, 3, 4), x, x and lm == 1 and rm == -1, r, cls)
+    r = (fl & 1) + (fl >> 1) if free and fl and r1 == rm == 0 else None
+    return (free, fl in (0, 3), x, x and lm == 1 and rm == -1, r, cls)
 
 
 class _Automaton:
@@ -108,19 +133,44 @@ class _Automaton:
     - r1, rm: the sign of its last occurrence while only letters that
       commute with it follow (a right divisor), else 0;
     - fl: the generators outside U that occur: bit 1 a2, bit 2 a_{n-2},
-      4 (alone) any of a3..a_{n-3}; a form is thick iff fl is 0, 3 or 4,
+      both bits for any of a3..a_{n-3}; a form is thick iff fl is 0 or 3,
       inside U or in Maln(U) by maln_support;
     - cls: the first letter's a/b/c class 0, 1 or 2, or 3 for none and
       once U has a left divisor.
-    tallies[l] counts the forms of length l by _signature.
+    tallies[l] counts the forms of length l by _signature, which reads
+    l1 and lm (free: both 0 or 2), fl (thick, and r), l1 and r1 (x: a1
+    left, a1^-1 right), x with lm and rm (x2), r1 and rm as zero or not
+    (r, only while free) and cls; unrank reads fl != 0 and free.
+
+    step keeps each state as the least representative of what later
+    signatures can still read of it, so states that no signature or
+    slot list can tell apart are one state:
+    - l1 and lm never change once nonzero, so free, once false, stays
+      false, and x needs l1 = 1; once l1 = -1, or l1 = 2 and lm = +-1,
+      free, x and x2 are false for good and (l1, lm, r1, rm) is
+      (-1, -1, 0, 0);
+    - r1 and rm each move by "set to the letter's sign", "keep" or
+      "reset to 0", so an idempotent map of their values that fixes 0
+      commutes with every letter, and may keep only what later
+      signatures read: with l1 = 1 only r1 = -1 counts (x), and with
+      lm = 1 only rm = -1 (x2); with l1 = 2 or lm = 2, x or x2 is false
+      for good and r reads r1 or rm as zero or not; with l1 = 1, lm = -1
+      or 2 makes x2 false for good, so lm is -1 there; rm is unread
+      while lm = -1, and 0 anyway while lm = 0;
+    - fl only gains bits, and any of a3..a_{n-3} gives the signature of
+      a2 and a_{n-2} together (thick, r = 2), so it sets both bits.
+    At n = 6 this leaves 211 of the 781 states the plain components
+    reach, against 198 in the Moore minimum (partition refinement from
+    the signatures); 235 of 805 at n = 7, against 222.
     """
 
     def __init__(self, n, square):
         if 2 * (n - 1) > WORK_BUDGET:  # level 1 alone takes every letter
             raise BudgetExceeded(
                 f"census needs more than {WORK_BUDGET} automaton steps")
-        self.n, self.square = n, square
+        self.square = square
         self.letters = tuple(s * i for i in range(1, n) for s in (1, -1))
+        self.table = tuple(letter_facts(n, y) for y in self.letters)
         self.states, self.ids = [START], {START: 0}
         self.sigs = [_signature(START)]
         self.succ = {}
@@ -135,14 +185,14 @@ class _Automaton:
         """(letter, state id) pairs in letter order, computed once."""
         if s not in self.succ:
             self.succ[s] = []
-            for y in self.letters:
-                t = step(self.n, self.square, self.states[s], y)
+            for letter in self.table:
+                t = step(self.square, self.states[s], letter)
                 if t is not None:
                     if t not in self.ids:
                         self.ids[t] = len(self.states)
                         self.states.append(t)
                         self.sigs.append(_signature(t))
-                    self.succ[s].append((y, self.ids[t]))
+                    self.succ[s].append((letter[0], self.ids[t]))
         return self.succ[s]
 
     def upto(self, d):
@@ -302,14 +352,24 @@ def form(n, kind, index):
     return w, auto.sigs[s][1]
 
 
+def _square_canon(w):
+    """canon_letters of a square form w of n = 5: a reduced word over
+    {a2, a4}, then one over {a1, a3}, where each letter of one commutes
+    with each of the other.  Each part is the only geodesic of its
+    element, so the lex-least geodesic of w takes the smaller head of
+    the two parts at every letter: their merge, in linear time."""
+    return tuple(merge([x for x in w if x % 2 == 0], [x for x in w if x % 2],
+                       key=lambda x: (abs(x), x < 0)))
+
+
 @lru_cache(maxsize=4096)
 def symbol(n, w):
     """The double-coset symbol of a form outside U, as its canonical
     U-core: distinct U-cores never share a symbol.  The U-core is fixed
     by the element, so it is split from w's canonical form."""
     adj = h_adj(n)
-    u_idx = frozenset((1, n - 1))
-    return canonical_split(adj, canon_letters(adj, w), u_idx)[1]
+    c = _square_canon(w) if n == 5 else canon_letters(adj, w)
+    return canonical_split(adj, c, frozenset((1, n - 1)))[1]
 
 
 @lru_cache(maxsize=32)

@@ -13,7 +13,10 @@ and walks every signed exponent vector one by one, or sums over every
 form or over the normal-form automaton; its sampler reference calls
 randrange for every draw and bisects for the t-length, and its
 unranking references scan each state's successors letter by letter and
-walk every length p of the square system's first part.
+walk every length p of the square system's first part.  The reference
+automaton keeps every component of the census state as the letters
+left it, and counts, enumerates and unranks over those states; its
+Moore minimum bounds how many states the working automaton may keep.
 The letter-engine references keep their own letter routines and call
 no canonical form of the library: they canonicalise in two passes
 (reduce by a back-scan, then linearise by a heap walk that never
@@ -438,6 +441,11 @@ SYM_ID = ((), 1)  # coset symbol of the identity
 FORM_BUDGET = 3_000_000
 
 
+def wrap(n, i):
+    """The cycle index of a_i over a1..a_{n-1}, i taken mod n - 1."""
+    return (i - 1) % (n - 1) + 1
+
+
 def iter_general_forms(n, dmax):
     """All prohibited-subword normal forms of length <= dmax, by length.
 
@@ -456,8 +464,8 @@ def iter_general_forms(n, dmax):
                 if last == -y:
                     continue
                 j = abs(y)
-                below = census_slots.wrap(n, j - 1)
-                above = census_slots.wrap(n, j + 1)
+                below = wrap(n, j - 1)
+                above = wrap(n, j + 1)
                 p = len(w) - 1
                 while p >= 0 and abs(w[p]) == below:
                     p -= 1
@@ -889,6 +897,150 @@ def linear_unrank(auto, kind, ell, index):
         word.append(y)
         s = t
     return tuple(word), s
+
+
+START_REFERENCE = (0, False, 0, 0, 0, 0, 0, 3)
+
+
+def step_reference(n, square, state, y):
+    """census_slots.step with every state component kept as the letters
+    left it, and the facts of y worked out at each call."""
+    last, flag, l1, lm, r1, rm, fl, cls = state
+    m, j, g = n - 1, abs(y), abs(last)
+    if last == -y or (square and g in (1, 3) and j in (2, 4)):
+        return None
+    if last and not square:
+        if g == wrap(n, j + 1) or (flag and g == wrap(n, j - 1)):
+            return None
+        flag = flag if j == g else g == wrap(n, j + 2)
+    sign = 1 if y > 0 else -1
+    near_1, near_m = j in (2, m), j in (m - 1, 1)
+    if l1 == 0:
+        l1 = sign if j == 1 else 0 if near_1 else 2
+    if lm == 0:
+        lm = sign if j == m else 0 if near_m else 2
+    r1 = sign if j == 1 else r1 if near_1 else 0
+    rm = sign if j == m else rm if near_m else 0
+    inner = 2 < j < m - 1
+    fl = 4 if inner or fl == 4 else fl | (j == 2) | (j == m - 1) << 1
+    if not last:
+        cls = 0 if inner else 1 if j == 2 else 2 if j == m - 1 else 3
+    if l1 in (1, -1) or lm in (1, -1):
+        cls = 3
+    return (y, flag, l1, lm, r1, rm, fl, cls)
+
+
+def signature_reference(state):
+    """census_slots._signature of a step_reference state, where fl 4
+    (a letter of a3..a_{n-3}) is its own value."""
+    _, _, l1, lm, r1, rm, fl, cls = state
+    free, x = l1 in (0, 2) and lm in (0, 2), l1 == 1 and r1 == -1
+    r = None
+    if free and fl and r1 == rm == 0:
+        r = (fl in (2, 3, 4)) + (fl in (1, 3, 4))
+    return (free, fl in (0, 3, 4), x, x and lm == 1 and rm == -1, r, cls)
+
+
+class ReferenceAutomaton:
+    """The normal-form automaton over step_reference states, closed under
+    every letter: states[i], and succ[i] the successor id of each letter
+    in letter order (None where the letter may not follow)."""
+
+    def __init__(self, n, square):
+        self.n, self.square = n, square
+        self.letters = tuple(s * i for i in range(1, n) for s in (1, -1))
+        self.states, ids, self.succ = [START_REFERENCE], {}, []
+        ids[START_REFERENCE] = 0
+        while len(self.succ) < len(self.states):
+            row = []
+            for y in self.letters:
+                t = step_reference(n, square, self.states[len(self.succ)], y)
+                if t is not None and t not in ids:
+                    ids[t] = len(self.states)
+                    self.states.append(t)
+                row.append(None if t is None else ids[t])
+            self.succ.append(row)
+        self.sigs = [signature_reference(s) for s in self.states]
+        self.paths = {}  # (kind, state, j) -> completions, see unrank
+
+    def tallies(self, depth):
+        """Level by level to depth: the forms of each length counted by
+        signature, one letter at a time."""
+        frontier, out = {0: 1}, []
+        for _ in range(depth + 1):
+            tally = {}
+            for s, c in frontier.items():
+                tally[self.sigs[s]] = tally.get(self.sigs[s], 0) + c
+            out.append(tally)
+            nxt = {}
+            for s, c in frontier.items():
+                for t in self.succ[s]:
+                    if t is not None:
+                        nxt[t] = nxt.get(t, 0) + c
+            frontier = nxt
+        return out
+
+    def in_slot(self, kind, s):
+        """Whether a form ending in state s is in slot list `kind` (see
+        census_slots.form): outside U, and for kind 1 also with no left
+        divisor in U."""
+        return self.states[s][6] != 0 and (not kind or self.sigs[s][0])
+
+    def slot_forms(self, kind, ell):
+        """(form, signature of its end state) of every level-ell form in
+        slot list `kind`, in letter order, by depth-first extension."""
+        out = []
+
+        def walk(s, word):
+            if len(word) == ell:
+                if self.in_slot(kind, s):
+                    out.append((tuple(word), self.sigs[s]))
+                return
+            for y, t in zip(self.letters, self.succ[s]):
+                if t is not None:
+                    walk(t, word + [y])
+
+        walk(0, [])
+        return out
+
+    def unrank(self, kind, ell, index):
+        """(form, signature of its end state) at `index` among the
+        level-ell forms of slot list `kind`, in letter order, by counting
+        the completions of each letter in turn."""
+        def paths(s, j):
+            if (kind, s, j) not in self.paths:
+                self.paths[kind, s, j] = sum(
+                    paths(t, j - 1) for t in self.succ[s] if t is not None
+                ) if j else int(self.in_slot(kind, s))
+            return self.paths[kind, s, j]
+
+        s, word = 0, []
+        for j in range(ell - 1, -1, -1):
+            for y, t in zip(self.letters, self.succ[s]):
+                if t is None:
+                    continue
+                if index < paths(t, j):
+                    break
+                index -= paths(t, j)
+            word.append(y)
+            s = t
+        return tuple(word), self.sigs[s]
+
+    def moore_minimum(self):
+        """The state count of the minimal automaton with the same counts:
+        Moore's partition refinement, from the partition by signature and
+        by fl != 0 (what a slot list reads of an end state), until the
+        successor classes of every letter split no class."""
+        part = [(sig, s[6] != 0) for sig, s in zip(self.sigs, self.states)]
+        classes = len(set(part))
+        while True:
+            ids = {}
+            part = [ids.setdefault(
+                (p, tuple(None if t is None else part[t] for t in row)),
+                len(ids)) for p, row in zip(part, self.succ)]
+            if len(ids) == classes:
+                return classes
+            classes = len(ids)
 
 
 def reference_LH(n, d):
