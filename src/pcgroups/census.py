@@ -33,7 +33,6 @@ import math
 import random
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -50,7 +49,7 @@ from .errors import (
 )
 from .graphs import star
 from .hnn import hnn_factorize, is_t_root, is_t_thick, smallest_period, t_length
-from .words import MAX_WORD_LETTERS, Word, bounded_int, support
+from .words import MAX_WORD_LETTERS, Word, _Frozen, bounded_int, support
 
 ENUMERATED = "ENUMERATED"
 FORMULA = "FORMULA"
@@ -436,17 +435,22 @@ def classify_Z(n, w):
 # census rows, density, output formats
 
 
-@dataclass
-class CensusRow:
-    n: int
-    d: int
-    k: int
-    enumerated: dict
-    formula: dict
-    mode: str = "exhaustive"
-    seed: object = ""
-    samples: int = 0
-    rho_se: float = 0.0
+class CensusRow(_Frozen, frozen=False):
+    __slots__ = ("n", "d", "k", "enumerated", "formula", "mode", "seed",
+                 "samples", "rho_se")
+
+    def __init__(self, n: int, d: int, k: int, enumerated: dict,
+                 formula: dict, mode: str = "exhaustive", seed: object = "",
+                 samples: int = 0, rho_se: float = 0.0):
+        self.n = n
+        self.d = d
+        self.k = k
+        self.enumerated = enumerated
+        self.formula = formula
+        self.mode = mode
+        self.seed = seed
+        self.samples = samples
+        self.rho_se = rho_se
 
     COLUMNS = ["n", "d", "k", "l_H", "l_U", "l_HU", "e", "e_prime",
                "l1", "l2", "l_dk", "z1", "z2", "z3", "z4", "zY",
@@ -461,7 +465,7 @@ class CensusRow:
                 f"{rho:.6f}", self.mode, self.seed]
 
     def to_json_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {f: getattr(self, f) for f in self.__slots__}
 
     def to_json(self, indent=2):
         return json.dumps(self.to_json_dict(), indent=indent)
@@ -563,7 +567,7 @@ def census_row(n, d, k, mode="exhaustive", samples=None, seed=None) -> CensusRow
 
 def _randbelow(getrandbits, n):
     """The index random.Random.randrange(n) draws on CPython 3.10 to
-    3.12: n.bit_length() random bits, drawn again while they reach n.
+    3.13: n.bit_length() random bits, drawn again while they reach n.
     _sample_zy makes this draw inline.  As in randrange, n <= 0 raises
     ValueError: getrandbits(0) is 0, so the loop would never end."""
     if n <= 0:

@@ -16,7 +16,11 @@ A state keeps only what the signatures of its extensions can still
 read (the merges and their lemmas are in _Automaton), so at n = 6 the
 automaton has 211 states where the plain components reach 781, near
 the 198 of its Moore minimum, and step reads each letter's facts from
-a table built once per n.  Of a drawn form the census also reads its
+a table built once per n.  A step is two lookups: whether the letter
+may follow and the flag after it depend on the last letter and flag
+alone, and the status of U after it on the status before it alone, so
+each automaton keeps both per letter for each such part it meets
+(successors).  Of a drawn form the census also reads its
 double-coset symbol, split from its canonical form; a square form of
 n = 5 is an {a2, a4} part and an {a1, a3} part that commute letter by
 letter, so its canonical form is the merge of the two.
@@ -76,38 +80,80 @@ def letter_facts(n, y):
             0 if inner else 1 if j == 2 else 2 if j == m - 1 else 3)
 
 
+def _moves(square, last, flag, table):
+    """(index, letter, flag after it, fl bits) for each letter of table
+    that may follow a state with this last letter and flag."""
+    g = abs(last)
+    out = []
+    for k, (y, j, below, above, above2, _, _, bits, _) in enumerate(table):
+        if last == -y:
+            continue
+        if square:
+            if g in (1, 3) and j in (2, 4):
+                continue
+        elif last:
+            if g == above or (flag and g == below):
+                continue
+            out.append((k, y, flag if j == g else g == above2, bits))
+            continue
+        out.append((k, y, flag, bits))
+    return out
+
+
+def _u_moves(l1, lm, r1, rm, cls, table):
+    """(l1, lm, r1, rm, cls) after each letter of table; cls is None for
+    the empty word, whose first letter sets it."""
+    out = []
+    for _, _, _, _, _, e1, em, _, first in table:
+        a, b, c, d = l1, lm, r1, rm
+        if e1:
+            a, c = a or e1, 0 if e1 == 2 else e1
+        if em:
+            b, d = b or em, 0 if em == 2 else em
+        # keep only what later signatures can read (see _Automaton)
+        if a == -1 or a == 2 and b in (1, -1):
+            out.append((-1, -1, 0, 0, 3))
+            continue
+        if a == 1:
+            c = -(c == -1)
+            if b in (-1, 2):
+                b = -1
+        elif a == 2:
+            c = abs(c)
+        d = -(d == -1) if b == 1 else abs(d) if b == 2 else 0
+        out.append((a, b, c, d, 3 if a in (1, -1) or b in (1, -1)
+                     else first if cls is None else cls))
+    return out
+
+
+def successors(square, state, table, moves, u_moves):
+    """(letter, state after it) for each letter of table (given by its
+    letter_facts) that may follow the state, in table order (see
+    _Automaton).  Whether a letter may follow, and the flag after it,
+    depend on the last letter and flag alone; l1, lm, r1, rm and cls
+    after it on those before it alone.  moves and u_moves keep both per
+    table, by those parts of the state."""
+    last, flag, l1, lm, r1, rm, fl, cls = state
+    key = last, flag
+    m = moves.get(key)
+    if m is None:
+        m = moves[key] = _moves(square, last, flag, table)
+    key = l1, lm, r1, rm, cls if last else None
+    u = u_moves.get(key)
+    if u is None:
+        u = u_moves[key] = _u_moves(*key, table)
+    out = []
+    for k, y, f, bits in m:
+        a, b, c, d, e = u[k]
+        out.append((y, (y, f, a, b, c, d, fl | bits, e)))
+    return out
+
+
 def step(square, state, letter):
     """The state after a letter, given by its letter_facts, or None if it
-    may not follow (see _Automaton)."""
-    y, j, below, above, above2, e1, em, bits, first = letter
-    last, flag, l1, lm, r1, rm, fl, cls = state
-    g = abs(last)
-    if last == -y or (square and g in (1, 3) and j in (2, 4)):
-        return None
-    if last and not square:
-        if g == above or (flag and g == below):
-            return None
-        flag = flag if j == g else g == above2
-    if e1:
-        l1, r1 = l1 or e1, 0 if e1 == 2 else e1
-    if em:
-        lm, rm = lm or em, 0 if em == 2 else em
-    if not last:
-        cls = first
-    # keep only what later signatures can read (see _Automaton)
-    if l1 == -1 or l1 == 2 and lm in (1, -1):
-        l1, lm, r1, rm = -1, -1, 0, 0
-    else:
-        if l1 == 1:
-            r1 = -(r1 == -1)
-            if lm in (-1, 2):
-                lm = -1
-        elif l1 == 2:
-            r1 = abs(r1)
-        rm = -(rm == -1) if lm == 1 else abs(rm) if lm == 2 else 0
-    if l1 in (1, -1) or lm in (1, -1):
-        cls = 3
-    return (y, flag, l1, lm, r1, rm, fl | bits, cls)
+    may not follow."""
+    out = successors(square, state, (letter,), {}, {})
+    return out[0][1] if out else None
 
 
 def _signature(state):
@@ -142,7 +188,7 @@ class _Automaton:
     left, a1^-1 right), x with lm and rm (x2), r1 and rm as zero or not
     (r, only while free) and cls; unrank reads fl != 0 and free.
 
-    step keeps each state as the least representative of what later
+    successors keeps each state as the least representative of what later
     signatures can still read of it, so states that no signature or
     slot list can tell apart are one state:
     - l1 and lm never change once nonzero, so free, once false, stays
@@ -174,6 +220,7 @@ class _Automaton:
         self.states, self.ids = [START], {START: 0}
         self.sigs = [_signature(START)]
         self.succ = {}
+        self.moves, self.u_moves = {}, {}  # see successors
         self.frontier, self.level_states = {0: 1}, [(0,)]
         self.tallies = [{self.sigs[0]: 1}]
         self.work = 0
@@ -183,17 +230,19 @@ class _Automaton:
 
     def _successors(self, s):
         """(letter, state id) pairs in letter order, computed once."""
-        if s not in self.succ:
-            self.succ[s] = []
-            for letter in self.table:
-                t = step(self.square, self.states[s], letter)
-                if t is not None:
-                    if t not in self.ids:
-                        self.ids[t] = len(self.states)
-                        self.states.append(t)
-                        self.sigs.append(_signature(t))
-                    self.succ[s].append((letter[0], self.ids[t]))
-        return self.succ[s]
+        succ = self.succ.get(s)
+        if succ is None:
+            ids, states = self.ids, self.states
+            succ = self.succ[s] = []
+            for y, t in successors(self.square, states[s], self.table,
+                                   self.moves, self.u_moves):
+                i = ids.get(t)
+                if i is None:
+                    i = ids[t] = len(states)
+                    states.append(t)
+                    self.sigs.append(_signature(t))
+                succ.append((y, i))
+        return succ
 
     def upto(self, d):
         """The tallies, counted at least to level d.

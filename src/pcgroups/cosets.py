@@ -8,13 +8,13 @@ of its double coset, and serves as the coset's canonical symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotAClique
 from .graphs import CommutationGraph, is_clique
 from .words import (
     NormalForm,
     Word,
+    _Frozen,
+    _set_field,
     _reduced_idx,
     canon_letters,
     canonical_split,
@@ -23,13 +23,13 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class ParabolicContext:
-    graph: CommutationGraph
-    subset: frozenset  # vertex names generating the parabolic
+class ParabolicContext(_Frozen):
+    __slots__ = ("graph", "subset")  # subset: vertex names generating it
 
-    def __post_init__(self):
-        self.graph.check_subset(self.subset)
+    def __init__(self, graph: CommutationGraph, subset: frozenset):
+        graph.check_subset(subset)
+        _set_field(self, "graph", graph)
+        _set_field(self, "subset", subset)
 
     @property
     def subset_idx(self):
@@ -40,11 +40,13 @@ def parabolic(graph: CommutationGraph, subset) -> ParabolicContext:
     return ParabolicContext(graph, frozenset(subset))
 
 
-@dataclass(frozen=True)
-class DoubleCosetRep:
-    left: NormalForm
-    core: NormalForm
-    right: NormalForm
+class DoubleCosetRep(_Frozen):
+    __slots__ = ("left", "core", "right")
+
+    def __init__(self, left: NormalForm, core: NormalForm, right: NormalForm):
+        _set_field(self, "left", left)
+        _set_field(self, "core", core)
+        _set_field(self, "right", right)
 
 
 def parabolic_member(ctx: ParabolicContext, w) -> bool:

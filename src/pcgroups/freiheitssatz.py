@@ -28,8 +28,6 @@ is json.dumps itself.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from .errors import (BadParameter, ConflictingVerdicts, LinkNotClique,
@@ -48,6 +46,7 @@ from .hnn import (hnn_factorize, is_cyclically_reduced_hnn, is_t_root,
 from .words import (
     NormalForm,
     Word,
+    _Frozen,
     format_word,
     is_cyclically_minimal,
     minimal_form,
@@ -62,7 +61,12 @@ RESTRICTED_EMBEDS = "RESTRICTED_EMBEDS"
 DECIDABLE = "decidable"
 
 
-_encode_str = json.encoder.encode_basestring_ascii
+def _encode_str(s):
+    """json's ASCII encoder of a str, which takes this name on first call,
+    so json loads only when a report is written."""
+    global _encode_str
+    from json.encoder import encode_basestring_ascii as _encode_str
+    return _encode_str(s)
 
 
 def _scalar(v):
@@ -77,7 +81,8 @@ def _scalar(v):
         return _encode_str(v)
     if isinstance(v, int):
         return int.__repr__(v)
-    return json.dumps(v)
+    from json import dumps
+    return dumps(v)
 
 
 def _array(items, pad, step):
@@ -102,22 +107,20 @@ def _names(names, pad, step):
     return _array([_encode_str(v) for v in names], pad, step)
 
 
-def _record(cls):
-    """dataclass(cls) whose JSON keys, _KEYS, are its field names."""
-    cls = dataclass(cls)
-    cls._KEYS = tuple([f.name for f in fields(cls)])
-    return cls
+class TheoremMainRecord(_Frozen, frozen=False):
+    __slots__ = _KEYS = ("t", "lk_clique", "t_thick", "cyclically_t_thick",
+                         "not_in_star", "t_root", "verdict")
 
-
-@_record
-class TheoremMainRecord:
-    t: str
-    lk_clique: bool
-    t_thick: bool | None
-    cyclically_t_thick: bool | None
-    not_in_star: bool
-    t_root: bool
-    verdict: str
+    def __init__(self, t: str, lk_clique: bool, t_thick: bool | None,
+                 cyclically_t_thick: bool | None, not_in_star: bool,
+                 t_root: bool, verdict: str):
+        self.t = t
+        self.lk_clique = lk_clique
+        self.t_thick = t_thick
+        self.cyclically_t_thick = cyclically_t_thick
+        self.not_in_star = not_in_star
+        self.t_root = t_root
+        self.verdict = verdict
 
     def hypotheses_hold(self):
         return (self.lk_clique and bool(self.t_thick)
@@ -132,12 +135,17 @@ class TheoremMainRecord:
             [_scalar(getattr(self, k)) for k in self._KEYS])
 
 
-@_record
-class AmalgamRecord:
-    synchronised: bool
-    supp_clique: bool
-    supp_independent: bool
-    decomposition: dict | None  # {"Y": [...], "lk_Y": [...], "X": [...]}
+class AmalgamRecord(_Frozen, frozen=False):
+    __slots__ = _KEYS = ("synchronised", "supp_clique", "supp_independent",
+                         "decomposition")
+
+    def __init__(self, synchronised: bool, supp_clique: bool,
+                 supp_independent: bool, decomposition: dict | None):
+        self.synchronised = synchronised
+        self.supp_clique = supp_clique
+        self.supp_independent = supp_independent
+        # {"Y": [...], "lk_Y": [...], "X": [...]}, or None
+        self.decomposition = decomposition
 
     def to_json_dict(self):  # fresh lists
         data = {k: getattr(self, k) for k in self._KEYS}
@@ -161,14 +169,16 @@ def _witness_text(witness):
     return ", ".join(f"{k}={v}" for k, v in sorted(witness.items()))
 
 
-@dataclass
-class Conclusion:
-    subset: tuple
-    status: str
-    justification: str
-    witness: dict | None = None
-
+class Conclusion(_Frozen, frozen=False):
+    __slots__ = ("subset", "status", "justification", "witness")
     _KEYS = ("subset", "status", "justification")
+
+    def __init__(self, subset: tuple, status: str, justification: str,
+                 witness: dict | None = None):
+        self.subset = subset
+        self.status = status
+        self.justification = justification
+        self.witness = witness
 
     def _full_justification(self):
         if self.witness:
@@ -185,18 +195,25 @@ class Conclusion:
             _scalar(self._full_justification()))
 
 
-@dataclass
-class FreiReport:
-    graph: CommutationGraph
-    s: NormalForm
-    n: int
-    per_t: list
-    amalgam: AmalgamRecord
-    conclusions: list
-    order_of_s: object  # int or "unknown"
-    word_problem: str
-    conjugacy_problem: str
-    advisories: list = field(default_factory=list)
+class FreiReport(_Frozen, frozen=False):
+    __slots__ = ("graph", "s", "n", "per_t", "amalgam", "conclusions",
+                 "order_of_s", "word_problem", "conjugacy_problem",
+                 "advisories")
+
+    def __init__(self, graph: CommutationGraph, s: NormalForm, n: int,
+                 per_t: list, amalgam: AmalgamRecord, conclusions: list,
+                 order_of_s: object, word_problem: str, conjugacy_problem: str,
+                 advisories: list = list):  # the class: a fresh list each
+        self.graph = graph
+        self.s = s
+        self.n = n
+        self.per_t = per_t
+        self.amalgam = amalgam
+        self.conclusions = conclusions
+        self.order_of_s = order_of_s  # int or "unknown"
+        self.word_problem = word_problem
+        self.conjugacy_problem = conjugacy_problem
+        self.advisories = [] if advisories is list else advisories
 
     _KEYS = ("s", "n", "per_t", "amalgam", "conclusions", "order_of_s",
              "word_problem", "conjugacy_problem")
@@ -213,7 +230,8 @@ class FreiReport:
         """json.dumps(self.to_json_dict(), indent=indent), byte for byte;
         for an int indent the text is written from the records."""
         if indent is None:
-            return json.dumps(self.to_json_dict())
+            from json import dumps
+            return dumps(self.to_json_dict())
         step = " " * indent
         pad = "\n" + step
         inner = pad + step

@@ -8,8 +8,6 @@ canonical forms everywhere downstream.
 
 from __future__ import annotations
 
-import re
-
 from .errors import (
     BadParameter,
     DuplicateVertex,
@@ -19,7 +17,11 @@ from .errors import (
     UnknownVertex,
 )
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+def _is_name(s):
+    """A word token: an ASCII letter or _, then ASCII letters, digits
+    and _ (for ASCII text, exactly str.isidentifier)."""
+    return s.isascii() and s.isidentifier()
 
 
 class CommutationGraph:
@@ -27,7 +29,7 @@ class CommutationGraph:
 
     Internally vertices are also numbered 1..n in declaration order; the
     word machinery works on those indices.  Every vertex name is a word
-    token (_NAME_RE), so the tokens `name` and `name^-1` of distinct
+    token (_is_name), so the tokens `name` and `name^-1` of distinct
     letters differ and _letter maps each to its signed index.
     """
 
@@ -37,7 +39,7 @@ class CommutationGraph:
         self.vertices = tuple(vertices)
         seen = set()
         for v in self.vertices:
-            if not (isinstance(v, str) and _NAME_RE.match(v)):
+            if not (isinstance(v, str) and _is_name(v)):
                 raise BadParameter(f"vertex name {v!r} is not a word token")
             if v in seen:
                 raise DuplicateVertex(f"duplicate vertex {v!r}")
@@ -258,7 +260,7 @@ def parse_graph(text: str) -> CommutationGraph:
             if len(parts) == 1:
                 raise GraphFormatError(f"line {lineno}: empty vertices line")
             for name in parts[1:]:
-                if not _NAME_RE.match(name):
+                if not _is_name(name):
                     raise GraphFormatError(
                         f"line {lineno}: bad vertex name {name!r}")
             vertices = parts[1:]

@@ -22,13 +22,13 @@ letters: not primitive.  is_t_root uses the lemma to skip the symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cosets import maln_support, oriented_symbol
 from .errors import BadParameter, LinkNotClique, NoSplitFound
 from .graphs import CommutationGraph
 from .words import (
     Word,
+    _Frozen,
+    _set_field,
     canonical_split,
     format_word,
     minimal_form,
@@ -36,8 +36,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class HnnWord:
+class HnnWord(_Frozen):
     """Reduced factorisation g0 t^{e1} g1 ... t^{em} gm.
 
     chunks are canonical letter tuples over A \\ {t}; exps are +-1, one
@@ -48,11 +47,16 @@ class HnnWord:
     part in equality, hashing or repr.
     """
 
-    graph: CommutationGraph
-    t: str
-    chunks: tuple
-    exps: tuple
-    u_idx: frozenset = field(compare=False, repr=False)
+    __slots__ = ("graph", "t", "chunks", "exps", "u_idx")
+    _HIDDEN = ("u_idx",)
+
+    def __init__(self, graph: CommutationGraph, t: str, chunks: tuple,
+                 exps: tuple, u_idx: frozenset):
+        _set_field(self, "graph", graph)
+        _set_field(self, "t", t)
+        _set_field(self, "chunks", chunks)
+        _set_field(self, "exps", exps)
+        _set_field(self, "u_idx", u_idx)
 
     def to_word(self) -> Word:
         t_idx = self.graph.index(self.t)
@@ -129,8 +133,7 @@ def is_cyclically_reduced_hnn(g: CommutationGraph, t, h: HnnWord) -> bool:
 # the symbol map into F(D+) * <t>
 
 
-@dataclass(frozen=True)
-class SigmaWord:
+class SigmaWord(_Frozen):
     """Image of an element in the free product F(D+) * <t>.
 
     units is a freely reduced tuple of unit letters (sym, sign): sym is
@@ -138,9 +141,12 @@ class SigmaWord:
     positively oriented double-coset symbol.
     """
 
-    graph: CommutationGraph
-    t: str
-    units: tuple
+    __slots__ = ("graph", "t", "units")
+
+    def __init__(self, graph: CommutationGraph, t: str, units: tuple):
+        _set_field(self, "graph", graph)
+        _set_field(self, "t", t)
+        _set_field(self, "units", units)
 
     def __len__(self):
         return len(self.units)
@@ -299,11 +305,13 @@ def is_cyclically_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
 # uniquely positioned factorisation
 
 
-@dataclass(frozen=True)
-class UniquePositionSplit:
-    a: SigmaWord
-    b: SigmaWord
-    rotation: int
+class UniquePositionSplit(_Frozen):
+    __slots__ = ("a", "b", "rotation")
+
+    def __init__(self, a: SigmaWord, b: SigmaWord, rotation: int):
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "rotation", rotation)
 
 
 def _cyclic_occurrences(haystack, needle):

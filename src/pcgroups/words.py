@@ -37,16 +37,25 @@ _canon_text, keeps the canonical letters of the last 8 (graph, text)
 pairs, never a Word or NormalForm, so each result is built on the
 caller's own graph.  A NormalForm over the graph skips the memo
 entirely, and a Word is not memoised.
+
+The value classes of every layer (Word, NormalForm, HnnWord, the
+verdict records, ...) are slotted classes on one base, _Frozen, which
+compares, hashes, prints and refuses assignment as a frozen dataclass
+of its __slots__ would (or, declared frozen=False, accepts assignment
+and is unhashable, as a plain dataclass).  Each has its own __init__.
+dataclasses.fields, asdict, replace and is_dataclass work on them: the
+base's __dataclass_fields__ is built on first read from a make_dataclass
+twin and cached on the class, so importing the package loads neither
+dataclasses nor the inspect machinery it pulls in.
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import compress, islice
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 
 from .errors import (
     BudgetExceeded,
@@ -55,9 +64,8 @@ from .errors import (
     WordSyntaxError,
     ZeroExponent,
 )
-from .graphs import CommutationGraph, _complement_components
+from .graphs import CommutationGraph, _complement_components, _is_name
 
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 
 # Most letters parse_word expands one word into; `name^k` counts |k|.
 # A longer word raises BudgetExceeded before its letters are built.
@@ -447,35 +455,98 @@ def _block_conjugate(adj, u, v):
 _set_field = object.__setattr__
 
 
+class _DataclassFields:
+    """__dataclass_fields__ of a value class, built on first read: the
+    fields of a make_dataclass twin with the same field names, order,
+    defaults and compare/repr flags, cached on the class.  So
+    dataclasses.fields, asdict, replace and is_dataclass work on the
+    class, and only they import dataclasses."""
+
+    def __get__(self, obj, cls):
+        if not cls.__slots__:  # the base itself has no fields
+            raise AttributeError("__dataclass_fields__")
+        import dataclasses
+        # __init__ takes the fields in __slots__ order, annotated with
+        # their types; a default that is a class (list) is a factory
+        init = cls.__init__
+        defaults = init.__defaults__ or ()
+        defaults = dict(zip(cls.__slots__[len(cls.__slots__) - len(defaults):],
+                            defaults))
+        spec = []
+        for name in cls.__slots__:
+            shown = name not in cls._HIDDEN
+            kw = {"compare": shown, "repr": shown}
+            if name in defaults:
+                value = defaults[name]
+                kw["default_factory" if isinstance(value, type)
+                   else "default"] = value
+            spec.append((name, init.__annotations__.get(name, object),
+                         dataclasses.field(**kw)))
+        twin = dataclasses.make_dataclass(cls.__name__, spec,
+                                          frozen=cls.__hash__ is not None)
+        cls.__dataclass_fields__ = twin.__dataclass_fields__
+        return twin.__dataclass_fields__
+
+
+def _refuse_set(self, name, value):
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 class _Frozen:
     """A slotted value class that compares, hashes, prints and refuses
-    assignment as the frozen dataclass of its __slots__ would."""
+    assignment as the frozen dataclass of its __slots__ would.
+
+    _HIDDEN names the fields left out of comparison, hashing and repr
+    (field(compare=False, repr=False)).  A subclass declared with
+    frozen=False is a mutable record instead: it takes assignment to
+    its fields and is unhashable, as a plain @dataclass.  Each subclass
+    has its own __init__, taking the fields in __slots__ order."""
 
     __slots__ = ()
+    _HIDDEN = ()
+    __dataclass_fields__ = _DataclassFields()
 
-    def _fields(self):
-        return tuple([getattr(self, f) for f in self.__slots__])
+    def __init_subclass__(cls, frozen=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._COMPARED = names = tuple([f for f in cls.__slots__
+                                       if f not in cls._HIDDEN])
+        # _key(obj) is the tuple of the compared fields; an attrgetter is
+        # no descriptor, so self._key(self) calls it
+        get = attrgetter(*names)
+        cls._key = get if len(names) > 1 else staticmethod(
+            lambda obj: (get(obj),))
+        cls.__match_args__ = cls.__slots__
+        if frozen:
+            cls.__setattr__ = _refuse_set
+            cls.__delattr__ = _refuse_delete
+        else:
+            cls.__hash__ = None
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self._key(self) == other._key(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._key(self))
 
     def __repr__(self):
         return f"{self.__class__.__qualname__}(" + ", ".join(
-            [f"{f}={getattr(self, f)!r}" for f in self.__slots__]) + ")"
+            [f"{f}={getattr(self, f)!r}" for f in self._COMPARED]) + ")"
 
     def __reduce__(self):
-        return self.__class__, self._fields()
+        return self.__class__, tuple([getattr(self, f)
+                                      for f in self.__slots__])
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    def __replace__(self, /, **changes):  # copy.replace, Python 3.13
+        return self.__class__(
+            **{**{f: getattr(self, f) for f in self.__slots__}, **changes})
 
 
 class Word(_Frozen):
@@ -522,10 +593,12 @@ class NormalForm(_Frozen):
         return format_word(self.word)
 
 
-@dataclass(frozen=True)
-class CyclicDecomposition:
-    conjugator: NormalForm  # u
-    core: NormalForm        # v, cyclically minimal
+class CyclicDecomposition(_Frozen):
+    __slots__ = ("conjugator", "core")  # u, and v cyclically minimal
+
+    def __init__(self, conjugator: NormalForm, core: NormalForm):
+        _set_field(self, "conjugator", conjugator)
+        _set_field(self, "core", core)
 
     def __str__(self):
         return f"({self.conjugator})^-1 . ({self.core}) . ({self.conjugator})"
@@ -554,7 +627,9 @@ def parse_word(text: str, g: CommutationGraph) -> Word:
     The bare token `1` denotes the identity and must appear alone.  A
     word of more than MAX_WORD_LETTERS letters after expansion raises
     BudgetExceeded.  The tokens `name` and `name^-1` are read from the
-    graph's letter table; any other token goes through _TOKEN_RE.
+    graph's letter table; any other token must be a vertex name,
+    optionally followed by `^`, one optional `-` and decimal digits
+    (str.isdecimal: any Unicode decimal digit, so `a^٣` is a^3).
     """
     tokens = text.split()
     if tokens == ["1"]:
@@ -571,13 +646,13 @@ def parse_word(text: str, g: CommutationGraph) -> Word:
             continue
         if tok == "1":
             raise WordSyntaxError("'1' must appear alone")
-        m = _TOKEN_RE.match(tok)
-        if not m:
+        name, caret, exp = tok.partition("^")
+        digits = exp[1:] if exp[:1] == "-" else exp
+        if not _is_name(name) or caret and not digits.isdecimal():
             raise WordSyntaxError(f"bad token {tok!r}")
-        name, exp = m.group(1), m.group(2)
         if name not in g:
             raise UnknownGenerator(f"unknown generator {name!r}")
-        k = 1 if exp is None else bounded_int(exp, MAX_WORD_LETTERS)
+        k = bounded_int(exp, MAX_WORD_LETTERS) if caret else 1
         if k is None:
             raise BudgetExceeded(
                 f"exponent in {tok[:40]!r} exceeds {MAX_WORD_LETTERS} letters")

@@ -33,6 +33,7 @@ one slice at a time and tests every rotation.
 
 import math
 import random
+import re
 from bisect import bisect_right
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -55,7 +56,6 @@ from pcgroups.graphs import (
 )
 from pcgroups.hnn import sigma
 from pcgroups.words import (
-    _TOKEN_RE,
     MAX_WORD_LETTERS,
     _block_conjugate,
     as_word,
@@ -64,8 +64,15 @@ from pcgroups.words import (
 )
 
 
+# The token grammar as regular expressions: a vertex name, and a word
+# token (a name, then optionally ^, one optional - and a run of \d, any
+# Unicode decimal digit).  graphs and words parse both by hand.
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
+
+
 def parse_word_reference(text, g):
-    """Signed letters of a word, every token read through _TOKEN_RE: the
+    """Signed letters of a word, every token read through TOKEN_RE: the
     regex-only parser that words.parse_word must agree with, error class
     and message included."""
     tokens = text.split()
@@ -75,7 +82,7 @@ def parse_word_reference(text, g):
     for tok in tokens:
         if tok == "1":
             raise WordSyntaxError("'1' must appear alone")
-        m = _TOKEN_RE.match(tok)
+        m = TOKEN_RE.match(tok)
         if not m:
             raise WordSyntaxError(f"bad token {tok!r}")
         name, exp = m.group(1), m.group(2)

@@ -121,6 +121,29 @@ def test_census_is_imported_on_first_use(ab):
         == ["5", "1", "1", "9", "5", "5"]
 
 
+def test_import_loads_no_dataclasses_re_or_json(c5p):
+    # a CLI call pays for every module the import loads: the package and a
+    # graph leave dataclasses, inspect, re and json unloaded, and the CLI
+    # (argparse loads re) leaves dataclasses and inspect unloaded
+    code = """if True:
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import pcgroups
+        pcgroups.load_graph(sys.argv[2])
+        for name in ("words", "cosets", "hnn", "freiheitssatz"):
+            assert "pcgroups." + name in sys.modules, name
+        assert "pcgroups.census" not in sys.modules
+        print(sorted({"dataclasses", "inspect", "re", "json"}
+                     & set(sys.modules)))
+        import pcgroups.cli
+        print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+    """
+    proc = subprocess.run([sys.executable, "-S", "-c", code, SRC, c5p],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"
+
+
 def test_density_sample(capsys):
     args = ["density", "--n", "5", "--d", "2", "--k", "1", "--mode", "sample",
             "--samples", "200", "--seed", "42", "--json"]

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -23,7 +24,7 @@ from pcgroups.graphs import (
     star,
 )
 
-from oracles import catalog
+from oracles import NAME_RE, catalog
 
 
 def test_build_graph_p4():
@@ -61,6 +62,32 @@ def test_build_graph_rejects_names_that_are_not_tokens():
     # parse_graph reports a bad name by its line, before building
     with pytest.raises(GraphFormatError, match="line 2: bad vertex name"):
         parse_graph("# names\nvertices a a^-1\n")
+
+
+def _accepts(make, name, error):
+    try:
+        make(name)
+    except error:
+        return False
+    return True
+
+
+def test_vertex_names_match_the_regex():
+    # the hand check takes exactly the names NAME_RE matches, ASCII only,
+    # in build_graph and in a vertices line of parse_graph
+    rng = random.Random(23)
+    chars = "ab_Z09^-\u00e9\u0663\u00b2\u00df\u212a\n"
+    names = ["\u00e9", "1a", "_", "a\n", "ab_9", "", "a b", "if", "A1_",
+             "\u212a", "a\u0663"]
+    names += ["".join(rng.choice(chars) for _ in range(rng.randrange(1, 6)))
+              for _ in range(3000)]
+    for name in names:
+        want = bool(NAME_RE.match(name))
+        assert _accepts(lambda v: build_graph([v], []), name,
+                        BadParameter) is want, name
+        if name.split() == [name]:
+            assert _accepts(lambda v: parse_graph(f"vertices {v}\n"), name,
+                            GraphFormatError) is want, name
 
 
 def test_link_cycle_with_chord():

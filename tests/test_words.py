@@ -4,7 +4,8 @@ import pickle
 import random
 import sys
 import time
-from dataclasses import make_dataclass
+from dataclasses import (asdict, field, fields, is_dataclass, make_dataclass,
+                         replace)
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,12 +19,17 @@ from pcgroups.errors import (
     WordSyntaxError,
     ZeroExponent,
 )
-from pcgroups import words
-from pcgroups.cosets import in_maln, parabolic, parabolic_member, strip_divisors
+from pcgroups import census, words
+from pcgroups.cosets import (DoubleCosetRep, ParabolicContext, in_maln,
+                             parabolic, parabolic_member, strip_divisors)
+from pcgroups.freiheitssatz import (AmalgamRecord, Conclusion, FreiReport,
+                                    TheoremMainRecord, magnus_verdict)
 from pcgroups.graphs import build_graph, cycle_with_chord, plain_cycle
-from pcgroups.hnn import hnn_factorize, sigma
+from pcgroups.hnn import (HnnWord, SigmaWord, UniquePositionSplit,
+                          hnn_factorize, sigma, unique_position_factorization)
 from pcgroups.words import (
     MAX_WORD_LETTERS,
+    CyclicDecomposition,
     _canon_heap,
     _cyclic_core,
     _insert,
@@ -568,6 +574,42 @@ def test_parse_word_matches_the_regex_parser(tokens, gaps):
             == _parse_outcome(parse_word_reference, text, C5P))
 
 
+# Tokens where a hand parser could part from the regex: Unicode decimal
+# digits (\d) and other digits, underscores and signs that int() takes,
+# and empty names or exponents.
+_ODD_TOKENS = ["a^\u0663", "a^-\u0663", "a^\u00b2", "a^1_0", "a^+3", "a^-0",
+               "a^007", "a^", "^3", "a^^1", "a^10000000000", "_c^-2",
+               "a^--1", "a^-", "a^3^1", "_c", "b^\U0001d7d8\u0661"]
+_DIGITS = "0123456789\u0660\u0663\u00b2\U0001d7d8\u2167\u00bd"
+
+
+def _random_token(rng):
+    if rng.random() < 0.5:
+        chars = "ab_c19^-+\u00e9\u00df" + _DIGITS
+        return "".join(rng.choice(chars) for _ in range(rng.randrange(1, 8)))
+    exponent = "".join(rng.choice(_DIGITS + "-+_^")
+                       for _ in range(rng.randrange(0, 5)))
+    return rng.choice(["a", "_c", "b", "a1", ""]) + "^" + exponent
+
+
+def test_parse_word_matches_the_regex_on_odd_and_random_tokens():
+    g = build_graph(["a", "_c", "b"], [("a", "b")])
+    assert parse_word("a^\u0663", g).idx == (1, 1, 1)
+    assert parse_word("a^-\u0663 _c^-2", g).idx == (-1, -1, -1, -2, -2)
+    for tok in ("a^\u00b2", "a^1_0", "a^+3", "a^", "^3", "a^^1"):
+        with pytest.raises(WordSyntaxError):
+            parse_word(tok, g)
+    rng = random.Random(23)
+    tokens = _ODD_TOKENS + [_random_token(rng) for _ in range(4000)]
+    for tok in tokens:
+        assert (_parse_outcome(lambda t, g: parse_word(t, g).idx, tok, g)
+                == _parse_outcome(parse_word_reference, tok, g)), tok
+    for i in range(0, len(tokens), 3):
+        text = " ".join(tokens[i:i + 3])
+        assert (_parse_outcome(lambda t, g: parse_word(t, g).idx, text, g)
+                == _parse_outcome(parse_word_reference, text, g)), text
+
+
 @given(st.lists(letters_c5p, max_size=10))
 @settings(max_examples=200, deadline=None)
 def test_format_parse_roundtrip(letters):
@@ -1089,3 +1131,137 @@ def test_word_and_normal_form_keep_the_frozen_dataclass_behaviour():
         for twin in (copy.copy(nf), copy.deepcopy(nf),
                      pickle.loads(pickle.dumps(nf))):
             assert twin == nf and twin.idx == idx
+
+
+def _twin(cls, names, frozen=True, **special):
+    """The dataclass a value class stands in for, with the same name."""
+    return make_dataclass(cls.__name__, [
+        (n, object, special[n]) if n in special else (n, object)
+        for n in names], frozen=frozen)
+
+
+# Each value class and the dataclass it must behave as: field names,
+# order, defaults and compare/repr flags, frozen or not.
+_VALUE_TWINS = {
+    HnnWord: _twin(HnnWord, ["graph", "t", "chunks", "exps", "u_idx"],
+                   u_idx=field(compare=False, repr=False)),
+    SigmaWord: _twin(SigmaWord, ["graph", "t", "units"]),
+    UniquePositionSplit: _twin(UniquePositionSplit, ["a", "b", "rotation"]),
+    ParabolicContext: _twin(ParabolicContext, ["graph", "subset"]),
+    DoubleCosetRep: _twin(DoubleCosetRep, ["left", "core", "right"]),
+    CyclicDecomposition: _twin(CyclicDecomposition, ["conjugator", "core"]),
+    TheoremMainRecord: _twin(TheoremMainRecord, [
+        "t", "lk_clique", "t_thick", "cyclically_t_thick", "not_in_star",
+        "t_root", "verdict"], frozen=False),
+    AmalgamRecord: _twin(AmalgamRecord, [
+        "synchronised", "supp_clique", "supp_independent", "decomposition"],
+        frozen=False),
+    Conclusion: _twin(Conclusion, [
+        "subset", "status", "justification", "witness"], frozen=False,
+        witness=field(default=None)),
+    FreiReport: _twin(FreiReport, [
+        "graph", "s", "n", "per_t", "amalgam", "conclusions", "order_of_s",
+        "word_problem", "conjugacy_problem", "advisories"], frozen=False,
+        advisories=field(default_factory=list)),
+    census.CensusRow: _twin(census.CensusRow, [
+        "n", "d", "k", "enumerated", "formula", "mode", "seed", "samples",
+        "rho_se"], frozen=False, mode=field(default="exhaustive"),
+        seed=field(default=""), samples=field(default=0),
+        rho_se=field(default=0.0)),
+}
+
+
+def _value_pairs():
+    """Two instances of each value class, over one graph where a field
+    holds a graph."""
+    g = cycle_with_chord(5)
+    hs = [hnn_factorize(g, "t", w) for w in ("a2 t a3 t", "a1 t a4 t^-1")]
+    sigmas = [sigma(g, "t", h) for h in hs]
+    reports = [magnus_verdict(g, "a1 a2 a3 t", 3),
+               magnus_verdict(plain_cycle(5), "a1 a2 a3 t", 3)]
+    plain = reports[1]
+    plain.graph = g
+    return {
+        HnnWord: hs,
+        SigmaWord: sigmas,
+        UniquePositionSplit: [unique_position_factorization(s)
+                              for s in (sigmas[0], sigma(g, "t", hnn_factorize(
+                                  g, "t", "a2 t")))],
+        ParabolicContext: [parabolic(g, {"a1", "a2"}), parabolic(g, {"t"})],
+        DoubleCosetRep: [strip_divisors(parabolic(g, {"a1", "a2"}), w)
+                         for w in ("a1 a3 t a2", "a2 a4 a1")],
+        CyclicDecomposition: [cyclic_reduce(g, w)
+                              for w in ("a3 a1 t a3^-1", "a2 t")],
+        TheoremMainRecord: [r.per_t[0] for r in reports],
+        AmalgamRecord: [magnus_verdict(g, w, 2).amalgam
+                        for w in ("a1 a2", "a1 a3")],
+        Conclusion: [reports[0].conclusions[0], plain.advisories[0]],
+        FreiReport: reports,
+        census.CensusRow: [census.census_row(5, 2, 1),
+                           census.census_row(5, 1, 2, mode="sample",
+                                             samples=5, seed=1)],
+    }
+
+
+def test_value_classes_keep_their_dataclass_behaviour():
+    pairs = _value_pairs()
+    assert set(pairs) == set(_VALUE_TWINS)
+    for cls, (obj, other) in pairs.items():
+        twin_cls = _VALUE_TWINS[cls]
+        names = [f.name for f in fields(twin_cls)]
+        frozen = twin_cls.__hash__ is not None
+        args = [getattr(obj, n) for n in names]
+        twin = twin_cls(*args)
+        # repr, equality, hashing
+        assert repr(obj) == repr(twin)
+        assert obj == cls(*args) and obj != other and obj != twin
+        assert obj.__eq__(twin) is NotImplemented
+        if frozen:
+            assert hash(obj) == hash(twin) == hash(cls(*args))
+        else:
+            with pytest.raises(TypeError):
+                hash(obj)
+        # assignment: refused on a frozen class, and beyond the fields
+        for name in names + ["other"]:
+            if frozen or name == "other":
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, getattr(obj, name, None))
+            if frozen:
+                with pytest.raises(AttributeError):
+                    delattr(obj, name)
+        assert not hasattr(obj, "__dict__")
+        # copies keep every field, the hidden ones too
+        for copied in (copy.copy(obj), copy.deepcopy(obj),
+                       pickle.loads(pickle.dumps(obj))):
+            assert copied == obj and copied.__class__ is cls
+            assert [getattr(copied, n) for n in names] == args
+        # dataclasses introspection
+        assert is_dataclass(cls) and is_dataclass(obj)
+        assert ([(f.name, f.compare, f.repr, f.default, f.default_factory)
+                 for f in fields(obj)]
+                == [(f.name, f.compare, f.repr, f.default, f.default_factory)
+                    for f in fields(twin)])
+        assert asdict(obj) == asdict(twin)
+        assert replace(obj) == obj and replace(obj) is not obj
+        for name in names:
+            changed = replace(obj, **{name: getattr(other, name)})
+            want = cls(*[getattr(other if n == name else obj, n)
+                         for n in names])
+            assert changed == want and repr(changed) == repr(want)
+        if hasattr(copy, "replace"):  # Python 3.13
+            change = {names[-1]: getattr(other, names[-1])}
+            assert copy.replace(obj, **change) == replace(obj, **change)
+        # defaults: the required fields alone, a fresh list each time
+        required = [f for f in fields(twin_cls)
+                    if f.default is f.default_factory]  # both MISSING
+        least = args[:len(required)]
+        assert repr(cls(*least)) == repr(twin_cls(*least))
+        if cls is FreiReport:
+            assert cls(*least).advisories is not cls(*least).advisories
+    # field types are the annotations, as the dataclasses declared them
+    assert [f.type for f in fields(HnnWord)] == [
+        "CommutationGraph", "str", "tuple", "tuple", "frozenset"]
+    assert [f.type for f in fields(TheoremMainRecord)][2:4] == [
+        "bool | None", "bool | None"]
+    assert fields(FreiReport)[6].type == "object"
+    assert not is_dataclass(words._Frozen)
