@@ -457,6 +457,54 @@ def test_cyclic_core_matches_the_peeling_reference():
             assert all(x in kept for x in v)  # a subsequence of form
 
 
+def _graphs_up_to_isomorphism(n):
+    """One labelled graph per isomorphism class on n vertices (11 for
+    n = 4): the first edge set, in subset order, of each class."""
+    names = [f"v{i}" for i in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    seen, out = set(), []
+    for mask in range(1 << len(pairs)):
+        edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+        if frozenset(edges) in seen:
+            continue
+        for perm in itertools.permutations(range(n)):
+            seen.add(frozenset(tuple(sorted((perm[a], perm[b])))
+                               for a, b in edges))
+        out.append(build_graph(names, [(names[a], names[b])
+                                       for a, b in edges]))
+    return out
+
+
+def test_cyclic_core_of_the_square_matches_the_reference():
+    # every word of up to four letters over each graph on four vertices,
+    # fed as its canonical form and as the geodesic reduce_letters keeps:
+    # the core against the peeling reference, its lengths, v a
+    # subsequence of the geodesic, and the cyclic-minimality verdict
+    graphs = _graphs_up_to_isomorphism(4)
+    assert len(graphs) == 11
+    words_seen = 0
+    for g in graphs:
+        adj = g._adj_idx
+        want = {}  # canonical form -> (core, verdict) of the references
+        for n in range(5):
+            for w in all_words(4, n):
+                words_seen += 1
+                canonical = canon_letters(adj, w)
+                if canonical not in want:
+                    want[canonical] = (
+                        cyclic_core_reference(adj, canonical),
+                        is_cyclically_minimal_reference(adj, canonical))
+                core, minimal = want[canonical]
+                for form in {canonical, reduce_letters(adj, w)}:
+                    assert cyclic_core_letters(adj, form) == core, (g, w)
+                    ys, v = _cyclic_core(adj, form)
+                    assert 2 * len(ys) + len(v) == len(form), (g, w)
+                    kept = iter(form)
+                    assert all(x in kept for x in v), (g, w)
+                assert is_cyclically_minimal(g, Word(g, w)) == minimal, (g, w)
+    assert words_seen == 51491
+
+
 def test_reduce_letters_matches_the_scanning_reference():
     # the position pass cancels the pairs the back-scan cancels, on
     # unreduced and conjugated words and on the shapes where the scan
