@@ -32,6 +32,7 @@ import json
 import math
 import random
 import re
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
@@ -435,6 +436,23 @@ def classify_Z(n, w):
 # census rows, density, output formats
 
 
+class _AllDigits:
+    """A with block in which Python (3.11 on) converts an int of any
+    length to a string: the census writers print counts past its default
+    limit of 4300 digits, which K_BUDGET bounds and prices.  The limit is
+    interpreter-wide: it is lifted on entry and put back on exit."""
+
+    def __enter__(self):
+        get = getattr(sys, "get_int_max_str_digits", None)
+        self.limit = get() if get else 0
+        if self.limit:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        if self.limit:
+            sys.set_int_max_str_digits(self.limit)
+
+
 class CensusRow(_Frozen, frozen=False):
     __slots__ = ("n", "d", "k", "enumerated", "formula", "mode", "seed",
                  "samples", "rho_se")
@@ -468,7 +486,8 @@ class CensusRow(_Frozen, frozen=False):
         return {f: getattr(self, f) for f in self.__slots__}
 
     def to_json(self, indent=2):
-        return json.dumps(self.to_json_dict(), indent=indent)
+        with _AllDigits():
+            return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def _formula_dict(n, d, k, enums):
@@ -695,6 +714,7 @@ def rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CensusRow.COLUMNS)
-    for row in rows:
-        writer.writerow(row.csv_record())
+    with _AllDigits():
+        for row in rows:
+            writer.writerow(row.csv_record())
     return buf.getvalue()

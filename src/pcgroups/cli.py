@@ -102,10 +102,9 @@ def _dispatch(args) -> int:
         else:
             res = census_mod.density(args.n, args.d, args.k, mode=args.mode,
                                      samples=args.samples, seed=args.seed)
-            if args.json:
-                _emit(args, json.dumps(res, indent=2))
-            else:
-                _emit(args, "\n".join(f"{k}: {v}" for k, v in res.items()))
+            with census_mod._AllDigits():
+                _emit(args, json.dumps(res, indent=2) if args.json else
+                      "\n".join(f"{k}: {v}" for k, v in res.items()))
         return 0
 
     g = load_graph(args.graph)
@@ -150,8 +149,6 @@ def _dispatch(args) -> int:
 
 
 def main():  # console entry point
-    if hasattr(sys, "set_int_max_str_digits"):  # census counts may pass
-        sys.set_int_max_str_digits(0)  # 4300 digits; its budgets bound them
     sys.exit(run())
 
 

@@ -18,15 +18,13 @@ computes it and serves every layer above:
   geodesic reduce_letters gives;
 * reduce_letters: the cancellation alone, one linear pass with no scan
   that decides the test from the last live position of each generator,
-  for _canon_heap and the callers that need only a geodesic
-  (conjugate_test and the wrap chunk of hnn);
+  for _canon_heap, the callers that need only a geodesic (conjugate_test
+  and the wrap chunk of hnn) and cyclic reduction: the core of w is what
+  the pass keeps of both copies of w.w (_cyclic_core);
 * canonical_split: one pass per side of a canonical form peels the
   maximal left and right divisors over a vertex subset (the parabolic
   double-coset split), and linearises the core again only after an
   interior hole;
-* _cyclic_core: one worklist pass over any geodesic removes the pairs
-  y ... y^-1 of first and last letters that are a left and a right
-  divisor (cyclic reduction, for cyclic_reduce and conjugate_test).
 
 All geodesics of one element differ only by commutations, so the
 canonical form is a class invariant.
@@ -53,7 +51,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, islice
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
 
@@ -94,9 +91,9 @@ def invert_letters(w):
     return tuple(-x for x in reversed(w))
 
 
-def reduce_letters(adj, w):
-    """Geodesic of w in one left-to-right pass: the letters that survive
-    Wrathall's cancellation test (Wrathall 1988), in input order.
+def _cancel(adj, w):
+    """The letters of w after one left-to-right pass of Wrathall's
+    cancellation test (Wrathall 1988), each cancelled letter made 0.
 
     adj is the 1-based index adjacency of the graph.  last[k] is the
     position of the last live letter of generator k, below[p] that of
@@ -128,7 +125,12 @@ def reduce_letters(adj, w):
                 continue
         below[q] = p
         last[gen] = q
-    return tuple(filter(None, out))
+    return out
+
+
+def reduce_letters(adj, w):
+    """Geodesic of w: the letters _cancel keeps, in input order."""
+    return tuple(filter(None, _cancel(adj, w)))
 
 
 # Scan budget of the insertion scan: _SCAN_START, plus _SCAN_PER_LETTER
@@ -300,70 +302,35 @@ def canonical_split(adj, c, yidx):
 def _cyclic_core(adj, w):
     """(ys, v) for a geodesic w, canonical or not: w = y_1...y_k . v .
     y_k^-1...y_1^-1 length-additively, v cyclically minimal, ys the y_i
-    in removal order and v a subsequence of w.  One worklist pass.
+    in their order in w and v a subsequence of w.  The pass _cancel over
+    w.w cancels the ys in the second copy and keeps v in both copies.
 
-    A generator g is removable when its first live letter y is a left
-    and its last live letter y^-1 a right divisor: every live generator
-    that does not commute with g occurs only between the two.  Two
-    removable pairs commute and removing one leaves the other removable,
-    so every order ends at one core, and the ys differ only by
-    commutations.  Each generator keeps the positions of its first and
-    last live letters.  A candidate that fails the test waits on the
-    generator found outside its pair, and is tried again only when that
-    generator loses a pair, or after losing a pair itself.  First
-    letters only move right and last letters left, so a generator that
-    passed the test for g's pair passes it until g loses that pair, and
-    the retried test resumes where it stopped.  Each pair thus costs one
-    pass over the generators not commuting with g plus one step per
-    wake-up, and the whole O(|w| + m^2 + k m) for m generators.
+    Lemma: for geodesics x and y, the pass over x.y cancels d^-1, the
+    greatest common prefix of x^-1 and y, as a prefix of y, against the
+    suffix d of x.  No letter of x cancels.  Let the cancelled letters
+    of y form a prefix of y, and a letter b of y cancel against p, the
+    last live letter of its generator.  p is in x: else y holds p = b^-1
+    ... b with only letters commuting with b between (a live one passed
+    the test; a cancelled one that does not commute with b has p
+    cancelled too).  So every letter of y before b that does not commute
+    with b is cancelled, or it would be live after p: the cancelled
+    letters stay a common prefix of x^-1 and y.  The pass leaves the
+    geodesic x'.y' (x = x'.d, y = d^-1.y'), so they are d^-1.
+    For w = u^-1.v.u, d^-1 is u^-1: a letter a that left-divides both
+    v.u and v^-1.u either left-divides v, is in supp(v) and so
+    left-divides v^-1 too (v is not cyclically minimal), or commutes with
+    v and left-divides u (w is not length-additive).  A prefix of a
+    trace takes the first occurrences of each generator and a suffix the
+    last, so the pass cancels the letters where u^-1 and u sit in w.
+
+    Cost: the pass over 2|w| letters, linear in |w| times the generators
+    seen.  A worklist over first and last letters does O(|w| + m^2 + k m)
+    for k pairs over m generators, but is a third home for the test.
     """
-    occ = {}
-    for p, x in enumerate(w):
-        occ.setdefault(abs(x), []).append(p)
-    none = len(w)  # first[g] of a generator with no live letter left
-    first = [none] * len(adj)  # position of g's first live letter
-    last = [-1] * len(adj)  # and of its last
-    queue = []
-    for g, ps in occ.items():
-        p, q = first[g], last[g] = ps[0], ps[-1]
-        if w[p] == -w[q]:
-            queue.append(g)
-    head, tail = {}, {}  # g -> index in occ[g] of first[g] and last[g]
-    deps, ys = {}, []  # deps[g]: the generators of w not commuting with g
-    waiting = {}  # k -> the candidates that failed on k
-    passed = {}  # g -> how many of deps[g] passed g's pair
-    live = bytearray(b"\x01") * len(w)
-    while queue:
-        g = queue.pop()
-        p, q = first[g], last[g]
-        if p >= q:
-            continue
-        y = w[p]
-        if w[q] != -y:
-            continue
-        dg = deps.get(g)
-        if dg is None:
-            nbrs = adj[g]
-            # g is in it too, and its own first and last pass the test
-            dg = deps[g] = [k for k in occ if k not in nbrs]
-        i = passed.get(g, 0)
-        for k in islice(dg, i, None) if i else dg:
-            if first[k] < p or last[k] > q:
-                passed[g] = i
-                waiting.setdefault(k, []).append(g)
-                break
-            i += 1
-        else:
-            passed[g] = 0
-            ps = occ[g]
-            h, t = head.get(g, 0) + 1, tail.get(g, len(ps) - 1) - 1
-            head[g], tail[g] = h, t
-            first[g], last[g] = (ps[h], ps[t]) if h <= t else (none, -1)
-            live[p] = live[q] = 0
-            ys.append(y)
-            queue.append(g)
-            queue += waiting.pop(g, ())
-    return ys, tuple(compress(w, live))
+    out = _cancel(adj, w + w)
+    second = out[len(w):]
+    return ([x for x, b in zip(w, second) if not b],
+            tuple([x for x, a, b in zip(w, out, second) if a and b]))
 
 
 def cyclic_core_letters(adj, w):
@@ -736,9 +703,10 @@ def support(g: CommutationGraph, w) -> set:
 
 
 def is_cyclically_minimal(g: CommutationGraph, w) -> bool:
-    """No letter is a left divisor while its inverse is a right divisor:
-    _cyclic_core finds no such pair to remove."""
-    return not _cyclic_core(g._adj_idx, _reduced_idx(g, w))[0]
+    """No letter left-divides w while its inverse right-divides it: w.w
+    is geodesic, since its geodesic is u^-1.v.v.u (see _cyclic_core)."""
+    w = _reduced_idx(g, w)
+    return len(reduce_letters(g._adj_idx, w + w)) == 2 * len(w)
 
 
 def cyclic_reduce(g: CommutationGraph, w) -> CyclicDecomposition:
@@ -762,13 +730,10 @@ def _blocks(adj, core):
 def block_decomposition(g: CommutationGraph, v) -> list:
     """Factor a cyclically minimal element along the connected components
     of the complement graph on its support, each factor canonical."""
-    adj = g._adj_idx
-    idx = _reduced_idx(g, v)
-    if _cyclic_core(adj, idx)[0]:
-        raise NotCyclicallyMinimal(
-            f"{format_word(Word(g, idx))} is not cyclically minimal")
-    return [NormalForm(Word(g, canon_letters(adj, b)))
-            for b in _blocks(adj, idx)]
+    nf = minimal_form(g, v)
+    if not is_cyclically_minimal(g, nf):
+        raise NotCyclicallyMinimal(f"{nf} is not cyclically minimal")
+    return [minimal_form(g, Word(g, b)) for b in _blocks(g._adj_idx, nf.idx)]
 
 
 def conjugate_test(g: CommutationGraph, w1, w2) -> bool:

@@ -272,3 +272,37 @@ def test_census_prints_counts_past_4300_digits():
     row = json.loads(proc.stdout, parse_int=str)  # digits, not ints
     assert len(row["enumerated"]["l2"]) > 4300
     assert row["enumerated"]["l2"] == row["formula"]["l2"]
+
+
+def _digits(n):
+    """Decimal digits of n >= 0, built from parts short enough for
+    Python's limit on int -> str."""
+    parts = []
+    while n >= 10**1000:
+        n, r = divmod(n, 10**1000)
+        parts.append(f"{r:01000d}")
+    return str(n) + "".join(reversed(parts))
+
+
+def test_census_writers_print_counts_past_4300_digits_in_process(capsys):
+    # run() and both row writers, called in-process under Python's default
+    # limit on int -> str, print every digit of the counts at (5, 3, 3000)
+    # and leave the limit as they found it
+    from pcgroups import census
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    row = census.census_row(5, 3, 3000)
+    l2, l_dk = _digits(row.enumerated["l2"]), _digits(row.enumerated["l_dk"])
+    assert len(l2) > 4300 and len(l_dk) > 4300
+    data = json.loads(row.to_json(), parse_int=str)  # digits, not ints
+    assert data["enumerated"]["l2"] == data["formula"]["l2"] == l2
+    text = census.rows_to_csv([row])
+    assert text.splitlines()[1].split(",")[census.CensusRow.COLUMNS.index(
+        "l2")] == l2
+    assert run(["census", "--n", "5", "--d", "3", "--k", "3000"]) == 0
+    assert capsys.readouterr().out == text
+    assert run(["density", "--n", "5", "--d", "3", "--k", "3000"]) == 0
+    assert f"\nl_dk: {l_dk}\n" in capsys.readouterr().out
+    assert run(["density", "--n", "5", "--d", "3", "--k", "3000",
+                "--json"]) == 0
+    assert json.loads(capsys.readouterr().out, parse_int=str)["l_dk"] == l_dk
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

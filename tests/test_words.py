@@ -441,8 +441,8 @@ def _core_cases(rng):
 
 
 def test_cyclic_core_matches_the_peeling_reference():
-    # the worklist core against the peeling reference, fed canonical
-    # forms and the non-canonical geodesics of reduce_letters
+    # the core of the pass over w.w against the peeling reference, fed
+    # canonical forms and the non-canonical geodesics of reduce_letters
     rng = random.Random(47)
     for g, w in _core_cases(rng):
         adj = g._adj_idx
@@ -548,9 +548,8 @@ def test_cyclic_core_of_a_deep_conjugator():
 
 
 def test_cyclic_core_of_a_deep_conjugator_over_many_generators():
-    # rank 300: every generator is a candidate, and a blocked candidate
-    # waits on the generator that blocks it instead of being tried again
-    # after every removal
+    # rank 300: each letter of the second copy of w.w that meets its
+    # inverse reads up to 300 generators in the one cancellation pass
     g = build_graph([f"g{i}" for i in range(300)], [])
     adj = g._adj_idx
     rng = random.Random(1814)
@@ -559,6 +558,24 @@ def test_cyclic_core_of_a_deep_conjugator_over_many_generators():
     ys, v = _cyclic_core(adj, w)
     assert v == (1, 2) and 2 * len(ys) + 2 == len(w)
     assert cyclic_core_letters(adj, w) == cyclic_core_reference(adj, w)
+
+
+def test_cyclic_core_of_the_slowest_shape_stays_fast():
+    # c1 ... c300 (x z x^-1 z^-1)^5000, x commuting with every c_i and z
+    # with nothing: in the cancellation pass over w.w nearly every letter
+    # meets its inverse and reads the 300 c_i before z or x blocks it, the
+    # pass's slowest shape (cyclic_reduce about 0.3 s and
+    # conjugate_test(w, w) about 0.8 s on a 2-CPU machine)
+    cs = [f"c{i}" for i in range(1, 301)]
+    g = build_graph(cs + ["x", "z"], [(c, "x") for c in cs])
+    w = parse_word(" ".join(cs) + " x z x^-1 z^-1" * 5000, g)
+    start = time.perf_counter()
+    dec = cyclic_reduce(g, w)
+    assert time.perf_counter() - start < 1.0
+    assert not dec.conjugator.idx and len(dec.core) == len(w)
+    start = time.perf_counter()
+    assert conjugate_test(g, w, w)
+    assert time.perf_counter() - start < 3.0
 
 
 def test_conjugate_test_matches_the_reference_and_the_partition():
