@@ -18,6 +18,26 @@ The chord advisories of a plain cycle run only when n >= 3, since the
 main theorem's EMBEDS needs n >= 3, and only for candidates t with
 supp(s) outside st(t).
 
+A route that decides a Magnus subset Z' over the factor A(Y) of a
+splitting maps it to the whole vertex set V by one lift,
+_lift(g, Y, Z') = Z' | (V - Y).  Over a synchronised support
+Y = supp(s), the clique and independent corollaries are the lifts of
+Y - {t}, which give V - {t}, and theorem_amalgam_trivial_part is the
+lift of the empty set, which gives V - Y.
+
+Lemma (the centre split).  Let C be the set of central vertices, with
+C nonempty and C != V, and let Y = V - C.  Then Y is synchronised,
+lk(Y) = C and X = V - (Y | lk(Y)) is empty, so A(V) = A(Y) x A(C) is
+the amalgam splitting over Y.  Proof: each vertex of C is adjacent to
+every vertex of Y, so C lies in lk(Y); no vertex lies in its own link,
+so lk(Y) misses Y and equals C; then st(y) lies in V = Y | lk(Y) for
+each y in Y.  When supp(s) lies in Y, G = A(Y)/N(s^n) x A(C), so A(Z')
+embeds in the first factor iff A(Z' | C) embeds in G.  The verdict over
+the induced graph on Y is therefore lifted by the same _lift, with
+"; centre_split" added to each justification.  The induced graph has
+no central vertex (one would be central in g), so the recursion stops
+there.
+
 FreiReport.to_json(indent=k) writes its text straight from its records
 for an int k: each record writes its own fields in its JSON key order,
 _KEYS (the field order of TheoremMainRecord and AmalgamRecord), and
@@ -287,6 +307,12 @@ def _subset_without(g, t):
     return tuple(v for v in g.vertices if v != t)
 
 
+def _lift(g, ys, subset):
+    """The Magnus subset of g that a subset of the factor over ys lifts
+    to: the subset together with every vertex of g outside ys."""
+    return tuple(v for v in g.vertices if v in subset or v not in ys)
+
+
 def check_theorem_main(g: CommutationGraph, s, t, n: int) -> TheoremMainRecord:
     """Evaluate the four main-theorem hypotheses for one candidate t.
 
@@ -367,22 +393,16 @@ def _amalgam(g, nf, supp, n):
             "lk_Y": [v for v in g.vertices if v in lk_y],
             "X": x_set,
         }
-        if clique:
-            for t in sorted(supp, key=g.index):
-                conclusions.append(Conclusion(
-                    _subset_without(g, t), EMBEDS, "corollary_clique"))
-            order, wp, cp = n, DECIDABLE, DECIDABLE
-        elif independent:
-            for t in sorted(supp, key=g.index):
-                conclusions.append(Conclusion(
-                    _subset_without(g, t), EMBEDS, "corollary_independent"))
+        if clique or independent:
+            kind = "clique" if clique else "independent"
+            conclusions = [Conclusion(_lift(g, supp, supp - {t}), EMBEDS,
+                                      "corollary_" + kind)
+                           for t in sorted(supp, key=g.index)]
             order, wp = n, DECIDABLE
-            cp = DECIDABLE if n >= 2 else None
-        else:
-            rest = tuple(v for v in g.vertices if v not in supp)
-            if rest:
-                conclusions.append(Conclusion(
-                    rest, EMBEDS, "theorem_amalgam_trivial_part"))
+            cp = DECIDABLE if clique or n >= 2 else None
+        elif rest := _lift(g, supp, ()):
+            conclusions.append(Conclusion(
+                rest, EMBEDS, "theorem_amalgam_trivial_part"))
     elif clique:
         # converse of the clique corollary: some star leaks outside
         for t in sorted(supp, key=g.index):
@@ -400,14 +420,11 @@ def _merge_conclusions(pieces):
     merged = {}
     for c in pieces:
         key = tuple(sorted(c.subset))
-        if key not in merged:
+        cur = merged.get(key)
+        if cur is None or cur.status == UNKNOWN != c.status:
             merged[key] = Conclusion(c.subset, c.status, c.justification, c.witness)
+        elif c.status == UNKNOWN:
             continue
-        cur = merged[key]
-        if c.status == UNKNOWN:
-            continue
-        if cur.status == UNKNOWN:
-            merged[key] = Conclusion(c.subset, c.status, c.justification, c.witness)
         elif cur.status != c.status:
             raise ConflictingVerdicts(
                 f"{key}: {cur.status} ({cur.justification}) vs "
@@ -415,15 +432,15 @@ def _merge_conclusions(pieces):
         else:
             if c.justification not in cur.justification:
                 cur.justification += "; " + c.justification
-            if cur.witness is None:
-                cur.witness = c.witness
+            cur.witness = cur.witness or c.witness
     return list(merged.values())
 
 
 @lru_cache(maxsize=64)
 def _centre_split(g):
-    """The central vertices of g and the graph induced on the others, or
-    None in its place when no vertex or every vertex is central."""
+    """The central vertices C of g and the graph induced on Y = V - C,
+    the factor of the amalgam splitting over Y (see the module
+    docstring), or None in its place when C is empty or all of V."""
     centre = central_vertices(g)
     if not centre or len(centre) == len(g):
         return centre, None
@@ -436,7 +453,7 @@ def _chorded(g, p, q):
     return CommutationGraph(g.vertices, [tuple(e) for e in g.edges] + [(p, q)])
 
 
-def _cycle_chord_advisories(g, nf, supp, n):
+def _cycle_chord_advisories(g, nf, supp, n, candidates):
     """Plain-cycle reduction: if adding the chord between the two
     neighbours of t makes the main theorem apply, the parabolic away from
     st(t) still embeds in the quotient over the original graph.  The
@@ -457,7 +474,7 @@ def _cycle_chord_advisories(g, nf, supp, n):
     if len(walk) != m:
         return []
     out = []
-    for t in sorted(supp, key=g.index):
+    for t in candidates:
         st_t = star(g, t)
         if supp <= st_t:
             continue
@@ -487,67 +504,47 @@ def magnus_verdict(g: CommutationGraph, s, n: int, t=None) -> FreiReport:
     """
     nf = _relator_root(g, s, n)
     supp = support(g, nf)
-    report = _verdict(g, nf, supp, n, t)
-    report.advisories = _cycle_chord_advisories(g, nf, supp, n)
+    everyone = sorted(supp, key=g.index)
+    candidates = [t] if t is not None else everyone
+    report = _verdict(g, nf, supp, n, candidates, everyone)
+    report.advisories = _cycle_chord_advisories(g, nf, supp, n, everyone)
     return report
 
 
-def _verdict(g, nf, supp, n, t):
-    """magnus_verdict on a validated root nf with support supp, without
-    the chord advisories."""
-    candidates = [t] if t is not None else sorted(supp, key=g.index)
-    per_t = []
-    pieces = []
-    order_claims = []
-    wp = cp = None
-
-    for cand in candidates:
-        rec = _theorem_main(g, nf, supp, cand, n)
-        per_t.append(rec)
-        if rec.verdict == EMBEDS:
-            pieces.append(Conclusion(
-                _subset_without(g, cand), EMBEDS, "theorem_main"))
-            order_claims.append(n)
-            if n >= 4:
-                wp = DECIDABLE
-
-    amalgam, am_conclusions, am_order, am_wp, am_cp = _amalgam(g, nf, supp, n)
-    pieces.extend(am_conclusions)
-    if am_order is not None:
-        order_claims.append(am_order)
-    wp = am_wp or wp
-    cp = am_cp or cp
-
-    # centre reduction: quotient questions factor through the complement
-    # of the central vertices when the relator avoids them
+def _verdict(g, nf, supp, n, candidates, everyone):
+    """magnus_verdict on a validated root nf with support supp over the
+    given candidates, without the chord advisories.  Each route gives
+    (conclusions, order of s, word problem, conjugacy problem), and the
+    report folds them."""
+    per_t = [_theorem_main(g, nf, supp, t, n) for t in candidates]
+    proved = [rec.t for rec in per_t if rec.verdict == EMBEDS]
+    amalgam, *amalgam_route = _amalgam(g, nf, supp, n)
+    routes = [([Conclusion(_subset_without(g, t), EMBEDS, "theorem_main")
+                for t in proved], n if proved else None,
+               DECIDABLE if proved and n >= 4 else None, None),
+              amalgam_route]
+    # the centre split is the amalgam splitting over Y = V - C
     centre, sub_g = _centre_split(g)
     if sub_g is not None and supp and not (supp & centre):
-        sub_report = _verdict(sub_g, _project_root(sub_g, g, nf), supp, n, None)
-        for c in sub_report.conclusions:
-            if c.status == UNKNOWN:
-                continue
-            lifted = tuple(v for v in g.vertices
-                           if v in set(c.subset) or v in centre)
-            pieces.append(Conclusion(
-                lifted, c.status, c.justification + "; centre_split", c.witness))
-        if sub_report.order_of_s != "unknown":
-            order_claims.append(sub_report.order_of_s)
-        if sub_report.word_problem == DECIDABLE:
-            wp = DECIDABLE
-        if sub_report.conjugacy_problem == DECIDABLE:
-            cp = DECIDABLE
-
-    for cand in candidates:
-        pieces.append(Conclusion(_subset_without(g, cand), UNKNOWN, "no_theorem_applies"))
-
-    conclusions = _merge_conclusions(pieces)
-    if len(set(order_claims)) > 1:
-        raise ConflictingVerdicts(f"order claims disagree: {order_claims}")
-    order = order_claims[0] if order_claims else "unknown"
+        sub = _verdict(sub_g, _project_root(sub_g, g, nf), supp, n,
+                       everyone, everyone)
+        routes.append(([Conclusion(_lift(g, sub_g, c.subset), c.status,
+                                   c.justification + "; centre_split", c.witness)
+                        for c in sub.conclusions if c.status != UNKNOWN],
+                       sub.order_of_s, sub.word_problem, sub.conjugacy_problem))
+    conclusions, orders, wps, cps = zip(*routes)
+    orders = [k for k in orders if k not in (None, "unknown")]
+    if len(set(orders)) > 1:
+        raise ConflictingVerdicts(f"order claims disagree: {orders}")
     return FreiReport(
         graph=g, s=nf, n=n, per_t=per_t, amalgam=amalgam,
-        conclusions=conclusions, order_of_s=order,
-        word_problem=wp or "unknown", conjugacy_problem=cp or "unknown",
+        conclusions=_merge_conclusions(
+            [c for route in conclusions for c in route]
+            + [Conclusion(_subset_without(g, t), UNKNOWN, "no_theorem_applies")
+               for t in candidates]),
+        order_of_s=orders[0] if orders else "unknown",
+        word_problem=DECIDABLE if DECIDABLE in wps else "unknown",
+        conjugacy_problem=DECIDABLE if DECIDABLE in cps else "unknown",
     )
 
 

@@ -26,12 +26,15 @@ from pcgroups.freiheitssatz import (
     check_theorem_main,
     magnus_verdict,
 )
-from pcgroups.graphs import (CommutationGraph, build_graph, cycle_with_chord,
+from pcgroups.graphs import (CommutationGraph, build_graph, central_vertices,
+                             cycle_with_chord, is_synchronised, link,
                              plain_cycle, star)
 from pcgroups.hnn import hnn_factorize, is_cyclically_t_thick, is_t_thick
 from pcgroups.words import (NormalForm, Word, cyclic_reduce, format_word,
-                            support)
+                            minimal_form, support)
 from oracles import catalog, is_t_root_reference, random_graph
+from test_golden import _verdict_graphs as golden_verdict_graphs
+from test_golden import verdict_cases as golden_verdict_cases
 
 P4 = build_graph(["a", "b", "c", "t"], [("t", "a"), ("a", "b"), ("b", "c")])
 F2XZ = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -674,6 +677,88 @@ def test_centre_split_builds_each_induced_graph_once(monkeypatch):
                         freiheitssatz._centre_split.__wrapped__)
     for g, nf, n, got in runs:
         assert got == magnus_verdict(g, str(nf), n).to_json(), (g, nf)
+
+
+def _with_centre(g, k):
+    """g with k new vertices z0, z1, ... adjacent to every vertex and to
+    each other: k more central generators."""
+    zs = [f"z{i}" for i in range(k)]
+    return build_graph(list(g.vertices) + zs,
+                       [tuple(e) for e in g.edges]
+                       + [(v, z) for v in g.vertices for z in zs]
+                       + [(z, y) for i, z in enumerate(zs) for y in zs[i + 1:]])
+
+
+def test_the_centre_split_is_the_amalgam_splitting_over_the_rest():
+    # the lemma of the freiheitssatz docstring: for a centre C neither
+    # empty nor V, Y = V - C is synchronised, lk(Y) = C and X is empty,
+    # and the graph the centre split recurses on has no central vertex
+    rng = random.Random(83)
+    graphs = golden_verdict_graphs() + [
+        _with_centre(random_graph(rng, 7), rng.randint(1, 3))
+        for _ in range(60)]
+    checked = 0
+    for g in graphs:
+        centre = central_vertices(g)
+        if not centre or len(centre) == len(g):
+            continue
+        ys = [v for v in g.vertices if v not in centre]
+        assert is_synchronised(g, ys), g
+        assert link(g, ys) == centre, g
+        rec = check_amalgam(g, " ".join(ys), 1)[0]
+        assert rec.synchronised and rec.decomposition == {
+            "Y": ys, "lk_Y": [v for v in g.vertices if v in centre],
+            "X": []}, g
+        assert freiheitssatz._centre_split(g) == (centre, g.induced(ys))
+        assert not central_vertices(g.induced(ys)), g
+        checked += 1
+    assert checked >= 60
+
+
+def _relation_word(relation):
+    """x body x^-1 body^-1 for the text [x, body] of a clique-converse
+    witness, body a product of powers v^k."""
+    x, body = relation[1:-1].split(", ")
+    powers = [p.split("^") for p in body.split()]
+    inverse = " ".join(f"{v}^{-int(k)}" for v, k in reversed(powers))
+    return f"{x} {body} {x}^-1 {inverse}"
+
+
+def _clique_root_reports():
+    """Reports over the golden verdict corpus, then over seeded graphs
+    with roots on a clique, where the clique converse fires."""
+    for g, root, n, t in golden_verdict_cases():
+        yield magnus_verdict(g, root, n, t)
+    rng = random.Random(89)
+    for _ in range(300):
+        g = random_graph(rng, 8)
+        clique = []
+        for u in rng.sample(g.vertices, len(g)):
+            if all(g.adjacent(u, v) for v in clique):
+                clique.append(u)
+        root = " ".join(f"{u}^{rng.choice((-3, -2, -1, 1, 2, 3))}"
+                        for u in clique if rng.random() < 0.7) or clique[0]
+        yield magnus_verdict(g, root, rng.randint(1, 4))
+
+
+def test_clique_converse_witness_is_nontrivial_and_avoids_t():
+    # [x, body] multiplied out is a nontrivial element of A(V - {t}), the
+    # subset declared not to embed; that it is trivial in the quotient
+    # needs the quotient's word problem and is not checked here
+    checked = 0
+    for report in _clique_root_reports():
+        g = report.graph
+        for c in report.conclusions:
+            if c.witness is None:
+                continue
+            w = c.witness
+            assert c.status == DOES_NOT_EMBED
+            assert set(c.subset) == set(g.vertices) - {w["t"]}
+            rel = minimal_form(g, _relation_word(w["relation"]))
+            assert len(rel), w
+            assert w["t"] not in support(g, rel) and w["x"] in support(g, rel)
+            checked += 1
+    assert checked >= 200
 
 
 # ---------------------------------------------------------------------------

@@ -90,12 +90,10 @@ def _try(fn, *args, **kwargs):
         return f"{type(exc).__name__}: {exc}"
 
 
-def verdict_lines():
-    """magnus_verdict reports as JSON (indented and not) and as text:
-    the centre split, the chord advisories of plain cycles and the
-    clique corollaries are all reached."""
+def verdict_cases():
+    """The (graph, root, n, t) of the verdict corpus: seeded roots, each
+    fifth with a given t."""
     rng = random.Random(2102)
-    lines = []
     for g in _verdict_graphs():
         names = [v for v in g.vertices if v != "z"]
         for i in range(12):
@@ -104,12 +102,21 @@ def verdict_lines():
                 continue
             n = 1 + i % 4
             t = rng.choice(sorted(root.word.letters))[0] if i % 5 == 0 else None
-            lines.append(f"{g!r} {root} n={n} t={t}")
-            rep = _try(magnus_verdict, g, root, n, t)
-            if isinstance(rep, str):
-                lines.append(rep)
-                continue
-            lines += [rep.to_json(), rep.to_json(indent=None), rep.to_text()]
+            yield g, root, n, t
+
+
+def verdict_lines():
+    """magnus_verdict reports as JSON (indented and not) and as text:
+    the centre split, the chord advisories of plain cycles and the
+    clique corollaries are all reached."""
+    lines = []
+    for g, root, n, t in verdict_cases():
+        lines.append(f"{g!r} {root} n={n} t={t}")
+        rep = _try(magnus_verdict, g, root, n, t)
+        if isinstance(rep, str):
+            lines.append(rep)
+            continue
+        lines += [rep.to_json(), rep.to_json(indent=None), rep.to_text()]
     return lines
 
 
