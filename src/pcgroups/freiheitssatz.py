@@ -16,7 +16,10 @@ public check_theorem_main and check_amalgam validate and call the same
 helpers.
 The chord advisories of a plain cycle run only when n >= 3, since the
 main theorem's EMBEDS needs n >= 3, and only for candidates t with
-supp(s) outside st(t).
+supp(s) outside st(t).  magnus_verdict computes the candidate list once:
+the given t, or else every generator of supp(s).  The main theorem, the
+centre split's verdict and the chord advisories run over that list; the
+amalgam corollaries depend only on supp(s) and list every t.
 
 A route that decides a Magnus subset Z' over the factor A(Y) of a
 splitting maps it to the whole vertex set V by one lift,
@@ -495,8 +498,9 @@ def _cycle_chord_advisories(g, nf, supp, n, candidates):
 
 
 def magnus_verdict(g: CommutationGraph, s, n: int, t=None) -> FreiReport:
-    """Aggregate the main theorem over candidate generators plus the
-    amalgam corollaries into one report.
+    """Aggregate the main theorem over candidate generators (t, or every
+    generator of supp(s) when t is None) plus the amalgam corollaries
+    into one report.
 
     When the graph has central vertices away from supp(s), the group
     splits off its centre as a direct factor and the verdict is computed
@@ -504,14 +508,13 @@ def magnus_verdict(g: CommutationGraph, s, n: int, t=None) -> FreiReport:
     """
     nf = _relator_root(g, s, n)
     supp = support(g, nf)
-    everyone = sorted(supp, key=g.index)
-    candidates = [t] if t is not None else everyone
-    report = _verdict(g, nf, supp, n, candidates, everyone)
-    report.advisories = _cycle_chord_advisories(g, nf, supp, n, everyone)
+    candidates = [t] if t is not None else sorted(supp, key=g.index)
+    report = _verdict(g, nf, supp, n, candidates)
+    report.advisories = _cycle_chord_advisories(g, nf, supp, n, candidates)
     return report
 
 
-def _verdict(g, nf, supp, n, candidates, everyone):
+def _verdict(g, nf, supp, n, candidates):
     """magnus_verdict on a validated root nf with support supp over the
     given candidates, without the chord advisories.  Each route gives
     (conclusions, order of s, word problem, conjugacy problem), and the
@@ -526,8 +529,7 @@ def _verdict(g, nf, supp, n, candidates, everyone):
     # the centre split is the amalgam splitting over Y = V - C
     centre, sub_g = _centre_split(g)
     if sub_g is not None and supp and not (supp & centre):
-        sub = _verdict(sub_g, _project_root(sub_g, g, nf), supp, n,
-                       everyone, everyone)
+        sub = _verdict(sub_g, _project_root(sub_g, g, nf), supp, n, candidates)
         routes.append(([Conclusion(_lift(g, sub_g, c.subset), c.status,
                                    c.justification + "; centre_split", c.witness)
                         for c in sub.conclusions if c.status != UNKNOWN],

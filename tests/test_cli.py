@@ -78,6 +78,30 @@ def test_check_text_and_json(c5p, capsys):
     assert len(data["per_t"]) == 1 and data["per_t"][0]["t"] == "t"
 
 
+def test_check_t_restricts_the_centre_split_and_the_chord_advisories(
+        tmp_path, capsys):
+    # --t picks the one candidate of the main theorem, of the centre
+    # split's verdict on the graph without z and of the chord advisories
+    centred = tmp_path / "centred.txt"
+    centred.write_text("vertices a b c z\nedge a z\nedge b z\nedge c z\n"
+                       "edge a b\n")
+    assert run(["check", "--graph", str(centred), "--word", "a c b^-1 c^-1",
+                "--n", "3", "--t", "a", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [(c["subset"], c["justification"]) for c in data["conclusions"]
+            if c["status"] != "UNKNOWN"] == [
+        (["z"], "theorem_amalgam_trivial_part"),
+        (["b", "c", "z"], "theorem_main; centre_split")]
+    cycle = tmp_path / "c6.txt"
+    cycle.write_text("vertices t a1 a2 a3 a4 a5\nedge t a1\nedge a1 a2\n"
+                     "edge a2 a3\nedge a3 a4\nedge a4 a5\nedge a5 t\n")
+    assert run(["check", "--graph", str(cycle), "--word", "a2 a3 a5 t a4",
+                "--n", "3", "--t", "a2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("cycle_chord_reduction") == 1
+    assert "<t a4 a5>: RESTRICTED_EMBEDS (cycle_chord_reduction(t=a2))" in out
+
+
 def test_census_csv_and_json(capsys):
     assert run(["census", "--n", "5", "--d", "1", "--k", "1"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

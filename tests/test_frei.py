@@ -679,6 +679,43 @@ def test_centre_split_builds_each_induced_graph_once(monkeypatch):
         assert got == magnus_verdict(g, str(nf), n).to_json(), (g, nf)
 
 
+def test_a_given_t_restricts_the_centre_split_and_the_chord_advisories():
+    g = build_graph(["a", "b", "c", "z"],
+                    [("a", "z"), ("b", "z"), ("c", "z"), ("a", "b")])
+    report = magnus_verdict(g, "a c b^-1 c^-1", 3, t="a")
+    base = magnus_verdict(g.induced("abc"), "a c b^-1 c^-1", 3, t="a")
+    assert [c.subset for c in base.conclusions] == [("b", "c")]
+    assert [(c.subset, c.justification) for c in report.conclusions
+            if "centre_split" in c.justification] == [
+        (("b", "c", "z"), "theorem_main; centre_split")]
+    advisories = magnus_verdict(plain_cycle(6), "a2 a3 a5 t a4", 3,
+                                t="a2").advisories
+    assert [c.justification for c in advisories] == [
+        "cycle_chord_reduction(t=a2)"]
+    assert len(magnus_verdict(plain_cycle(6), "a2 a3 a5 t a4", 3).advisories) == 4
+
+
+def test_theorem_main_conclusions_and_advisories_name_only_candidates():
+    # over the golden verdict corpus (every fifth root with a given t)
+    # and the report corpus: a theorem_main conclusion, lifted or not,
+    # leaves out one candidate of per_t, and an advisory names one
+    reports = [magnus_verdict(g, root, n, t)
+               for g, root, n, t in golden_verdict_cases()]
+    given = 0
+    for report in reports + list(_report_corpus()):
+        g = report.graph
+        candidates = {r.t for r in report.per_t}
+        given += len(candidates) < len(support(g, report.s))
+        for c in report.conclusions:
+            if "theorem_main" in c.justification:
+                left_out = set(g.vertices) - set(c.subset)
+                assert len(left_out) == 1 and left_out <= candidates, c
+        for c in report.advisories:
+            assert c.justification[len("cycle_chord_reduction(t="):-1] \
+                in candidates, c
+    assert given >= 100
+
+
 def _with_centre(g, k):
     """g with k new vertices z0, z1, ... adjacent to every vertex and to
     each other: k more central generators."""

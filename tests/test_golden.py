@@ -26,7 +26,7 @@ from pcgroups.words import (block_decomposition, conjugate_test,
 from oracles import catalog, random_graph
 
 GOLDEN = {
-    "verdicts": "11bebf9504004fab3753dbcedacc587a2cf94601c2095695d1502e6b0aad25a6",
+    "verdicts": "c6360c12cdfa9aa73988c392d0d66474eaa236e66680d99a6dee692f20043329",
     "words": "ce553c9bad84027774c04d1ed55b4e1b3462b2fbd7a2b5f0ac78ab449c754e29",
     "conjugacy": "2dd0d73b30349a059390b5a5d823a072207b5b6862c699f611846d42316bd818",
     "census": "9cf09a00095508e49924fa8d6973f2e3d3068b2b0279eaa2ae5b357b20439af1",
