@@ -520,12 +520,11 @@ def _verdict(g, nf, supp, n, candidates):
     (conclusions, order of s, word problem, conjugacy problem), and the
     report folds them."""
     per_t = [_theorem_main(g, nf, supp, t, n) for t in candidates]
-    proved = [rec.t for rec in per_t if rec.verdict == EMBEDS]
+    proved = [Conclusion(_subset_without(g, rec.t), EMBEDS, "theorem_main")
+              for rec in per_t if rec.verdict == EMBEDS]
     amalgam, *amalgam_route = _amalgam(g, nf, supp, n)
-    routes = [([Conclusion(_subset_without(g, t), EMBEDS, "theorem_main")
-                for t in proved], n if proved else None,
-               DECIDABLE if proved and n >= 4 else None, None),
-              amalgam_route]
+    routes = [(proved, n if proved else None,
+               DECIDABLE if proved and n >= 4 else None, None), amalgam_route]
     # the centre split is the amalgam splitting over Y = V - C
     centre, sub_g = _centre_split(g)
     if sub_g is not None and supp and not (supp & centre):
@@ -534,20 +533,24 @@ def _verdict(g, nf, supp, n, candidates):
                                    c.justification + "; centre_split", c.witness)
                         for c in sub.conclusions if c.status != UNKNOWN],
                        sub.order_of_s, sub.word_problem, sub.conjugacy_problem))
-    conclusions, orders, wps, cps = zip(*routes)
-    orders = [k for k in orders if k not in (None, "unknown")]
+    pieces, orders, wp, cp = [], [], "unknown", "unknown"
+    for conclusions, order, route_wp, route_cp in routes:
+        pieces += conclusions
+        if order not in (None, "unknown"):
+            orders.append(order)
+        if route_wp == DECIDABLE:
+            wp = DECIDABLE
+        if route_cp == DECIDABLE:
+            cp = DECIDABLE
     if len(set(orders)) > 1:
         raise ConflictingVerdicts(f"order claims disagree: {orders}")
+    for t in candidates:
+        pieces.append(Conclusion(_subset_without(g, t), UNKNOWN, "no_theorem_applies"))
     return FreiReport(
         graph=g, s=nf, n=n, per_t=per_t, amalgam=amalgam,
-        conclusions=_merge_conclusions(
-            [c for route in conclusions for c in route]
-            + [Conclusion(_subset_without(g, t), UNKNOWN, "no_theorem_applies")
-               for t in candidates]),
+        conclusions=_merge_conclusions(pieces),
         order_of_s=orders[0] if orders else "unknown",
-        word_problem=DECIDABLE if DECIDABLE in wps else "unknown",
-        conjugacy_problem=DECIDABLE if DECIDABLE in cps else "unknown",
-    )
+        word_problem=wp, conjugacy_problem=cp)
 
 
 def _project_root(sub_g, g, nf):
