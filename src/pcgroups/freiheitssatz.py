@@ -542,14 +542,14 @@ def _verdict(g, nf, supp, n, candidates):
             wp = DECIDABLE
         if route_cp == DECIDABLE:
             cp = DECIDABLE
-    if len(set(orders)) > 1:
-        raise ConflictingVerdicts(f"order claims disagree: {orders}")
     for t in candidates:
         pieces.append(Conclusion(_subset_without(g, t), UNKNOWN, "no_theorem_applies"))
+    conclusions = _merge_conclusions(pieces)
+    if len(set(orders)) > 1:
+        raise ConflictingVerdicts(f"order claims disagree: {orders}")
     return FreiReport(
         graph=g, s=nf, n=n, per_t=per_t, amalgam=amalgam,
-        conclusions=_merge_conclusions(pieces),
-        order_of_s=orders[0] if orders else "unknown",
+        conclusions=conclusions, order_of_s=orders[0] if orders else "unknown",
         word_problem=wp, conjugacy_problem=cp)
 
 
