@@ -62,9 +62,10 @@ K_BUDGET = 150_000_000
 
 # work of sample mode: each sample draws up to k slots plus its t-length
 # and block count, and unranking one slot walks the automaton's d + 1
-# levels over about n letters each.  A unit takes about 0.2 us at (n, d) =
-# (6, 8) or (7, 8), and more at n = 5 and large d, where the square
-# system's powers of 3 have d digits (about 0.7 us at d = 128)
+# levels over about n letters each.  A unit takes at most about 0.23 us
+# at n = 5 up to d = 1500, and 0.37 us at n = 6 or 7 up to d = 128, but
+# up to about 1 us at n >= 6 and d = 512, where the unranking's path
+# tables grow faster than d (Python 3.11, 2 shared CPUs; see README)
 SAMPLE_BUDGET = 4_500_000
 
 
@@ -622,14 +623,18 @@ def _t_level(x, f, m):
 def _sample_zy(n, d, k, samples, seed):
     """Uniform sampling over the strict set via exact stratum sizes.
 
-    The type (ii) stratum is ordered by t-length l (see _t_level), block
-    count r and exponent vector.  A slot is drawn as an index into the
-    forms outside U (first slot) or the nontrivial ones without a left
-    divisor in U (later slots), and census_slots.form unranks it.  Every
-    index is the draw of _randbelow, made inline: it is randrange's, so
-    the same as choice over the list of forms, and it takes counts past
-    the C size limit that len() of a range has.  Slots after a non-thick
-    one are drawn but not unranked, the exponent vector is read only for
+    The type (ii) stratum is ordered by t-length l, block count r and
+    exponent vector.  Level k, the last, holds about 2m/(2m + 1) of the
+    stratum, so a draw at or past its start takes l = k from one
+    comparison, and _t_level finds the others.  A slot is drawn as an
+    index into the forms outside U (first slot) or the nontrivial ones
+    without a left divisor in U (later slots), and census_slots.form
+    unranks it.  Every index is the draw of _randbelow, made inline: it
+    is randrange's, so the same as choice over the list of forms, and it
+    takes counts past the C size limit that len() of a range has.  A
+    draw is decided, a miss, at its first non-thick slot: its remaining
+    slot indices are then drawn and dropped, so the random stream is the
+    same, with no unranking.  The exponent vector is read only for
     all-thick tuples, and the symbols only when the vector repeats: a
     period of the (symbol, exponent) pairs is a period of the vector.
     """
@@ -642,6 +647,8 @@ def _sample_zy(n, d, k, samples, seed):
     total = off_l2 + f * _vector_sum(m, k)
     if total == 0:
         raise BadParameter("empty census universe")
+    # the start of level k; with k = 0 there is no type (ii) stratum
+    top = f * _vector_sum(m, k - 1) if k else 0
     # f and m are drawn below only once a draw lands in type (ii), where
     # both are positive (m is drawn below only when r > 1)
     total_bits, f_bits, m_bits = (x.bit_length() for x in (total, f, m))
@@ -655,34 +662,40 @@ def _sample_zy(n, d, k, samples, seed):
         x -= off_l2
         if x < 0:
             continue  # zY is false off the type (ii) stratum
-        l, start = _t_level(x, f, m)
-        x -= start
-        if l not in block_ends:  # r-block: C(l-1, r-1) 2^r f m^(r-1)
+        if x >= top:
+            l, x = k, x - top
+        else:
+            l, start = _t_level(x, f, m)
+            x -= start
+        ends = block_ends.get(l)
+        if ends is None:  # r-block: C(l-1, r-1) 2^r f m^(r-1)
             ends = block_ends[l] = [0]
             size = 2 * f
             for r in range(1, l + 1):
                 ends.append(ends[-1] + size)
                 size = size * 2 * m * (l - r) // r
-        ends = block_ends[l]
         r = bisect_right(ends, x)
         x -= ends[r - 1]
         i = getrandbits(f_bits)
         while i >= f:
             i = getrandbits(f_bits)
-        first, thick = form(n, 0, i)
-        mids = []
-        for _ in range(r - 1):
+        w, thick = form(n, 0, i)
+        words, left = [w], r - 1
+        while thick and left:
             i = getrandbits(m_bits)
             while i >= m:
                 i = getrandbits(m_bits)
-            if thick:
-                w, thick = form(n, 1, i)
-                mids.append(w)
-        if not thick:
+            w, thick = form(n, 1, i)
+            words.append(w)
+            left -= 1
+        if not thick:  # decided: draw the rest of its slots and go on
+            for _ in range(left):
+                while getrandbits(m_bits) >= m:
+                    pass
             continue
         alpha = _unrank_alpha(l, r, x // (f * m ** (r - 1)))
         if smallest_period(alpha) < r:
-            syms = [symbol(n, w) for w in (first, *mids)]
+            syms = [symbol(n, w) for w in words]
             if smallest_period(tuple(zip(syms, alpha))) < r:
                 continue
         hits += 1

@@ -35,7 +35,6 @@ from heapq import merge
 from itertools import accumulate
 from types import SimpleNamespace
 
-from .cosets import maln_support
 from .errors import BadParameter, BudgetExceeded
 from .graphs import cycle_with_chord
 from .words import canon_letters, canonical_split
@@ -320,55 +319,65 @@ _FOLLOW = {y: tuple(z for z in letters if z != -y)
 def _free_word(letters, length, rank):
     """The reduced word at `rank` among those of `length` over the two
     generators of `letters` (one of the square system's alphabets), in
-    depth-first letter order."""
-    out = []
-    choices = letters
+    depth-first letter order: rank is its first letter's place among four
+    times 3^(length-1) plus the places of the others among the three that
+    do not cancel, as base-3 digits.  Past 18 letters, the last ones are
+    cut off 18 digits (3^18 < 2^30) at a time, so each letter is read
+    from an integer of one machine word, and a long word costs one
+    division of a big integer by a one-word divisor per 18 letters."""
+    lows = []
+    while length > 18:
+        rank, low = divmod(rank, 387_420_489)  # 3^18
+        lows.append(low)
+        length -= 18
+    out, choices = [], letters
     block = 3 ** length  # words per choice of the next letter, times 3
-    for _ in range(length):
-        block //= 3
-        q, rank = divmod(rank, block)
-        y = choices[q]
-        out.append(y)
-        choices = _FOLLOW[y]
-    return tuple(out)
+    while True:
+        for _ in range(length):
+            block //= 3
+            q, rank = divmod(rank, block)
+            y = choices[q]
+            out.append(y)
+            choices = _FOLLOW[y]
+        if not lows:
+            return tuple(out)
+        rank, length, block = lows.pop(), 18, 387_420_489
 
 
 def _square_unrank(kind, ell, index):
-    """_Automaton.unrank for the square system, which orders a level by
-    the length p of the {a2, a4} part and then by the two parts, reduced
-    words in letter order.  The later slots take the parts that are empty
-    or led by a2 and by a3: the first half of the first part's words and
-    the second half of the second's.  The first slot takes every pair but
-    a4^{+-p} a1^{+-q}, the forms inside U, whose parts rank 3^p - 1 or
-    last, and 0 or 3^(q-1).
+    """_Automaton.unrank for the square system, which orders a level
+    ell >= 1 by the length p of the {a2, a4} part and then by the two
+    parts, reduced words in letter order.  The later slots take the parts
+    that are empty or led by a2 and by a3: the first half of the first
+    part's words and the second half of the second's.  The first slot
+    takes every pair but a4^{+-p} a1^{+-q}, the forms inside U, whose
+    parts rank 3^p - 1 or last, and 0 or 3^(q-1).
 
-    The block of a p with 0 < p < ell holds 4 * 3^(ell-2) pairs in the
-    later slots and 16 * 3^(ell-2) - 4 in the first, whatever p is, so p
-    is found by one division past the block of p = 0."""
-    def size(p):  # the pairs in the block of p, less the excluded ones
-        n1, n2 = (4 * 3 ** (x - 1) if x else 1 for x in (p, ell - p))
-        if kind:
-            return (n1 + 1) // 2 * (n2 - n2 // 2)
-        return n1 * n2 - (2 if p else 1) * (2 if p < ell else 1)
-
-    p, first = 0, size(0)
-    if index >= first:
-        index -= first
-        mid = size(1) if ell > 1 else 0
+    The blocks of p = 0 and p = ell each hold 2 * 3^(ell-1) pairs in the
+    later slots and 4 * 3^(ell-1) - 2 in the first, and the block of a p
+    with 0 < p < ell 4 * 3^(ell-2) and 16 * 3^(ell-2) - 4, whatever p
+    is, so p is found by one division past the block of p = 0."""
+    pow3 = 3 ** (ell - 1)
+    p = 0
+    end = 2 * pow3 if kind else 4 * pow3 - 2  # the block of p = 0
+    if index >= end:
+        index -= end
+        mid = (4 * pow3 if kind else 16 * pow3 - 12) // 3 if ell > 1 else 0
         if index < (ell - 1) * mid:
             p, index = divmod(index, mid)
             p += 1
         else:
             p, index = ell, index - (ell - 1) * mid
-    n1, n2 = (4 * 3 ** (x - 1) if x else 1 for x in (p, ell - p))
+    n1 = 4 * 3 ** (p - 1) if p else 1
+    n2 = 4 * 3 ** (ell - p - 1) if p < ell else 1
     if kind:
         skip = n2 // 2
         r1, r2 = divmod(index, n2 - skip)
         r2 += skip
-    else:
-        for x in sorted({x * n2 + y for x in (3 ** p - 1, n1 - 1)
-                         for y in (0, n2 // 4)}):
-            index += x <= index
+    else:  # step over the excluded pairs, in increasing order
+        for x in ((3 ** p - 1, n1 - 1) if p else (0,)):
+            for y in ((0, n2 // 4) if p < ell else (0,)):
+                index += x * n2 + y <= index
         r1, r2 = divmod(index, n2)
     return (_free_word((2, -2, 4, -4), p, r1)
             + _free_word((1, -1, 3, -3), ell - p, r2))
@@ -394,9 +403,11 @@ def form(n, kind, index):
     ell = bisect_right(ends, index) - 1
     index -= ends[ell]
     if n == 5:
+        # outside U = {a1, a4} are a2, which commutes with a1 and not a4,
+        # and a3, the other way round, so by maln_support a form of the
+        # slot lists is in Maln(U) iff it has both
         w = _square_unrank(kind, ell, index)
-        return w, maln_support(h_adj(n), {abs(x) for x in w},
-                               frozenset((1, n - 1)))
+        return w, (2 in w or -2 in w) and (3 in w or -3 in w)
     w, s = auto.unrank(kind, ell, index)
     return w, auto.sigs[s][1]
 

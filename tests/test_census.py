@@ -352,10 +352,11 @@ def test_square_unrank_matches_the_walk_over_every_part_length():
 
 
 def test_thickness_from_the_final_state_matches_maln_support():
-    # at n >= 6 form reads thickness off the state its walk ends in: the
-    # support test it replaced, on 2000 random forms per (n, slot kind)
+    # at n >= 6 form reads thickness off the state its walk ends in, and
+    # at n = 5 off the letters a2 and a3: the support test they replaced,
+    # on 2000 random forms per (n, slot kind)
     rng = random.Random(49)
-    for n, kind in product((6, 7, 8), (0, 1)):
+    for n, kind in product((5, 6, 7, 8), (0, 1)):
         adj, u = S.h_adj(n), frozenset((1, n - 1))
         lengths, seen = set(), set()
         for _ in range(2000):
@@ -435,16 +436,55 @@ def test_sample_matches_block_sampler():
             assert row.enumerated["rho_sample"] == hits / 200, (n, d, k, seed)
 
 
-def test_sample_matches_randrange_sampler():
+def test_sample_matches_randrange_sampler(monkeypatch):
     # the inline bit draws, the closed-form t-length and the symbols read
     # only for repeating vectors give the hits of a randrange call per
     # draw, a bisected t-length and every symbol read; d = 64 makes slot
-    # lists past len() of a range
+    # lists past len() of a range.  The last rows, and the benchmark's
+    # request (5, 3, 7) at 2000 samples, have draws mostly decided at an
+    # early slot, whose later slot indices are drawn and dropped
+    real_vector_sum = C._vector_sum
+
+    def vector_sum(x, k):  # k = 0 has no level k - 1 to start from
+        assert k >= 0, (x, k)
+        return real_vector_sum(x, k)
+
+    monkeypatch.setattr(C, "_vector_sum", vector_sum)
     grid = list(product((5, 6, 7), (0, 1, 3, 8), (0, 1, 4, 40))) + [(5, 64, 4)]
+    grid += [(5, 3, 40), (6, 2, 12), (7, 1, 9)]
     for n, d, k in grid:
         for seed in (1, 2):
             assert C._sample_zy(n, d, k, 100, seed) \
                 == randrange_sample_zy(n, d, k, 100, seed), (n, d, k, seed)
+    assert C._sample_zy(5, 3, 7, 2000, 1) \
+        == randrange_sample_zy(5, 3, 7, 2000, 1) == 3
+    assert C._sample_zy(5, 3, 7, 2000, 2) \
+        == randrange_sample_zy(5, 3, 7, 2000, 2)
+    # a first draw planted on the first tuple of level k, which one
+    # comparison places, and on the last of level k - 1
+    planted = None
+
+    class Planted(random.Random):
+        def getrandbits(self, bits):
+            nonlocal planted
+            if planted is None:
+                return super().getrandbits(bits)
+            x, planted = planted, None
+            return x
+
+    monkeypatch.setattr(random, "Random", Planted)
+    for n, d, k in ((5, 3, 7), (6, 2, 12), (7, 1, 1)):
+        counts = S.counts(n, d)
+        l_u = C.enumerate_LU(d)
+        f = sum(counts.l_hs) - l_u
+        m = sum(counts.l_hu_s) - 1
+        start = counts.cyc_min + 2 * k * l_u + f * C._vector_sum(m, k - 1)
+        for x, seed in product((start, start - 1), (1, 2)):
+            planted = x
+            ours = C._sample_zy(n, d, k, 50, seed)
+            planted = x
+            assert ours == randrange_sample_zy(n, d, k, 50, seed), \
+                (n, d, k, x, seed)
 
 
 def test_randbelow_matches_randrange():
