@@ -65,7 +65,7 @@ from .graphs import (
     star,
 )
 from .hnn import (hnn_factorize, is_cyclically_reduced_hnn, is_t_root,
-                  is_t_thick)
+                  is_t_thick, is_thick_support)
 from .words import (
     NormalForm,
     Word,
@@ -73,6 +73,7 @@ from .words import (
     format_word,
     is_cyclically_minimal,
     minimal_form,
+    reduce_letters,
     support,
 )
 
@@ -353,6 +354,22 @@ def _theorem_main(g, nf, supp, t, n):
     return rec
 
 
+def _embeds(g, nf, supp, t, n):
+    """_theorem_main(g, nf, supp, t, n).verdict == EMBEDS, for t in supp.
+    The hypotheses are tested in cost order, and the first that fails
+    ends the test; no record is built."""
+    if n < 3 or supp <= star(g, t):
+        return False
+    h = hnn_factorize(g, t, nf)
+    assert is_cyclically_reduced_hnn(g, t, h)
+    try:
+        if not is_t_thick(g, t, h):
+            return False
+    except LinkNotClique:
+        return False
+    return is_t_root(g, t, h)
+
+
 def _abelian_relation_witness(g, nf, supp, n, t, x):
     """Witness data for the clique converse: x commutes with t but not with
     all of supp(s), so the image of [x, a^{np} w] collapses in the quotient."""
@@ -454,6 +471,49 @@ def _centre_split(g):
 def _chorded(g, p, q):
     """g with the chord p -- q added."""
     return CommutationGraph(g.vertices, [tuple(e) for e in g.edges] + [(p, q)])
+
+
+@lru_cache(maxsize=64)
+def _cycle_chords(g):
+    """{t: (p, q)}, the two neighbours of each vertex t in index order,
+    when g is a plain cycle of at least 5 vertices, else None.  A
+    2-regular graph is a plain cycle only when it is connected."""
+    m = len(g)
+    if m < 5 or len(g.edges) != m:
+        return None
+    if any(len(g.neighbours(v)) != 2 for v in g.vertices):
+        return None
+    walk = [g.vertices[0]]
+    for v in walk:  # grows while it is read
+        walk += [u for u in g.neighbours(v) if u not in walk]
+    if len(walk) != m:
+        return None
+    return {t: tuple(sorted(g.neighbours(t), key=g.index))
+            for t in g.vertices}
+
+
+def _chord_screen(chorded, nf, t, p, q):
+    """Whether every t-segment of the root nf, read as it stands, is
+    thick over the chorded graph g + pq, where lk(t) = {p, q}; None
+    when nf is not geodesic there.  By the chord screen lemma (module
+    docstring) a geodesic nf gives the answer of is_t_thick over its
+    canonical form over the chorded graph."""
+    adj = chorded._adj_idx
+    letters = nf.idx
+    if len(reduce_letters(adj, letters)) != len(letters):
+        return None
+    t_idx = chorded.index(t)
+    u_idx = frozenset((chorded.index(p), chorded.index(q)))
+    segment = set()
+    for x in letters:
+        gen = abs(x)
+        if gen != t_idx:
+            segment.add(gen)
+        elif not is_thick_support(adj, u_idx, segment):
+            return False
+        else:
+            segment = set()
+    return is_thick_support(adj, u_idx, segment)
 
 
 def _cycle_chord_advisories(g, nf, supp, n, candidates):

@@ -273,10 +273,11 @@ def is_t_root(g: CommutationGraph, t, h: HnnWord) -> bool:
 # thickness
 
 
-def _thick(adj, u_idx, supp) -> bool:
+def is_thick_support(adj, u_idx, supp) -> bool:
     """An element with generator set supp lies in U (generator indices
     u_idx) or in Maln(U), by the support criterion of
-    cosets.maln_support (lk(t) is a clique)."""
+    cosets.maln_support (lk(t) is a clique).  The answer reads only the
+    generators of supp outside U and their adjacency to U."""
     return supp <= u_idx or maln_support(adj, supp, u_idx)
 
 
@@ -290,7 +291,7 @@ def is_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     adj, u_idx = g._adj_idx, h.u_idx
     if any(len(u_idx - adj[i]) != 1 for i in u_idx):
         raise LinkNotClique(f"lk({t}) is not a clique")
-    return all(_thick(adj, u_idx, {abs(x) for x in c}) for c in h.chunks)
+    return all(is_thick_support(adj, u_idx, {abs(x) for x in c}) for c in h.chunks)
 
 
 def is_cyclically_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
@@ -298,7 +299,7 @@ def is_cyclically_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     if not is_t_thick(g, t, h) or not is_cyclically_reduced_hnn(g, t, h):
         return False
     adj = g._adj_idx
-    return not h.exps or _thick(adj, h.u_idx, _wrap_support(adj, h))
+    return not h.exps or is_thick_support(adj, h.u_idx, _wrap_support(adj, h))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ from pcgroups.graphs import (CommutationGraph, build_graph, central_vertices,
                              cycle_with_chord, is_synchronised, link,
                              plain_cycle, star)
 from pcgroups.hnn import hnn_factorize, is_cyclically_t_thick, is_t_thick
-from pcgroups.words import (NormalForm, Word, cyclic_reduce, format_word,
-                            minimal_form, support)
+from pcgroups.words import (NormalForm, Word, cyclic_reduce, equal,
+                            format_word, invert_letters,
+                            is_cyclically_minimal, minimal_form, support)
 from oracles import catalog, is_t_root_reference, random_graph
 from test_golden import _verdict_graphs as golden_verdict_graphs
 from test_golden import verdict_cases as golden_verdict_cases
@@ -455,6 +456,90 @@ def test_chord_advisory_needs_one_cycle():
             assert not magnus_verdict(g, str(nf), 3).advisories, (g, nf)
 
 
+def _embeds_cases():
+    """(kind, graph, validated root): the golden verdict corpus, seeded
+    roots over plain C5-C8 and over centred random graphs, each plain
+    root over the chorded graph of each t in its support, and each
+    centred root over the graph without the centre."""
+    for g, root, _, _ in golden_verdict_cases():
+        yield "golden", g, freiheitssatz._relator_root(g, root, 1)
+    rng = random.Random(97)
+    cycles = [plain_cycle(m) for m in (5, 6, 7, 8)]
+    centred = [_centred(random_graph(rng, 7)) for _ in range(8)]
+    for g in cycles + centred:
+        for _ in range(15):
+            nf = _random_root(g, rng)
+            yield "graph", g, nf
+            chords = freiheitssatz._cycle_chords(g)
+            for t in (sorted(support(g, nf), key=g.index) if chords else ()):
+                chorded = freiheitssatz._chorded(g, *chords[t])
+                there = minimal_form(chorded, Word(chorded, nf.idx))
+                if is_cyclically_minimal(chorded, there):
+                    yield "chorded", chorded, there
+            centre, sub_g = freiheitssatz._centre_split(g)
+            if sub_g is not None and not support(g, nf) & centre:
+                yield "split", sub_g, freiheitssatz._project_root(sub_g, g, nf)
+
+
+def test_embeds_predicate_equals_the_main_theorem_record():
+    # the verdict-only test stops at the first failed hypothesis; it
+    # answers as the full record does for every candidate t and n
+    seen = set()
+    for kind, g, nf in _embeds_cases():
+        supp = support(g, nf)
+        for t in sorted(supp, key=g.index):
+            for n in range(1, 6):
+                rec = freiheitssatz._theorem_main(g, nf, supp, t, n)
+                got = freiheitssatz._embeds(g, nf, supp, t, n)
+                assert got == (rec.verdict == EMBEDS), (g, nf, t, n)
+                seen.add((kind, got))
+    # a plain cycle's link is never a clique; over a centred graph the
+    # central z lies in every other link and commutes with every chunk,
+    # so only a chunk inside U is thick
+    assert {kind for kind, got in seen if got} == {
+        "golden", "chorded", "split"}
+    assert {kind for kind, got in seen if not got} == {
+        "golden", "graph", "chorded", "split"}
+
+
+def _commutator_roots(g, rng, t):
+    """Roots over the plain cycle g holding p q p^-1 q^-1 for the two
+    neighbours p, q of t: geodesic over g, not over g + pq."""
+    p, q = freiheitssatz._cycle_chords(g)[t]
+    names = list(g.vertices)
+    for _ in range(4):
+        w = " ".join(rng.choice(names) + rng.choice(("", "^-1"))
+                     for _ in range(rng.randint(0, 6)))
+        core = cyclic_reduce(g, f"{t} {w} {p} {q} {p}^-1 {q}^-1").core
+        if len(core):
+            yield core
+
+
+def test_chord_screen_equals_thickness_over_the_chorded_canonical_form():
+    # a root geodesic over g + pq keeps the letters outside st(t) of each
+    # t-segment (chord screen lemma); one that is not falls back to None
+    rng = random.Random(101)
+    seen = {True: 0, False: 0, None: 0}
+    for m in (5, 6, 7, 8):
+        g = plain_cycle(m)
+        chords = freiheitssatz._cycle_chords(g)
+        for _ in range(40):
+            nf = _random_root(g, rng)
+            t = rng.choice(g.vertices)
+            for root in [nf, *_commutator_roots(g, rng, t)]:
+                p, q = chords[t]
+                chorded = freiheitssatz._chorded(g, p, q)
+                word = Word(chorded, root.idx)
+                got = freiheitssatz._chord_screen(chorded, root, t, p, q)
+                seen[got] += 1
+                if got is None:
+                    assert len(minimal_form(chorded, word)) < len(root)
+                    continue
+                h = hnn_factorize(chorded, t, word)
+                assert got == is_t_thick(chorded, t, h), (g, root, t)
+    assert min(seen.values()) >= 20, seen
+
+
 def _check_short_graphs():
     """The graphs of the check-short benchmark: P4, C4, C4 with a chord,
     the plain 5-cycle (chord advisories), C'5, C'6 and C'5 with a central
@@ -780,8 +865,9 @@ def _clique_root_reports():
 
 def test_clique_converse_witness_is_nontrivial_and_avoids_t():
     # [x, body] multiplied out is a nontrivial element of A(V - {t}), the
-    # subset declared not to embed; that it is trivial in the quotient
-    # needs the quotient's word problem and is not checked here
+    # subset declared not to embed, and equals x r x^-1 r^-1 with
+    # r = s^n (x commutes with t, supp(s) is a clique), which is trivial
+    # in the quotient
     checked = 0
     for report in _clique_root_reports():
         g = report.graph
@@ -794,6 +880,8 @@ def test_clique_converse_witness_is_nontrivial_and_avoids_t():
             rel = minimal_form(g, _relation_word(w["relation"]))
             assert len(rel), w
             assert w["t"] not in support(g, rel) and w["x"] in support(g, rel)
+            x, r = g.index(w["x"]), report.s.idx * report.n
+            assert equal(g, rel, Word(g, (x, *r, -x, *invert_letters(r)))), w
             checked += 1
     assert checked >= 200
 
