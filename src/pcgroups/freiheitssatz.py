@@ -21,6 +21,30 @@ the given t, or else every generator of supp(s).  The main theorem, the
 centre split's verdict and the chord advisories run over that list; the
 amalgam corollaries depend only on supp(s) and list every t.
 
+Only the report's own per_t records are built in full, since the JSON
+prints every field.  The centre split's factor and the chorded graphs
+of the advisories read one bit per candidate t, whether the main
+theorem gives EMBEDS, and _embeds answers it: it tests n >= 3, then
+supp(s) outside st(t), then factorises and tests t-thickness and the
+t-root, and stops at the first hypothesis that fails.
+
+Lemma (the chord screen).  Let g be a plain cycle, p and q the two
+neighbours of t, g' = g + pq, U = lk(t) = {p, q} in both graphs, and
+let the root s be geodesic over g' as written.  Then the chunks of the
+factorisation of s over g' (its canonical form there) are t-thick iff
+each t-segment of s as written is thick, by hnn's rule read with U.
+Proof: any two geodesics of one element are related by swaps of
+adjacent commuting letters.  A letter outside st(t) commutes with no
+t-letter in g or g', since the chord leaves lk(t) as it is, so no swap
+moves it past a t-letter: the canonical form over g' has the same
+number of t-letters as s, and the same letters outside st(t) between
+each two of them.  The rule reads only the letters of a chunk outside
+U and their adjacency to p and q, and adj' differs from adj only on
+the pair p, q inside U.  So _chord_screen reads thickness from s as
+it stands, and a candidate whose screen fails is neither canonicalised
+nor validated over g'; a root that is not geodesic over g' takes the
+full path.
+
 A route that decides a Magnus subset Z' over the factor A(Y) of a
 splitting maps it to the whole vertex set V by one lift,
 _lift(g, Y, Z') = Z' | (V - Y).  Over a synchronised support
@@ -506,51 +530,44 @@ def _chord_screen(chorded, nf, t, p, q):
     u_idx = frozenset((chorded.index(p), chorded.index(q)))
     segment = set()
     for x in letters:
-        gen = abs(x)
-        if gen != t_idx:
-            segment.add(gen)
-        elif not is_thick_support(adj, u_idx, segment):
+        if abs(x) != t_idx:
+            segment.add(abs(x))
+            continue
+        if not is_thick_support(adj, u_idx, segment):
             return False
-        else:
-            segment = set()
+        segment = set()
     return is_thick_support(adj, u_idx, segment)
 
 
 def _cycle_chord_advisories(g, nf, supp, n, candidates):
     """Plain-cycle reduction: if adding the chord between the two
-    neighbours of t makes the main theorem apply, the parabolic away from
-    st(t) still embeds in the quotient over the original graph.  The
-    root is canonicalised again over each chorded graph, whose chord
-    changes the commutations.  Only a candidate that can reach EMBEDS
-    there is tried: that needs n >= 3 and supp(s) outside st(t), and the
-    chord, between two vertices of st(t), leaves st(t) as it is.
-    A 2-regular graph is a plain cycle only when it is connected: a
-    disjoint union of cycles gets no advisory."""
-    m = len(g)
-    if n < 3 or m < 5 or len(g.edges) != m:
-        return []
-    if any(len(g.neighbours(v)) != 2 for v in g.vertices):
-        return []
-    walk = [g.vertices[0]]
-    for v in walk:  # grows while it is read
-        walk += [u for u in g.neighbours(v) if u not in walk]
-    if len(walk) != m:
+    neighbours p, q of t makes the main theorem apply, the parabolic
+    away from st(t) = {t, p, q} still embeds in the quotient over the
+    original graph.  Only a candidate that can reach EMBEDS there is
+    tried: that needs n >= 3 and supp(s) outside st(t), and the chord,
+    between two vertices of st(t), leaves st(t) as it is.  A root that
+    is geodesic over the chorded graph is screened first, from its
+    t-segments as they stand (_chord_screen); only a root that passes
+    the screen, or that is not geodesic there, is canonicalised and
+    validated over the chorded graph, where _embeds decides."""
+    chords = _cycle_chords(g)
+    if n < 3 or chords is None:
         return []
     out = []
     for t in candidates:
-        st_t = star(g, t)
-        if supp <= st_t:
-            continue
-        p, q = sorted(g.neighbours(t), key=g.index)
-        if g.adjacent(p, q):
+        p, q = chords[t]
+        st_t = (t, p, q)
+        if supp.issubset(st_t):
             continue
         chorded = _chorded(g, p, q)
-        word_there = Word(chorded, nf.idx)
-        try:
-            rec = check_theorem_main(chorded, word_there, t, n)
-        except (NotCyclicallyMinimal, TNotInSupport):
+        if _chord_screen(chorded, nf, t, p, q) is False:
             continue
-        if rec.verdict == EMBEDS:
+        try:
+            there = _relator_root(chorded, Word(chorded, nf.idx), n)
+        except NotCyclicallyMinimal:
+            continue
+        supp_there = support(chorded, there)
+        if t in supp_there and _embeds(chorded, there, supp_there, t, n):
             subset = tuple(v for v in g.vertices if v not in st_t)
             out.append(Conclusion(
                 subset, RESTRICTED_EMBEDS, f"cycle_chord_reduction(t={t})"))
@@ -569,26 +586,31 @@ def magnus_verdict(g: CommutationGraph, s, n: int, t=None) -> FreiReport:
     nf = _relator_root(g, s, n)
     supp = support(g, nf)
     candidates = [t] if t is not None else sorted(supp, key=g.index)
-    report = _verdict(g, nf, supp, n, candidates)
+    per_t = [_theorem_main(g, nf, supp, u, n) for u in candidates]
+    report = _verdict(g, nf, supp, n, candidates,
+                      [rec.t for rec in per_t if rec.verdict == EMBEDS])
+    report.per_t = per_t
     report.advisories = _cycle_chord_advisories(g, nf, supp, n, candidates)
     return report
 
 
-def _verdict(g, nf, supp, n, candidates):
+def _verdict(g, nf, supp, n, candidates, embeds):
     """magnus_verdict on a validated root nf with support supp over the
-    given candidates, without the chord advisories.  Each route gives
-    (conclusions, order of s, word problem, conjugacy problem), and the
-    report folds them."""
-    per_t = [_theorem_main(g, nf, supp, t, n) for t in candidates]
-    proved = [Conclusion(_subset_without(g, rec.t), EMBEDS, "theorem_main")
-              for rec in per_t if rec.verdict == EMBEDS]
+    given candidates, without the per_t records and the chord
+    advisories; embeds lists the candidates for which the main theorem
+    gives EMBEDS.  Each route gives (conclusions, order of s, word
+    problem, conjugacy problem), and the report folds them."""
+    proved = [Conclusion(_subset_without(g, t), EMBEDS, "theorem_main")
+              for t in embeds]
     amalgam, *amalgam_route = _amalgam(g, nf, supp, n)
     routes = [(proved, n if proved else None,
                DECIDABLE if proved and n >= 4 else None, None), amalgam_route]
     # the centre split is the amalgam splitting over Y = V - C
     centre, sub_g = _centre_split(g)
     if sub_g is not None and supp and not (supp & centre):
-        sub = _verdict(sub_g, _project_root(sub_g, g, nf), supp, n, candidates)
+        sub_nf = _project_root(sub_g, g, nf)
+        sub = _verdict(sub_g, sub_nf, supp, n, candidates, [
+            t for t in candidates if _embeds(sub_g, sub_nf, supp, t, n)])
         routes.append(([Conclusion(_lift(g, sub_g, c.subset), c.status,
                                    c.justification + "; centre_split", c.witness)
                         for c in sub.conclusions if c.status != UNKNOWN],
@@ -608,7 +630,7 @@ def _verdict(g, nf, supp, n, candidates):
     if len(set(orders)) > 1:
         raise ConflictingVerdicts(f"order claims disagree: {orders}")
     return FreiReport(
-        graph=g, s=nf, n=n, per_t=per_t, amalgam=amalgam,
+        graph=g, s=nf, n=n, per_t=[], amalgam=amalgam,
         conclusions=conclusions, order_of_s=orders[0] if orders else "unknown",
         word_problem=wp, conjugacy_problem=cp)
 

@@ -291,7 +291,8 @@ def is_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     adj, u_idx = g._adj_idx, h.u_idx
     if any(len(u_idx - adj[i]) != 1 for i in u_idx):
         raise LinkNotClique(f"lk({t}) is not a clique")
-    return all(is_thick_support(adj, u_idx, {abs(x) for x in c}) for c in h.chunks)
+    return all(is_thick_support(adj, u_idx, {abs(x) for x in c})
+               for c in h.chunks)
 
 
 def is_cyclically_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
@@ -299,7 +300,8 @@ def is_cyclically_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     if not is_t_thick(g, t, h) or not is_cyclically_reduced_hnn(g, t, h):
         return False
     adj = g._adj_idx
-    return not h.exps or is_thick_support(adj, h.u_idx, _wrap_support(adj, h))
+    return not h.exps or is_thick_support(adj, h.u_idx,
+                                          _wrap_support(adj, h))
 
 
 # ---------------------------------------------------------------------------

@@ -346,8 +346,9 @@ def test_theorem_main_thickness_flags_match_the_public_tests():
 
 
 def test_one_canonical_form_per_graph_per_verdict(monkeypatch):
-    # the root is canonicalised once over g and once over each chorded or
-    # centre-split graph; every layer below takes that NormalForm as it is
+    # the root is canonicalised once over g and at most once over each
+    # chorded graph (not when the chord screen rejects it first); every
+    # layer below takes that NormalForm as it is
     real = words.canon_letters
     calls = []  # holds each adjacency, so no id is reused during the test
     # canon_letters also linearises the geodesic pieces these callers
@@ -595,10 +596,22 @@ def test_verdict_records_equal_the_public_checks():
                     check_theorem_main(g, nf, t, n)]
 
 
+def _validated_over_chord(g, nf, t):
+    """Whether the chord advisory validates nf over g + pq: when nf is not
+    geodesic there, or when it is t-thick over its canonical form there."""
+    p, q = sorted(g.neighbours(t), key=g.index)
+    chorded = build_graph(g.vertices, [tuple(e) for e in g.edges] + [(p, q)])
+    word = Word(chorded, nf.idx)
+    if len(minimal_form(chorded, word)) < len(nf):
+        return True
+    return is_t_thick(chorded, t, hnn_factorize(chorded, t, word))
+
+
 def test_one_validation_per_graph_and_one_link_per_candidate(monkeypatch):
     # magnus_verdict validates its root once over g and once over each
-    # chorded graph of the advisory; the centre split takes the projected
-    # root as it is; lk(t) is read once per (graph, candidate t)
+    # chorded graph of the advisory that its thickness screen passes; the
+    # centre split takes the projected root as it is; lk(t) is read once
+    # per (graph, candidate t)
     validated, links = [], []
     real_check, real_link = (freiheitssatz.is_cyclically_minimal,
                              hnn._u_indices)
@@ -615,14 +628,18 @@ def test_one_validation_per_graph_and_one_link_per_candidate(monkeypatch):
     monkeypatch.setattr(hnn, "_u_indices", link_of)
     rng = random.Random(71)
     plain = (plain_cycle(5), plain_cycle(6))
-    split = 0
+    split = screened = 0
     for g in _verdict_graphs() + _check_short_graphs() + list(plain):
-        for _ in range(4):
+        for _ in range(12 if g in plain else 4):
             nf = _random_root(g, rng)
             validated.clear()
             links.clear()
             n = rng.randint(1, 4)
             report = magnus_verdict(g, str(nf), n)
+            pairs = [(id(h), t) for h, t in links]
+            assert len(set(pairs)) == len(pairs)
+            assert [t for h, t in links if h is g] == [r.t for r in report.per_t]
+            split += any(h not in validated for h, _ in links)
             assert validated[0] is g
             if g not in plain or n < 3:
                 assert validated == [g]
@@ -630,14 +647,14 @@ def test_one_validation_per_graph_and_one_link_per_candidate(monkeypatch):
             assert len({id(h) for h in chorded}) == len(chorded)
             assert len(chorded) <= len(report.per_t)
             if g in plain and n >= 3:
-                # one chorded graph per t whose star leaves out some of supp
+                # one chorded graph per t whose star leaves out some of
+                # supp, unless the root is geodesic there and not t-thick
                 supp = support(g, nf)
-                assert len(chorded) == sum(not supp <= star(g, t)
-                                           for t in supp)
-            pairs = [(id(h), t) for h, t in links]
-            assert len(set(pairs)) == len(pairs)
-            assert [t for h, t in links if h is g] == [r.t for r in report.per_t]
-            split += any(h not in validated for h, _ in links)
+                tried = [t for t in supp if not supp <= star(g, t)]
+                kept = [t for t in tried if _validated_over_chord(g, nf, t)]
+                assert len(chorded) == len(kept), (g, nf)
+                screened += len(tried) - len(kept)
+    assert screened
     assert split
     # below n = 3 the main theorem cannot conclude EMBEDS, so a plain
     # cycle tries no chorded graph, though some of these roots get an

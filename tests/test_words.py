@@ -281,7 +281,8 @@ def test_text_memo_and_chord_cache_can_be_emptied():
     from pcgroups import freiheitssatz
     minimal_form(C5P, "a1 t a1^-1")
     freiheitssatz.magnus_verdict(plain_cycle(5), "a1 t a2", 3)
-    for cache in (words._canon_text, freiheitssatz._chorded):
+    for cache in (words._canon_text, freiheitssatz._chorded,
+                  freiheitssatz._cycle_chords):
         assert cache.cache_info().currsize > 0
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
