@@ -550,8 +550,8 @@ def _cycle_chord_advisories(g, nf, supp, n, candidates):
     t-segments as they stand (_chord_screen); only a root that passes
     the screen, or that is not geodesic there, is canonicalised and
     validated over the chorded graph, where _embeds decides."""
-    chords = _cycle_chords(g)
-    if n < 3 or chords is None:
+    chords = n >= 3 and _cycle_chords(g)
+    if not chords:
         return []
     out = []
     for t in candidates:

@@ -504,8 +504,9 @@ def test_embeds_predicate_equals_the_main_theorem_record():
 
 
 def _commutator_roots(g, rng, t):
-    """Roots over the plain cycle g holding p q p^-1 q^-1 for the two
-    neighbours p, q of t: geodesic over g, not over g + pq."""
+    """Cyclic cores of words ending in p q p^-1 q^-1, for the two
+    neighbours p, q of t: that factor is geodesic over the plain cycle g
+    and cancels over g + pq."""
     p, q = freiheitssatz._cycle_chords(g)[t]
     names = list(g.vertices)
     for _ in range(4):
