@@ -26,7 +26,9 @@ by testing every letter against every kept generator, orient a
 double-coset symbol by comparing whole sort keys, test cyclic minimality
 and cyclically reduce a canonical form by recomputing both divisor-letter
 sets for every pair they peel, and test conjugacy over canonical forms
-of the words, cores and blocks.  The
+of the words, cores and blocks.  The cancellation-pass reference reads
+every generator seen for each candidate letter, and the dependent-pair
+reference builds each projection one letter at a time as a string.  The
 t-root reference always builds sigma(h), strips its inverse end pairs
 one slice at a time and tests every rotation.
 """
@@ -258,6 +260,61 @@ def reduce_reference(adj, w):
         else:
             out.append(x)
     return tuple(out)
+
+
+def cancel_reference(adj, w):
+    """words._cancel with no blocker table: a candidate letter reads the
+    generators seen, in first-seen order, until one that does not
+    commute with it has its last live letter after the candidate's
+    partner.  The letters of w after the pass, each cancelled one 0."""
+    last = [-1] * len(adj)
+    below = [-1] * len(w)
+    out = list(w)
+    seen = []
+    for q, x in enumerate(w):
+        gen = abs(x)
+        p = last[gen]
+        if p < 0:
+            if gen not in seen:
+                seen.append(gen)
+        elif out[p] != x:
+            nbrs = adj[gen]
+            for k in seen:
+                if last[k] > p and k not in nbrs:
+                    break
+            else:
+                out[p] = out[q] = 0
+                last[gen] = below[p]
+                continue
+        below[q] = p
+        last[gen] = q
+    return out
+
+
+def pair_rules_reference(adj, u, v):
+    """words._pair_rules with every projection built one letter at a
+    time: one character per letter (twice its generator's rank, plus one
+    for an inverse), so a projection is a string and str.find gives the
+    rotation and the primitive root."""
+    gens = sorted({abs(x) for x in u})
+    code = {x: chr(2 * gens.index(abs(x)) + (x < 0)) for x in {*u, *v}}
+    rules = {a: [] for a in gens}
+    for i, a in enumerate(gens):
+        for b in gens[i:]:
+            if b in adj[a]:
+                continue
+            p, q = ("".join(code[x] for x in w if abs(x) in (a, b))
+                    for w in (u, v))
+            r = (p + p).find(q) if len(p) == len(q) else -1
+            if r < 0:
+                return None
+            root = [gens[ord(c) >> 1] for c in p[:(p + p).find(p, 1)]]
+            ra, rb = root[:r].count(a), root[:r].count(b)
+            pa, pb = root.count(a), root.count(b)
+            rules[a].append((b, ra, rb, pa, pb))
+            if b != a:
+                rules[b].append((a, rb, ra, pb, pa))
+    return rules
 
 
 def canon_reference(adj, w):

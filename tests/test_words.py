@@ -30,6 +30,7 @@ from pcgroups.hnn import (HnnWord, SigmaWord, UniquePositionSplit,
 from pcgroups.words import (
     MAX_WORD_LETTERS,
     CyclicDecomposition,
+    _cancel,
     _canon_heap,
     _cyclic_core,
     _insert,
@@ -55,6 +56,7 @@ from pcgroups.words import (
 
 from oracles import (
     all_words,
+    cancel_reference,
     canon_reference,
     catalog,
     closure_canonical,
@@ -64,6 +66,7 @@ from oracles import (
     cyclic_core_reference,
     is_cyclically_minimal_reference,
     lexmin_reference,
+    pair_rules_reference,
     parse_word_reference,
     peel_reference,
     random_graph,
@@ -526,6 +529,135 @@ def test_reduce_letters_matches_the_scanning_reference():
         for n in (1, 2, 7, 300):
             for v in ((1, -1) * n, (1,) * n + (2,) * n + (-1,) * n):
                 assert reduce_letters(adj, v) == reduce_reference(adj, v)
+
+
+def _cancelling_words(rng, n):
+    """Words over n generators that cancel a lot: a random word, its
+    square, its conjugate by a random word, and a word put before a
+    shuffle of its inverse, so letters meet their inverses after blockers
+    that were themselves cancelled or lie before the partner."""
+    w = random_letters(rng, n, rng.randrange(0, 41))
+    u = random_letters(rng, n, rng.randrange(0, 16))
+    shuffled = list(invert_letters(w))
+    rng.shuffle(shuffled)
+    return (w, w + w, invert_letters(u) + w + u, w + tuple(shuffled),
+            w + invert_letters(w) + w)
+
+
+def test_cancel_matches_the_seen_order_pass_and_the_scan():
+    # the pass, letter for letter (cancelled positions included), against
+    # the pass that reads every generator seen and against the back-scan,
+    # on graphs of up to 20 vertices, and on w.w as cyclic reduction
+    # feeds it
+    rng = random.Random(28)
+    for _ in range(150):
+        g = random_graph(rng, 20)
+        adj = g._adj_idx
+        for _ in range(10):
+            for v in _cancelling_words(rng, len(g)):
+                assert _cancel(adj, v) == cancel_reference(adj, v), (g, v)
+                assert reduce_letters(adj, v) == reduce_reference(adj, v)
+                vv = reduce_letters(adj, v) * 2
+                assert _cancel(adj, vv) == cancel_reference(adj, vv), (g, v)
+
+
+def test_cancel_with_a_stale_blocker():
+    # a^-1 is blocked by b; the next candidate of a meets b before its
+    # partner (a b a^-1 a), then after b was cancelled (... b^-1 a^-1);
+    # with c commuting with a only, and with c blocked by b in between
+    a, b, c = 1, 2, 3
+    free3 = build_graph(["a", "b", "c"], [])
+    ac = build_graph(["a", "b", "c"], [("a", "c")])
+    cases = {
+        (a, b, -a, a): (a, b),
+        (a, b, -a, a, -b, -a): (),
+        (a, c, b, -a, a, -b, -c, -a): (),
+        (c, a, b, -c, -b, c, -a): (c, a, b, -c, -b, c, -a),
+    }
+    for g in (free3, ac):
+        adj = g._adj_idx
+        for w, want in cases.items():
+            assert _cancel(adj, w) == cancel_reference(adj, w), (g, w)
+            assert reduce_letters(adj, w) == reduce_reference(adj, w)
+            if g is free3:
+                assert reduce_letters(adj, w) == want, w
+
+
+def _pair_rule_cases(rng):
+    """(adj, u, v) with supp(v) within supp(u): random words and their
+    rotations, conjugates, one-letter and whole-run sign flips, shuffles
+    and random words over the same support (projections of unequal
+    length), over random graphs; the blocks of conjugated cores as
+    conjugate_test pairs them."""
+    for _ in range(300):
+        g = random_graph(rng)
+        adj = g._adj_idx
+        u = reduce_letters(adj, random_letters(rng, len(g),
+                                               rng.randrange(1, 25)))
+        if not u:
+            continue
+        r = rng.randrange(len(u))
+        turned = u[r:] + u[:r]
+        p = rng.randrange(len(u))
+        flipped = u[:p] + (-u[p],) + u[p + 1:]
+        i = j = p
+        while i and u[i - 1] == u[p]:
+            i -= 1
+        while j < len(u) and u[j] == u[p]:
+            j += 1
+        run_flipped = u[:i] + invert_letters(u[i:j]) + u[j:]
+        gen_flipped = tuple(-x if abs(x) == abs(u[p]) else x for x in u)
+        shuffled = list(u)
+        rng.shuffle(shuffled)
+        gens = sorted({abs(x) for x in u})
+        other = tuple(rng.choice(gens) * rng.choice((1, -1)) for _ in u)
+        for v in (u, turned, flipped, run_flipped, gen_flipped,
+                  tuple(shuffled), other,
+                  turned[:-1]):
+            yield adj, u, v
+        c = random_letters(rng, len(g), rng.randrange(0, 6))
+        cores = [_cyclic_core(adj, reduce_letters(adj, x))[1]
+                 for x in (u, invert_letters(c) + turned + c)]
+        for x, y in zip(*(words._blocks(adj, core) for core in cores)):
+            if {abs(z) for z in y} <= {abs(z) for z in x}:
+                yield adj, x, y
+
+
+def test_pair_rules_match_the_string_reference():
+    # rule for rule, in the same order, and None on the same pairs
+    rng = random.Random(29)
+    seen_none = seen_rules = 0
+    for adj, u, v in _pair_rule_cases(rng):
+        want = pair_rules_reference(adj, u, v)
+        assert words._pair_rules(adj, u, v) == want, (adj, u, v)
+        seen_none += want is None
+        seen_rules += want is not None
+    assert seen_none > 100 and seen_rules > 100
+
+
+def test_pair_rules_past_the_byte_alphabet():
+    # blocks over 201 and 140 generators: codes 2 * rank + sign run past
+    # 255, and the rules must still equal the reference's
+    rng = random.Random(30)
+    bs = [f"b{i}" for i in range(1, 201)]
+    wide = build_graph(["a"] + bs, list(itertools.combinations(bs, 2)))
+    names = [f"v{i}" for i in range(140)]
+    dense = build_graph(names, [e for e in itertools.combinations(names, 2)
+                                if rng.random() < 0.97])
+    u_wide = tuple(range(2, 202)) + (1,)
+    u_dense = reduce_letters(dense._adj_idx, tuple(range(1, 141)) +
+                             random_letters(rng, 140, 200))
+    for g, u in ((wide, u_wide), (dense, u_dense)):
+        adj = g._adj_idx
+        assert len({abs(x) for x in u}) > 128
+        for _ in range(6):
+            r = rng.randrange(len(u))
+            p = rng.randrange(len(u))
+            turned = u[r:] + u[:r]
+            for v in (turned, turned[:p] + (-turned[p],) + turned[p + 1:]):
+                want = pair_rules_reference(adj, u, v)
+                assert words._pair_rules(adj, u, v) == want
+        assert words._pair_rules(adj, u, u[1:] + u[:1]) is not None
 
 
 def test_conjugate_test_of_a_long_cancelling_word_stays_fast():
