@@ -18,9 +18,11 @@ computes it and serves every layer above:
   geodesic reduce_letters gives;
 * reduce_letters: the cancellation alone, one linear pass with no scan
   that decides the test from the last live position of each generator,
-  for _canon_heap, the callers that need only a geodesic (conjugate_test
-  and the wrap chunk of hnn) and cyclic reduction: the core of w is what
-  the pass keeps of both copies of w.w (_cyclic_core);
+  reading first the generator that last blocked the letter's own and
+  then only generators that do not commute with it, for _canon_heap,
+  the callers that need only a geodesic (conjugate_test and the wrap
+  chunk of hnn) and cyclic reduction: the core of w is what the pass
+  keeps of both copies of w.w (_cyclic_core);
 * canonical_split: one pass per side of a canonical form peels the
   maximal left and right divisors over a vertex subset (the parabolic
   double-coset split), and linearises the core again only after an
@@ -91,6 +93,15 @@ def invert_letters(w):
     return tuple(-x for x in reversed(w))
 
 
+@lru_cache(maxsize=32)
+def _blocker_rows(adj):
+    """Per adjacency, each generator's blockers (the other generators it
+    does not commute with) as a tuple, or None until _cancel first reads
+    them: a list that _cancel fills in place, so a large graph pays only
+    for the generators its words need."""
+    return [None] * len(adj)
+
+
 def _cancel(adj, w):
     """The letters of w after one left-to-right pass of Wrathall's
     cancellation test (Wrathall 1988), each cancelled letter made 0.
@@ -98,13 +109,26 @@ def _cancel(adj, w):
     adj is the 1-based index adjacency of the graph.  last[k] is the
     position of the last live letter of generator k, below[p] that of
     the live letter of p's generator before p.  Letter x cancels the last
-    live letter p of its generator when w[p] = x^-1 and no generator seen
-    that does not commute with x has its last live letter after p: then
-    x^-1 is a right divisor, and the live word stays geodesic.  Only such
-    a candidate reads the generators seen, each listed once, so the pass
-    is linear in |w| times the generators seen.
+    live letter p of its generator when w[p] = x^-1 and no blocker of x
+    (a generator that does not commute with x) has its last live letter
+    after p: then x^-1 is a right divisor, and the live word stays
+    geodesic.
+
+    A candidate first reads hint[gen], the generator that last blocked
+    its generator (0, which has no letter, before any): while that one
+    keeps blocking, as on the letters of (x z x^-1 z^-1)^k, the test
+    fails in one read.  Otherwise it reads the blockers of x, from the
+    row _blocker_rows keeps, or the generators seen when fewer have
+    been seen than x has blockers (a large graph, a word over few of
+    its generators); the first blocker found becomes the hint.  The hint
+    is always a blocker, so a stale one, whose letter was cancelled or
+    lies before p, costs one read and never changes the verdict.  So a
+    candidate costs one read, or at most the fewer of its blockers and
+    the generators seen.
     """
+    rows = _blocker_rows(adj)
     last = [-1] * len(adj)
+    hint = [0] * len(adj)
     below = [-1] * len(w)
     out = list(w)  # a cancelled letter becomes 0
     seen = []
@@ -114,10 +138,17 @@ def _cancel(adj, w):
         if p < 0:
             if gen not in seen:
                 seen.append(gen)
-        elif out[p] != x:
+        elif out[p] != x and last[hint[gen]] < p:
             nbrs = adj[gen]
-            for k in seen:
+            ks = seen
+            if len(adj) - len(nbrs) - 2 <= len(seen):  # gen's blocker count
+                ks = rows[gen]
+                if ks is None:
+                    ks = rows[gen] = tuple([k for k in range(1, len(adj))
+                                            if k != gen and k not in nbrs])
+            for k in ks:
                 if last[k] > p and k not in nbrs:
+                    hint[gen] = k
                     break
             else:
                 out[p] = out[q] = 0
@@ -323,9 +354,11 @@ def _cyclic_core(adj, w):
     trace takes the first occurrences of each generator and a suffix the
     last, so the pass cancels the letters where u^-1 and u sit in w.
 
-    Cost: the pass over 2|w| letters, linear in |w| times the generators
-    seen.  A worklist over first and last letters does O(|w| + m^2 + k m)
-    for k pairs over m generators, but is a third home for the test.
+    Cost: the pass over 2|w| letters, where a letter whose last blocker
+    still blocks it costs one read and any other candidate at most its
+    blockers (see _cancel).  A worklist over first and last letters does
+    O(|w| + m^2 + k m) for k pairs over m generators, but is a third
+    home for the test.
     """
     out = _cancel(adj, w + w)
     second = out[len(w):]
@@ -344,7 +377,7 @@ def cyclic_core_letters(adj, w):
 def _pair_rules(adj, u, v):
     """For each generator a of the block u, the rules (b, A, B, P_a, P_b)
     of the dependent pairs {a, b} (b = a included), or None when some
-    projection of v is no rotation of u's.
+    projection of v is no rotation of u's.  supp(v) lies in supp(u).
 
     A cut c of the periodic heap u^Z is fixed by its count vector (n_a),
     and the {a, b} projection of c^-1 u c is pi_ab(u) rotated by
@@ -352,26 +385,56 @@ def _pair_rules(adj, u, v):
     rotation of P that gives pi_ab(v), the pair allows exactly
     n_a = A + j P_a and n_b = B + j P_b over the integers j, where P_a
     and P_b count a and b in P, and A and B count them in P[:r].
+
+    Each letter has one code, twice its generator's rank in gens plus
+    one for an inverse, and u and v are encoded once.  A projection is
+    one translate that deletes every other code, find gives r and P,
+    and count gives A and P_a (B = r - A and P_b = |P| - P_a when
+    b != a, as P holds only a and b).  The codes are bytes for a block
+    of up to 128 generators, and one str character each above that.
     """
     gens = sorted({abs(x) for x in u})
-    # one character per letter: twice its generator's rank in gens, plus
-    # one for an inverse, so a projection is a string and str.find applies
-    code = {x: chr(2 * gens.index(abs(x)) + (x < 0)) for x in {*u, *v}}
+    rank = {a: 2 * i for i, a in enumerate(gens)}
+    cu = [rank[abs(x)] + (x < 0) for x in u]
+    cv = [rank[abs(x)] + (x < 0) for x in v]
+    n = len(rank) * 2
+    if n <= 256:
+        su, sv, every = bytes(cu), bytes(cv), bytes(range(n))
+        units = [bytes((c,)) for c in range(n)]
+
+        def project(i, j):
+            drop = every.translate(None, bytes((i, i + 1, j, j + 1)))
+            return su.translate(None, drop), sv.translate(None, drop)
+    else:
+        su, sv = "".join(map(chr, cu)), "".join(map(chr, cv))
+        units = [chr(c) for c in range(n)]
+
+        def project(i, j):
+            keep = [None] * n  # str.translate deletes a code mapped to None
+            keep[i], keep[i + 1], keep[j], keep[j + 1] = i, i + 1, j, j + 1
+            return su.translate(keep), sv.translate(keep)
+
     rules = {a: [] for a in gens}
-    for i, a in enumerate(gens):
-        for b in gens[i:]:
-            if b in adj[a]:
+    for k, a in enumerate(gens):
+        i = 2 * k
+        plus, minus = units[i], units[i + 1]
+        nbrs = adj[a]
+        for b in gens[k:]:
+            if b in nbrs:
                 continue
-            p, q = ("".join(code[x] for x in w if abs(x) in (a, b))
-                    for w in (u, v))
-            r = (p + p).find(q) if len(p) == len(q) else -1
+            p, q = project(i, rank[b])
+            pp = p + p
+            r = pp.find(q) if len(p) == len(q) else -1
             if r < 0:
                 return None
-            root = [gens[ord(c) >> 1] for c in p[:(p + p).find(p, 1)]]
-            ra, rb = root[:r].count(a), root[:r].count(b)
-            pa, pb = root.count(a), root.count(b)
-            rules[a].append((b, ra, rb, pa, pb))
-            if b != a:
+            root = p[:pp.find(p, 1)]
+            ra = root.count(plus, 0, r) + root.count(minus, 0, r)
+            pa = root.count(plus) + root.count(minus)
+            if b == a:
+                rules[a].append((a, ra, ra, pa, pa))
+            else:
+                rb, pb = r - ra, len(root) - pa
+                rules[a].append((b, ra, rb, pa, pb))
                 rules[b].append((a, rb, ra, pb, pa))
     return rules
 
@@ -405,7 +468,8 @@ def _block_conjugate(adj, u, v):
     So v is in the closure iff one count vector meets every rule of
     _pair_rules.  Counts are read modulo u's own count vector, so the
     rarest generator a0 tries each n in [0, |u|_a0).
-    Cost: O(|S|^2 L) for the rules and O(|S| L) for the search.
+    Cost: O(|S|^2 L) for the rules, the factor L inside translate, find
+    and count, and O(|S| L) for the search.
     """
     rules = _pair_rules(adj, u, v)
     if rules is None:
@@ -596,13 +660,19 @@ def parse_word(text: str, g: CommutationGraph) -> Word:
     BudgetExceeded.  The tokens `name` and `name^-1` are read from the
     graph's letter table; any other token must be a vertex name,
     optionally followed by `^`, one optional `-` and decimal digits
-    (str.isdecimal: any Unicode decimal digit, so `a^٣` is a^3).
+    (str.isdecimal: any Unicode decimal digit, so `a^٣` is a^3).  A word
+    of such tokens alone, within the budget, is read in one map; any
+    other goes through the checked loop, which raises every error.
     """
     tokens = text.split()
+    table = g._letter
+    if len(tokens) <= MAX_WORD_LETTERS:
+        idx = tuple(map(table.get, tokens))
+        if None not in idx:
+            return Word(g, idx)
     if tokens == ["1"]:
         return Word(g, ())
     idx = []
-    table = g._letter
     for tok in tokens:
         x = table.get(tok)
         if x is not None:
@@ -742,10 +812,12 @@ def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
     other block, so two cores are conjugate iff their blocks pair up by
     support and each pair lies in one block's rotation closure.  Each
     pair is decided by its dependent-pair projections (_block_conjugate),
-    without walking the closure.  What it reads (the core's support,
-    the block lengths, the dependent-pair projections) is the same for
-    every geodesic of an element, so it runs on geodesics and never
-    builds a canonical form."""
+    without walking the closure; each projection is one translate of the
+    block's encoded letters (_pair_rules).  What it reads (the core's
+    support, the block lengths, the dependent-pair projections) is the
+    same for every geodesic of an element, so it runs on geodesics and
+    never builds a canonical form: two passes of _cancel per word, one
+    for its geodesic and one over the square for its core."""
     adj = g._adj_idx
 
     def geodesic(w):  # a NormalForm over g is one already

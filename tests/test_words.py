@@ -115,6 +115,28 @@ def test_parse_word_letter_budget():
     assert len(parse_word("b " * MAX_WORD_LETTERS, FREE2)) == MAX_WORD_LETTERS
 
 
+def test_parse_word_falls_back_to_the_checked_loop():
+    # words of letter-table tokens are read in one map; one other token
+    # anywhere, or a word over the budget, gives the checked loop's
+    # letters or its error class and message, as the regex reference does
+    g = build_graph(["a", "b", "c"], [])
+    valid = "a b^-1 c a^-1 b"
+    texts = [valid, "", "  \t", "1", f"{valid} 1", f"1 {valid}",
+             "a b a^0 c", "a b zz c", "a b^ c", "a c^2 b^-2 a",
+             f"a b a^{MAX_WORD_LETTERS} c", "b " * MAX_WORD_LETTERS,
+             "a^-1 " * (MAX_WORD_LETTERS + 1), "c " * MAX_WORD_LETTERS + "zz"]
+    for text in texts:
+        got = _parse_outcome(lambda t, g: parse_word(t, g).idx, text, g)
+        assert got == _parse_outcome(parse_word_reference, text, g), text[:40]
+    assert parse_word(valid, g).idx == (1, -2, 3, -1, 2)
+    for text, error in ((f"1 {valid}", WordSyntaxError),
+                        ("a b a^0 c", ZeroExponent),
+                        ("a b zz c", UnknownGenerator),
+                        ("a^-1 " * (MAX_WORD_LETTERS + 1), BudgetExceeded)):
+        with pytest.raises(error):
+            parse_word(text, g)
+
+
 def test_parse_word_huge_exponent():
     # past Python's 4300-digit integer-string limit: a budget error, and
     # leading zeros do not count as digits
@@ -284,8 +306,8 @@ def test_text_memo_and_chord_cache_can_be_emptied():
     from pcgroups import freiheitssatz
     minimal_form(C5P, "a1 t a1^-1")
     freiheitssatz.magnus_verdict(plain_cycle(5), "a1 t a2", 3)
-    for cache in (words._canon_text, freiheitssatz._chorded,
-                  freiheitssatz._cycle_chords):
+    for cache in (words._canon_text, words._blocker_rows,
+                  freiheitssatz._chorded, freiheitssatz._cycle_chords):
         assert cache.cache_info().currsize > 0
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
@@ -702,6 +724,25 @@ def test_cyclic_core_of_the_slowest_shape_stays_fast():
     cs = [f"c{i}" for i in range(1, 301)]
     g = build_graph(cs + ["x", "z"], [(c, "x") for c in cs])
     w = parse_word(" ".join(cs) + " x z x^-1 z^-1" * 5000, g)
+    start = time.perf_counter()
+    dec = cyclic_reduce(g, w)
+    assert time.perf_counter() - start < 1.0
+    assert not dec.conjugator.idx and len(dec.core) == len(w)
+    start = time.perf_counter()
+    assert conjugate_test(g, w, w)
+    assert time.perf_counter() - start < 3.0
+
+
+def test_cyclic_core_of_the_slowest_shape_stays_fast_at_ten_times_the_length():
+    # the same shape with (x z x^-1 z^-1)^50000: each blocked candidate
+    # first reads the generator that last blocked its own, z for x and x
+    # for z, which still blocks it, so it never reads the c_i.  On a 2-CPU
+    # machine cyclic_reduce takes about 0.3 s and conjugate_test(w, w)
+    # about 0.2-0.4 s; a pass that reads every generator seen for each
+    # candidate took 3.0-3.1 s and 7.9-8.5 s
+    cs = [f"c{i}" for i in range(1, 301)]
+    g = build_graph(cs + ["x", "z"], [(c, "x") for c in cs])
+    w = parse_word(" ".join(cs) + " x z x^-1 z^-1" * 50000, g)
     start = time.perf_counter()
     dec = cyclic_reduce(g, w)
     assert time.perf_counter() - start < 1.0
