@@ -126,7 +126,8 @@ def _cancel(adj, w):
     candidate costs one read, or at most the fewer of its blockers and
     the generators seen.
     """
-    rows = _blocker_rows(adj)
+    rows = None  # _blocker_rows(adj), read on the first miss
+    others = len(adj) - 2  # how many generators differ from any one
     last = [-1] * len(adj)
     hint = [0] * len(adj)
     below = [-1] * len(w)
@@ -140,8 +141,11 @@ def _cancel(adj, w):
                 seen.append(gen)
         elif out[p] != x and last[hint[gen]] < p:
             nbrs = adj[gen]
-            ks = seen
-            if len(adj) - len(nbrs) - 2 <= len(seen):  # gen's blocker count
+            if others - len(nbrs) > len(seen):  # more blockers than seen
+                ks = seen
+            else:
+                if rows is None:
+                    rows = _blocker_rows(adj)
                 ks = rows[gen]
                 if ks is None:
                     ks = rows[gen] = tuple([k for k in range(1, len(adj))
@@ -394,10 +398,10 @@ def _pair_rules(adj, u, v):
     of up to 128 generators, and one str character each above that.
     """
     gens = sorted({abs(x) for x in u})
-    rank = {a: 2 * i for i, a in enumerate(gens)}
-    cu = [rank[abs(x)] + (x < 0) for x in u]
-    cv = [rank[abs(x)] + (x < 0) for x in v]
-    n = len(rank) * 2
+    code = {a: 2 * i for i, a in enumerate(gens)}  # a's; a^-1's is one more
+    cu = [code[abs(x)] + (x < 0) for x in u]
+    cv = [code[abs(x)] + (x < 0) for x in v]
+    n = 2 * len(gens)
     if n <= 256:
         su, sv, every = bytes(cu), bytes(cv), bytes(range(n))
         units = [bytes((c,)) for c in range(n)]
@@ -422,7 +426,7 @@ def _pair_rules(adj, u, v):
         for b in gens[k:]:
             if b in nbrs:
                 continue
-            p, q = project(i, rank[b])
+            p, q = project(i, code[b])
             pp = p + p
             r = pp.find(q) if len(p) == len(q) else -1
             if r < 0:
@@ -662,19 +666,19 @@ def parse_word(text: str, g: CommutationGraph) -> Word:
     optionally followed by `^`, one optional `-` and decimal digits
     (str.isdecimal: any Unicode decimal digit, so `a^٣` is a^3).  A word
     of such tokens alone, within the budget, is read in one map; any
-    other goes through the checked loop, which raises every error.
+    other goes through the checked loop, which takes each token's letter
+    from that map and raises every error.
     """
     tokens = text.split()
-    table = g._letter
+    found = map(g._letter.get, tokens)  # each token's letter, or None
     if len(tokens) <= MAX_WORD_LETTERS:
-        idx = tuple(map(table.get, tokens))
-        if None not in idx:
-            return Word(g, idx)
+        found = tuple(found)
+        if None not in found:
+            return Word(g, found)
     if tokens == ["1"]:
         return Word(g, ())
     idx = []
-    for tok in tokens:
-        x = table.get(tok)
+    for tok, x in zip(tokens, found):
         if x is not None:
             if len(idx) >= MAX_WORD_LETTERS:
                 raise BudgetExceeded(
