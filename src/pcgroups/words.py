@@ -672,9 +672,11 @@ def parse_word(text: str, g: CommutationGraph) -> Word:
     tokens = text.split()
     found = map(g._letter.get, tokens)  # each token's letter, or None
     if len(tokens) <= MAX_WORD_LETTERS:
-        found = tuple(found)
+        # a list, then a tuple of exactly its length: tuple() of a map,
+        # which has no length hint, can keep an over-allocated block
+        found = list(found)
         if None not in found:
-            return Word(g, found)
+            return Word(g, tuple(found))
     if tokens == ["1"]:
         return Word(g, ())
     idx = []
