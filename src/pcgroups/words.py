@@ -403,25 +403,25 @@ def _pair_rules(adj, u, v):
     cv = [code[abs(x)] + (x < 0) for x in v]
     n = 2 * len(gens)
     if n <= 256:
-        su, sv, every = bytes(cu), bytes(cv), bytes(range(n))
-        units = [bytes((c,)) for c in range(n)]
+        pack = bytes
 
         def project(i, j):
             drop = every.translate(None, bytes((i, i + 1, j, j + 1)))
             return su.translate(None, drop), sv.translate(None, drop)
     else:
-        su, sv = "".join(map(chr, cu)), "".join(map(chr, cv))
-        units = [chr(c) for c in range(n)]
+        def pack(codes):
+            return "".join(map(chr, codes))
 
         def project(i, j):
             keep = [None] * n  # str.translate deletes a code mapped to None
             keep[i], keep[i + 1], keep[j], keep[j + 1] = i, i + 1, j, j + 1
             return su.translate(keep), sv.translate(keep)
 
+    su, sv, every = pack(cu), pack(cv), pack(range(n))
     rules = {a: [] for a in gens}
     for k, a in enumerate(gens):
         i = 2 * k
-        plus, minus = units[i], units[i + 1]
+        plus, minus = every[i:i + 1], every[i + 1:i + 2]
         nbrs = adj[a]
         for b in gens[k:]:
             if b in nbrs:
