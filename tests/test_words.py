@@ -752,6 +752,17 @@ def test_cyclic_core_of_the_slowest_shape_stays_fast_at_ten_times_the_length():
     assert time.perf_counter() - start < 3.0
 
 
+def test_cancellation_over_a_large_free_group_reads_the_generators_seen():
+    # rank 20000, a word over two generators: each cancelling g0 has 19999
+    # blockers but only two generators seen, and reads those.  About 0.1 s
+    # on a 2-CPU machine; reading every blocker took about 46 s
+    g = build_graph([f"g{i}" for i in range(20000)], [])
+    start = time.perf_counter()
+    assert conjugate_test(g, "g0^50000 g1 g0^-50000", "g1")
+    assert not conjugate_test(g, "g0^50000 g1 g0^-50000", "g1^-1")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_conjugate_test_matches_the_reference_and_the_partition():
     # every element of the radius-4 ball of each catalog graph against a
     # random member of its class and a random element of its length
