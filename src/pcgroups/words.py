@@ -19,10 +19,10 @@ computes it and serves every layer above:
 * reduce_letters: the cancellation alone, one linear pass with no scan
   that decides the test from the last live position of each generator,
   reading first the generator that last blocked the letter's own and
-  then only generators that do not commute with it, for _canon_heap,
-  the callers that need only a geodesic (conjugate_test and the wrap
-  chunk of hnn) and cyclic reduction: the core of w is what the pass
-  keeps of both copies of w.w (_cyclic_core);
+  then the generators seen, for _canon_heap, the callers that need only
+  a geodesic (conjugate_test and the wrap chunk of hnn) and cyclic
+  reduction: the core of w is what the pass keeps of both copies of w.w
+  (_cyclic_core);
 * canonical_split: one pass per side of a canonical form peels the
   maximal left and right divisors over a vertex subset (the parabolic
   double-coset split), and linearises the core again only after an
@@ -93,15 +93,6 @@ def invert_letters(w):
     return tuple(-x for x in reversed(w))
 
 
-@lru_cache(maxsize=32)
-def _blocker_rows(adj):
-    """Per adjacency, each generator's blockers (the other generators it
-    does not commute with) as a tuple, or None until _cancel first reads
-    them: a list that _cancel fills in place, so a large graph pays only
-    for the generators its words need."""
-    return [None] * len(adj)
-
-
 def _cancel(adj, w):
     """The letters of w after one left-to-right pass of Wrathall's
     cancellation test (Wrathall 1988), each cancelled letter made 0.
@@ -117,40 +108,28 @@ def _cancel(adj, w):
     A candidate first reads hint[gen], the generator that last blocked
     its generator (0, which has no letter, before any): while that one
     keeps blocking, as on the letters of (x z x^-1 z^-1)^k, the test
-    fails in one read.  Otherwise it reads the blockers of x, from the
-    row _blocker_rows keeps, or the generators seen when fewer have
-    been seen than x has blockers (a large graph, a word over few of
-    its generators); the first blocker found becomes the hint.  The hint
+    fails in one read.  Otherwise it reads the generators seen, each
+    listed once, and the first blocker found becomes the hint.  The hint
     is always a blocker, so a stale one, whose letter was cancelled or
     lies before p, costs one read and never changes the verdict.  So a
-    candidate costs one read, or at most the fewer of its blockers and
-    the generators seen.
+    candidate costs one read, or at most the generators seen.
     """
-    rows = None  # _blocker_rows(adj), read on the first miss
-    others = len(adj) - 2  # how many generators differ from any one
     last = [-1] * len(adj)
     hint = [0] * len(adj)
     below = [-1] * len(w)
     out = list(w)  # a cancelled letter becomes 0
     seen = []
+    listed = bytearray(len(adj))  # listed[k]: k is in seen
     for q, x in enumerate(w):
         gen = abs(x)
         p = last[gen]
         if p < 0:
-            if gen not in seen:
+            if not listed[gen]:
+                listed[gen] = 1
                 seen.append(gen)
         elif out[p] != x and last[hint[gen]] < p:
             nbrs = adj[gen]
-            if others - len(nbrs) > len(seen):  # more blockers than seen
-                ks = seen
-            else:
-                if rows is None:
-                    rows = _blocker_rows(adj)
-                ks = rows[gen]
-                if ks is None:
-                    ks = rows[gen] = tuple([k for k in range(1, len(adj))
-                                            if k != gen and k not in nbrs])
-            for k in ks:
+            for k in seen:
                 if last[k] > p and k not in nbrs:
                     hint[gen] = k
                     break
@@ -359,10 +338,10 @@ def _cyclic_core(adj, w):
     last, so the pass cancels the letters where u^-1 and u sit in w.
 
     Cost: the pass over 2|w| letters, where a letter whose last blocker
-    still blocks it costs one read and any other candidate at most its
-    blockers (see _cancel).  A worklist over first and last letters does
-    O(|w| + m^2 + k m) for k pairs over m generators, but is a third
-    home for the test.
+    still blocks it costs one read and any other candidate at most the
+    generators seen (see _cancel).  A worklist over first and last
+    letters does O(|w| + m^2 + k m) for k pairs over m generators, but
+    is a third home for the test.
     """
     out = _cancel(adj, w + w)
     second = out[len(w):]
@@ -664,23 +643,15 @@ def parse_word(text: str, g: CommutationGraph) -> Word:
     BudgetExceeded.  The tokens `name` and `name^-1` are read from the
     graph's letter table; any other token must be a vertex name,
     optionally followed by `^`, one optional `-` and decimal digits
-    (str.isdecimal: any Unicode decimal digit, so `a^٣` is a^3).  A word
-    of such tokens alone, within the budget, is read in one map; any
-    other goes through the checked loop, which takes each token's letter
-    from that map and raises every error.
+    (str.isdecimal: any Unicode decimal digit, so `a^٣` is a^3).
     """
     tokens = text.split()
-    found = map(g._letter.get, tokens)  # each token's letter, or None
-    if len(tokens) <= MAX_WORD_LETTERS:
-        # a list, then a tuple of exactly its length: tuple() of a map,
-        # which has no length hint, can keep an over-allocated block
-        found = list(found)
-        if None not in found:
-            return Word(g, tuple(found))
     if tokens == ["1"]:
         return Word(g, ())
     idx = []
-    for tok, x in zip(tokens, found):
+    table = g._letter
+    for tok in tokens:
+        x = table.get(tok)
         if x is not None:
             if len(idx) >= MAX_WORD_LETTERS:
                 raise BudgetExceeded(

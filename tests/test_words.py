@@ -115,10 +115,10 @@ def test_parse_word_letter_budget():
     assert len(parse_word("b " * MAX_WORD_LETTERS, FREE2)) == MAX_WORD_LETTERS
 
 
-def test_parse_word_falls_back_to_the_checked_loop():
-    # words of letter-table tokens are read in one map; one other token
-    # anywhere, or a word over the budget, gives the checked loop's
-    # letters or its error class and message, as the regex reference does
+def test_parse_word_errors_among_valid_tokens():
+    # one bad token among letter-table tokens, or a word over the budget,
+    # gives the error class and message of the regex reference, and valid
+    # words its letters
     g = build_graph(["a", "b", "c"], [])
     valid = "a b^-1 c a^-1 b"
     texts = [valid, "", "  \t", "1", f"{valid} 1", f"1 {valid}",
@@ -306,8 +306,8 @@ def test_text_memo_and_chord_cache_can_be_emptied():
     from pcgroups import freiheitssatz
     minimal_form(C5P, "a1 t a1^-1")
     freiheitssatz.magnus_verdict(plain_cycle(5), "a1 t a2", 3)
-    for cache in (words._canon_text, words._blocker_rows,
-                  freiheitssatz._chorded, freiheitssatz._cycle_chords):
+    for cache in (words._canon_text, freiheitssatz._chorded,
+                  freiheitssatz._cycle_chords):
         assert cache.cache_info().currsize > 0
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
@@ -755,12 +755,29 @@ def test_cyclic_core_of_the_slowest_shape_stays_fast_at_ten_times_the_length():
 def test_cancellation_over_a_large_free_group_reads_the_generators_seen():
     # rank 20000, a word over two generators: each cancelling g0 has 19999
     # blockers but only two generators seen, and reads those.  About 0.1 s
-    # on a 2-CPU machine; reading every blocker took about 46 s
+    # on a 2-CPU machine; a pass that read every blocker took about 46 s
     g = build_graph([f"g{i}" for i in range(20000)], [])
     start = time.perf_counter()
     assert conjugate_test(g, "g0^50000 g1 g0^-50000", "g1")
     assert not conjugate_test(g, "g0^50000 g1 g0^-50000", "g1^-1")
     assert time.perf_counter() - start < 1.0
+
+
+def test_cancellation_over_many_generators_of_a_free_group_stays_fast():
+    # rank 5000, g1 ... gm g1^-1 ... gm^-1: each gi^-1 is blocked by the
+    # first generator seen after gi, or by its hint, so the pass reads
+    # about two generators a letter and keeps nothing after the call.
+    # About 0.02 s on a 2-CPU machine; building each candidate's row of
+    # blockers took 3.6 s and held 0.9 GB, and testing each first letter
+    # against the list of generators seen took 0.36 s
+    m = 5000
+    g = build_graph([f"g{i}" for i in range(1, m + 1)], [])
+    w = tuple(range(1, m + 1)) + tuple(range(-1, -m - 1, -1))
+    start = time.perf_counter()
+    assert reduce_letters(g._adj_idx, w) == w
+    dec = cyclic_reduce(g, Word(g, w))
+    assert not dec.conjugator.idx and dec.core.idx == w
+    assert time.perf_counter() - start < 0.2
 
 
 def test_conjugate_test_matches_the_reference_and_the_partition():
