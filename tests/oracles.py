@@ -263,7 +263,7 @@ def reduce_reference(adj, w):
 
 
 def cancel_reference(adj, w):
-    """words._cancel with no blocker table: a candidate letter reads the
+    """words._cancel with no last-blocker hint: a candidate letter reads the
     generators seen, in first-seen order, until one that does not
     commute with it has its last live letter after the candidate's
     partner.  The letters of w after the pass, each cancelled one 0."""
