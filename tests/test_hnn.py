@@ -25,6 +25,7 @@ from pcgroups.words import (
     canon_letters,
     canonical_split,
     equal,
+    invert_letters,
     minimal_form,
     parse_word,
     word_from_idx,
@@ -282,13 +283,26 @@ def test_t_root_reads_the_exponents_only_where_they_decide():
 
 
 def test_t_root_matches_the_symbol_reference_on_random_words():
+    # each word w comes with its powers w^2 and w^3, whose sigma is a
+    # proper power unless it is trivial, and a conjugate u^-1 w u, whose
+    # sigma has inverse end pairs to strip; a random w alone is almost
+    # always a t-root with nothing to strip
     rng = random.Random(37)
+    rng_u = random.Random(38)  # the words w stay those of rng alone
+    answers, stripped = set(), 0
     for g in [C5P, cycle_with_chord(6)] + [random_graph(rng) for _ in range(15)]:
         for t in g.vertices:
             for _ in range(30):
                 w = random_letters(rng, len(g), rng.randint(0, 14))
-                h = hnn_factorize(g, t, word_from_idx(g, w))
-                assert is_t_root(g, t, h) == is_t_root_reference(g, t, h)
+                u = random_letters(rng_u, len(g), rng_u.randint(1, 4))
+                for x in (w, w * 2, w * 3, invert_letters(u) + w + u):
+                    h = hnn_factorize(g, t, word_from_idx(g, x))
+                    want = is_t_root_reference(g, t, h)
+                    assert is_t_root(g, t, h) == want, (g, t, x)
+                    answers.add(want)
+                    units = sigma(g, t, h).units
+                    stripped += len(cyclically_reduce_units(units)) < len(units)
+    assert answers == {True, False} and stripped > 100
 
 
 def test_cyclically_reduce_units_strips_each_inverse_end_pair():
