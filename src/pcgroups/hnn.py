@@ -18,6 +18,23 @@ t-letters in order.  If it were the r-th power of a word with r >= 2,
 rotating it by a period would map t-letters to t-letters, and exps
 would be the r-th power of the exponents of one period, with m/r < m
 letters: not primitive.  is_t_root uses the lemma to skip the symbols.
+
+Core lemma.  Where the exponents do not decide, is_t_root reads each
+symbol unit as the canonical U-core c of its chunk and never orients
+it.  The core of the chunk's inverse is c' = lexmin(c^-1), and the
+symbol of c is (c, +1) when c <= c' in the letter order, else (c', -1).
+* No nonempty core is its own inverse: c = c' would give c^2 = 1, and
+  the group is torsion-free.  So c and c' get one symbol with opposite
+  signs: the units of c and c' are inverse.
+* c -> signed symbol is injective: two cores with one symbol and sign
+  +1 are that symbol, and two with sign -1 have one inverse, so are one
+  element, and canonical.
+* Hence the units of cores c1 and c2 are inverse exactly when
+  c2 = lexmin(c1^-1): the unit inverse to c1's is the unit of c1', and
+  by injectivity c1' is the one core with that unit.
+Free reduction, cyclic reduction and the period test read only which
+units are equal and which are inverse, so on the sequence of cores and
+t-units they give what they give on sigma(h).
 """
 
 from __future__ import annotations
@@ -29,8 +46,10 @@ from .words import (
     Word,
     _Frozen,
     _set_field,
+    canon_letters,
     canonical_split,
     format_word,
+    invert_letters,
     minimal_form,
     reduce_letters,
 )
@@ -210,12 +229,7 @@ def sigma(g: CommutationGraph, t, h: HnnWord) -> SigmaWord:
     """sigma(p): chunks become double-coset symbols, t-powers expand to
     unit letters, and the result is freely reduced in the free product."""
     _check_t(t, h)
-    return SigmaWord(g, t, _sigma_units(g._adj_idx, h))
-
-
-def _sigma_units(adj, h):
-    """Units of sigma(h), shared by sigma and is_t_root."""
-    u_idx = h.u_idx
+    adj, u_idx = g._adj_idx, h.u_idx
     units = []
     sym = coset_symbol(adj, u_idx, h.chunks[0])
     if sym is not None:
@@ -225,7 +239,7 @@ def _sigma_units(adj, h):
         sym = coset_symbol(adj, u_idx, chunk)
         if sym is not None:
             units.append(sym)
-    return _free_reduce_units(units)
+    return SigmaWord(g, t, _free_reduce_units(units))
 
 
 def cyclically_reduce_units(units):
@@ -238,10 +252,13 @@ def cyclically_reduce_units(units):
 
 
 def smallest_period(seq) -> int:
-    """Smallest p dividing len(seq) with seq equal to its rotation by p."""
+    """Smallest p dividing len(seq) with seq equal to its rotation by p.
+    For p dividing n, that holds iff seq[p:] == seq[:-p]: then seq[i] =
+    seq[i + p] for i < n - p, and the chain of such steps from i + p - n
+    reaches i, which covers the letters the rotation wraps around."""
     n = len(seq)
-    for p in range(1, n):
-        if n % p == 0 and all(seq[i] == seq[(i + p) % n] for i in range(n)):
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and seq[p:] == seq[:-p]:
             return p
     return n
 
@@ -257,16 +274,50 @@ def is_t_root(g: CommutationGraph, t, h: HnnWord) -> bool:
     """True iff sigma(h), cyclically reduced, is not a proper power.
 
     By the t-root lemma (module docstring) the t-exponents decide when h
-    has no pinch, e_1 = e_m and exps is primitive; otherwise the symbols
-    of sigma(h) are built.
+    has no pinch, e_1 = e_m and exps is primitive.  Otherwise sigma(h) is
+    read on canonical U-cores by the core lemma: a t-letter is the unit
+    (None, e), a chunk outside U its core, and two cores are inverse iff
+    one is the canonical inverse of the other, built only for a pair of
+    one length that meets in the free or the cyclic reduction.
     """
     _check_t(t, h)
     exps = h.exps
     if exps and exps[0] == exps[-1] and not _has_pinch(h) \
             and smallest_period(exps) == len(exps):
         return True
-    units = cyclically_reduce_units(_sigma_units(g._adj_idx, h))
-    return len(units) <= 1 or smallest_period(units) == len(units)
+    adj, u_idx = g._adj_idx, h.u_idx
+    units = []  # freely reduced as it grows
+    for e, chunk in zip((0,) + exps, h.chunks):
+        if e:
+            if units and units[-1] == (None, -e):
+                units.pop()
+            else:
+                units.append((None, e))
+        if len(chunk) > 1:
+            chunk = canonical_split(adj, chunk, u_idx)[1]
+        elif chunk and abs(chunk[0]) in u_idx:
+            continue  # a letter of U; a letter outside U is its own core
+        if not chunk:  # in U
+            continue
+        top = units[-1] if units else (None,)
+        if top[0] is not None and len(top) == len(chunk) \
+                and top == canon_letters(adj, invert_letters(chunk)):
+            units.pop()
+        else:
+            units.append(chunk)
+    i, j = 0, len(units) - 1
+    while i < j:  # strip the inverse end pairs
+        a, b = units[i], units[j]
+        if a[0] is None:
+            if b != (None, -a[1]):
+                break
+        elif b[0] is None or len(a) != len(b) \
+                or b != canon_letters(adj, invert_letters(a)):
+            break
+        i += 1
+        j -= 1
+    n = j - i + 1
+    return n <= 1 or smallest_period(units[i:j + 1]) == n
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,16 @@ from .graphs import CommutationGraph, _complement_components, _is_name
 # A longer word raises BudgetExceeded before its letters are built.
 MAX_WORD_LETTERS = 10**6
 
+# Most work units conjugate_test spends on dependent-pair projections:
+# each block it must project costs its dependent pairs {a, b} (a = b
+# included) times its length, one translate of the block per pair.  Over
+# the budget it raises BudgetExceeded before the first projection.  About
+# 50 ns a unit over str codes (blocks of more than 128 generators) and
+# 2-15 ns over bytes on a 2-CPU machine, so a block at the budget takes
+# at most about 1 s: the free group of rank 200 (g1...g200 g1^-1...g200^-1,
+# 8.0e6 units) takes 0.3 s, and rank 5000 (1.25e11 units) is refused.
+CONJUGACY_BUDGET = 20_000_000
+
 
 def bounded_int(text, bound):
     """Value of a numeral (optional sign, digits), or None when its
@@ -440,6 +450,14 @@ def _meets_rules(rules, a0, n0):
     return True
 
 
+def _dependent_pairs(adj, supp) -> int:
+    """Dependent pairs {a, b} over the generator set supp, a = b
+    included: every pair less the commuting ones, which one set
+    intersection per generator counts."""
+    n = len(supp)
+    return n * (n + 1) // 2 - sum(len(adj[a] & supp) for a in supp) // 2
+
+
 def _block_conjugate(adj, u, v):
     """Whether the block v is c^-1 u c for a cut c of the heap u^Z, that
     is, lies in the rotation closure of u.  u and v are geodesics,
@@ -794,7 +812,8 @@ def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
     support, the block lengths, the dependent-pair projections) is the
     same for every geodesic of an element, so it runs on geodesics and
     never builds a canonical form: two passes of _cancel per word, one
-    for its geodesic and one over the square for its core."""
+    for its geodesic and one over the square for its core.  The blocks
+    to project are priced against CONJUGACY_BUDGET first."""
     adj = g._adj_idx
 
     def geodesic(w):  # a NormalForm over g is one already
@@ -804,8 +823,18 @@ def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
 
     b1, b2 = (_blocks(adj, _cyclic_core(adj, geodesic(w))[1])
               for w in (w1, w2))
-    if ([({abs(x) for x in b}, len(b)) for b in b1]
-            != [({abs(x) for x in b}, len(b)) for b in b2]):
+    shape = [({abs(x) for x in b}, len(b)) for b in b1]
+    if shape != [({abs(x) for x in b}, len(b)) for b in b2]:
         return False
+    # a block over S has at most |S|(|S| + 1)/2 dependent pairs, so over
+    # m generators the work is at most m(m + 1)/2 times the core length:
+    # count the pairs only when that bound passes the budget
+    m = len(adj) - 1
+    if m * (m + 1) // 2 * sum(map(len, b1)) > CONJUGACY_BUDGET:
+        work = sum(_dependent_pairs(adj, supp) * n
+                   for (supp, n), x, y in zip(shape, b1, b2) if x != y)
+        if work > CONJUGACY_BUDGET:
+            raise BudgetExceeded(f"conjugacy needs {work} work units, "
+                                 f"over {CONJUGACY_BUDGET}")
     return all(x == y or _block_conjugate(adj, x, y)
                for x, y in zip(b1, b2))

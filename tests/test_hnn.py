@@ -17,6 +17,7 @@ from pcgroups.hnn import (
     is_t_root,
     is_t_thick,
     sigma,
+    smallest_period,
     t_length,
     unique_position_factorization,
 )
@@ -318,6 +319,20 @@ def test_cyclically_reduce_units_strips_each_inverse_end_pair():
             cyclically_reduce_units_reference(units)
     long = ((None, 1),) * 20000 + ((None, -1),) * 20000
     assert cyclically_reduce_units(long) == ()
+
+
+def test_smallest_period_matches_the_rotations():
+    rng = random.Random(41)
+    for _ in range(3000):
+        n = rng.randint(0, 12)
+        if rng.random() < 0.5:  # periodic, up to a cut
+            base = [rng.choice("ab") for _ in range(rng.randint(1, 4))]
+            seq = tuple((base * 12)[:n])
+        else:
+            seq = tuple(rng.choice("ab") for _ in range(n))
+        want = next((p for p in range(1, n)
+                     if n % p == 0 and seq == seq[p:] + seq[:p]), n)
+        assert smallest_period(seq) == smallest_period(list(seq)) == want
 
 
 def test_t_root_constructed_powers_fail():

@@ -780,6 +780,36 @@ def test_cancellation_over_many_generators_of_a_free_group_stays_fast():
     assert time.perf_counter() - start < 0.2
 
 
+def test_conjugate_test_prices_its_dependent_pairs_before_projecting():
+    # g1 ... gm g1^-1 ... gm^-1 against its rotation by one letter over the
+    # free group of rank m: one block of m(m + 1)/2 dependent pairs, each
+    # one projection of its 2m letters.  Rank 200 (8.0e6 work units) is
+    # answered; rank 5000 (1.25e11), which did not finish in 60 s, is
+    # refused before its first projection.  A block equal on both sides
+    # needs no projection.
+    def rotated(m):
+        g = build_graph([f"g{i}" for i in range(1, m + 1)], [])
+        w = tuple(range(1, m + 1)) + tuple(range(-1, -m - 1, -1))
+        return g, Word(g, w), Word(g, w[1:] + w[:1])
+
+    g, w, turned = rotated(200)
+    assert conjugate_test(g, w, turned)
+    g, w, turned = rotated(5000)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="conjugacy needs"):
+        conjugate_test(g, w, turned)
+    assert conjugate_test(g, w, w)
+    assert time.perf_counter() - start < 1.0
+    rng = random.Random(71)
+    for _ in range(200):
+        g = random_graph(rng)
+        adj = g._adj_idx
+        supp = set(rng.sample(range(1, len(g) + 1), rng.randint(1, len(g))))
+        assert words._dependent_pairs(adj, supp) == sum(
+            a == b or b not in adj[a]
+            for a, b in itertools.combinations_with_replacement(supp, 2))
+
+
 def test_conjugate_test_matches_the_reference_and_the_partition():
     # every element of the radius-4 ball of each catalog graph against a
     # random member of its class and a random element of its length
