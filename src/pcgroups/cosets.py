@@ -79,9 +79,10 @@ def oriented_symbol(adj, core):
     a right-divisor letter of core, so when every such inverse comes
     after core[0], core is the symbol and core^{-1} is never built.  The
     right-divisor letters are read from the end of core while some
-    generator commutes with every letter read."""
-    if not core:
-        return (core, 1)
+    generator commutes with every letter read.  A core of at most one
+    letter is its own canonical form, so it is oriented by its sign."""
+    if len(core) < 2:
+        return (core, 1) if not core or core[0] > 0 else ((-core[0],), -1)
     x = core[0]
     key = 2 * abs(x) + (x < 0)  # the letter order as one int
     free = None

@@ -781,12 +781,11 @@ def cyclic_reduce(g: CommutationGraph, w) -> CyclicDecomposition:
     return CyclicDecomposition(NormalForm(Word(g, u)), NormalForm(Word(g, v)))
 
 
-def _blocks(adj, core):
-    """Letters of a cyclically minimal tuple over each connected component
-    of the complement graph on its support, as subsequences of core,
-    ordered by the least generator index of each component.  The blocks
-    commute with one another."""
-    comps = _complement_components(adj, {abs(x) for x in core})
+def _blocks(core, comps):
+    """Letters of a cyclically minimal tuple over each of comps, the
+    connected components of the complement graph on its support (as
+    _complement_components orders them), as subsequences of core.  The
+    blocks commute with one another."""
     if len(comps) == 1:
         return [tuple(core)]
     return [tuple([x for x in core if abs(x) in comp]) for comp in comps]
@@ -798,18 +797,23 @@ def block_decomposition(g: CommutationGraph, v) -> list:
     nf = minimal_form(g, v)
     if not is_cyclically_minimal(g, nf):
         raise NotCyclicallyMinimal(f"{nf} is not cyclically minimal")
-    return [minimal_form(g, Word(g, b)) for b in _blocks(g._adj_idx, nf.idx)]
+    comps = _complement_components(g._adj_idx, {abs(x) for x in nf.idx})
+    return [minimal_form(g, Word(g, b)) for b in _blocks(nf.idx, comps)]
 
 
 def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
     """Conjugacy via cyclic reduction, then block by block: a rotation
     moves a left-divisor letter of the core, which commutes with every
-    other block, so two cores are conjugate iff their blocks pair up by
-    support and each pair lies in one block's rotation closure.  Each
-    pair is decided by its dependent-pair projections (_block_conjugate),
-    without walking the closure; each projection is one translate of the
-    block's encoded letters (_pair_rules).  What it reads (the core's
-    support, the block lengths, the dependent-pair projections) is the
+    other block, so two cores are conjugate iff each pair of blocks lies
+    in one block's rotation closure.  A rotation is a cut of the
+    periodic heap, so it keeps every letter, and conjugate cores have
+    equal letter counts.  So equal cores are conjugate, cores whose
+    sorted letters differ are not, and otherwise the cores have one
+    support, hence the same blocks with the same lengths.  Each pair of
+    blocks that differ is decided by its dependent-pair projections
+    (_block_conjugate), without walking the closure; each projection is
+    one translate of the block's encoded letters (_pair_rules).  What it
+    reads (the core's letters, the dependent-pair projections) is the
     same for every geodesic of an element, so it runs on geodesics and
     never builds a canonical form: two passes of _cancel per word, one
     for its geodesic and one over the square for its core.  The blocks
@@ -821,18 +825,20 @@ def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
             return w.idx
         return reduce_letters(adj, as_word(g, w).idx)
 
-    b1, b2 = (_blocks(adj, _cyclic_core(adj, geodesic(w))[1])
-              for w in (w1, w2))
-    shape = [({abs(x) for x in b}, len(b)) for b in b1]
-    if shape != [({abs(x) for x in b}, len(b)) for b in b2]:
+    c1, c2 = (_cyclic_core(adj, geodesic(w))[1] for w in (w1, w2))
+    if c1 == c2:
+        return True
+    if sorted(c1) != sorted(c2):
         return False
+    comps = _complement_components(adj, {abs(x) for x in c1})
+    b1, b2 = _blocks(c1, comps), _blocks(c2, comps)
     # a block over S has at most |S|(|S| + 1)/2 dependent pairs, so over
     # m generators the work is at most m(m + 1)/2 times the core length:
     # count the pairs only when that bound passes the budget
     m = len(adj) - 1
-    if m * (m + 1) // 2 * sum(map(len, b1)) > CONJUGACY_BUDGET:
-        work = sum(_dependent_pairs(adj, supp) * n
-                   for (supp, n), x, y in zip(shape, b1, b2) if x != y)
+    if m * (m + 1) // 2 * len(c1) > CONJUGACY_BUDGET:
+        work = sum(_dependent_pairs(adj, comp) * len(x)
+                   for comp, x, y in zip(comps, b1, b2) if x != y)
         if work > CONJUGACY_BUDGET:
             raise BudgetExceeded(f"conjugacy needs {work} work units, "
                                  f"over {CONJUGACY_BUDGET}")

@@ -443,8 +443,9 @@ def cyclic_core_reference(adj, w):
 def conjugate_test_reference(g, w1, w2):
     """words.conjugate_test over canonical forms: the canonical form of
     each word, its core by cyclic_core_reference, the blocks by
-    complement_components, each block canonical, then the same pairing
-    by (support, length) and words._block_conjugate."""
+    complement_components, each block canonical, then a pairing by
+    (support, length), which equal letter counts imply, and
+    words._block_conjugate on each pair."""
     adj = g._adj_idx
     found = []
     for w in (w1, w2):

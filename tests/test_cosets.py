@@ -161,7 +161,8 @@ def test_strip_divisors_invariants_on_random_graphs():
 
 def test_oriented_symbol_matches_comparing_whole_keys():
     # seeded random graphs on 2-12 vertices plus the edgeless and the
-    # free-abelian graph, canonical cores of up to 60 letters
+    # free-abelian graph, canonical cores of up to 60 letters and every
+    # one-letter core
     rng = random.Random(67)
     names = [f"v{i}" for i in range(6)]
     graphs = [random_graph(rng) for _ in range(150)]
@@ -177,6 +178,10 @@ def test_oriented_symbol_matches_comparing_whole_keys():
             got = oriented_symbol(adj, core)
             assert got == oriented_symbol_reference(adj, core)
             signs.add(got[1])
+        for x in range(1, len(g) + 1):  # every one-letter core
+            for core in ((x,), (-x,)):
+                assert oriented_symbol(adj, core) == (
+                    oriented_symbol_reference(adj, core))
     assert signs == {1, -1}
 
 

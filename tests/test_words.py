@@ -24,7 +24,8 @@ from pcgroups.cosets import (DoubleCosetRep, ParabolicContext, in_maln,
                              parabolic, parabolic_member, strip_divisors)
 from pcgroups.freiheitssatz import (AmalgamRecord, Conclusion, FreiReport,
                                     TheoremMainRecord, magnus_verdict)
-from pcgroups.graphs import build_graph, cycle_with_chord, plain_cycle
+from pcgroups.graphs import (_complement_components, build_graph,
+                             cycle_with_chord, plain_cycle)
 from pcgroups.hnn import (HnnWord, SigmaWord, UniquePositionSplit,
                           hnn_factorize, sigma, unique_position_factorization)
 from pcgroups.words import (
@@ -410,15 +411,21 @@ def test_conjugate_test_matches_whole_core_closure():
             assert claimed or (v1, v2) not in conjugated
 
 
+def _block_join(b):
+    """b free pairs x_i, y_i, letters of different pairs commuting."""
+    names = [f"{c}{i}" for i in range(b) for c in "xy"]
+    return build_graph(names, [(u, v) for u, v in
+                               itertools.combinations(names, 2)
+                               if u[1:] != v[1:]])
+
+
 def test_conjugate_test_on_block_joins():
     # b free pairs x_i, y_i, letters of different pairs commuting: the
     # whole-core closure of the b-block core below has 6^b forms
     rng = random.Random(45)
     for b in range(1, 9):
-        names = [f"{c}{i}" for i in range(b) for c in "xy"]
-        g = build_graph(names, [(u, v) for u, v in
-                                itertools.combinations(names, 2)
-                                if u[1:] != v[1:]])
+        g = _block_join(b)
+        names = g.vertices
         blocks = [[f"x{i}", f"x{i}", f"y{i}", f"x{i}", f"y{i}^-1",
                    f"y{i}^-1"] for i in range(b)]
         w = " ".join(t for blk in blocks for t in blk)
@@ -434,6 +441,16 @@ def test_conjugate_test_on_block_joins():
         # x_{b-1} changes, the core's length and support do not
         flipped = turned[:-6] + [f"x{b - 1}^-1", f"x{b - 1}^-1"] + blocks[-1][2:]
         assert not conjugate_test(g, w, " ".join(u_inv + flipped + u))
+        # x y x x y^-1 y^-1 in the last block: the same letters as
+        # x x y x y^-1 y^-1, and no rotation of it, so only the
+        # dependent-pair projections tell the cores apart
+        i = b - 1
+        swapped = turned[:-6] + [f"x{i}", f"y{i}", f"x{i}", f"x{i}",
+                                 f"y{i}^-1", f"y{i}^-1"]
+        swapped = " ".join(u_inv + swapped + u)
+        assert not conjugate_test(g, w, swapped)
+        if b <= 3:
+            assert not _in_rotation_closure(g, w, swapped)
 
 
 def test_conjugate_test_on_the_wide_block():
@@ -448,10 +465,25 @@ def test_conjugate_test_on_the_wide_block():
         u_inv = [t[:-3] if t.endswith("^-1") else t + "^-1"
                  for t in reversed(u)]
         w = " ".join(bs + ["a"])
+        # b1...bm a a against b1 a b2...bm a: the same letters, but each
+        # rotation of the first keeps every b in one cyclic gap between
+        # the two a's, and the second puts b1 and b2 in different gaps
+        twice = " ".join(bs + ["a", "a"])
+        apart = " ".join(u_inv + bs[:1] + ["a"] + bs[1:] + ["a"] + u)
         start = time.perf_counter()
         assert conjugate_test(g, w, " ".join(u_inv + ["a"] + bs + u))
         assert not conjugate_test(g, w, " ".join(u_inv + ["a^-1"] + bs + u))
+        assert not conjugate_test(g, twice, apart)
         assert time.perf_counter() - start < 1.0, m
+        if m == 8:
+            assert not _in_rotation_closure(g, twice, apart)
+
+
+def _in_rotation_closure(g, w1, w2):
+    """Whether the canonical core of w2 is in the rotation closure of
+    the canonical core of w1."""
+    c1, c2 = (cyclic_reduce(g, w).core.idx for w in (w1, w2))
+    return c2 in conjugacy_class_closure(g._adj_idx, c1)
 
 
 def _core_cases(rng):
@@ -640,7 +672,9 @@ def _pair_rule_cases(rng):
         c = random_letters(rng, len(g), rng.randrange(0, 6))
         cores = [_cyclic_core(adj, reduce_letters(adj, x))[1]
                  for x in (u, invert_letters(c) + turned + c)]
-        for x, y in zip(*(words._blocks(adj, core) for core in cores)):
+        comps = [_complement_components(adj, {abs(x) for x in core})
+                 for core in cores]
+        for x, y in zip(*map(words._blocks, cores, comps)):
             if {abs(z) for z in y} <= {abs(z) for z in x}:
                 yield adj, x, y
 
@@ -808,6 +842,61 @@ def test_conjugate_test_prices_its_dependent_pairs_before_projecting():
         assert words._dependent_pairs(adj, supp) == sum(
             a == b or b not in adj[a]
             for a, b in itertools.combinations_with_replacement(supp, 2))
+
+
+def test_conjugate_test_projects_only_cores_with_the_same_letters(
+        monkeypatch):
+    # counts calls of _pair_rules, not seconds: cores that differ in
+    # their letter counts, or are equal, are answered before any block
+    # is projected; a pair with the same letters that is not conjugate
+    # is answered False by the projections
+    calls = []
+    pair_rules = words._pair_rules
+
+    def counted(adj, u, v):
+        calls.append(len(u))
+        return pair_rules(adj, u, v)
+
+    monkeypatch.setattr(words, "_pair_rules", counted)
+    join = _block_join(3)
+    w = "x0 x0 y0 x0 y0^-1 y0^-1 x1 x1 y1 x1 y1^-1 y1^-1 x2 y2"
+    for other in ("x0^-1 x0^-1 y0 x0 y0^-1 y0^-1 x1 x1 y1 x1 y1^-1 y1^-1 "
+                  "x2 y2", "x0 x0 y0 x0 y0^-1 x1 x1 y1 x1 y1^-1 y1^-1 x2 y2",
+                  "x0 y0 x0 x0 y0^-1 y0^-1 x1 x1 y1 x1 y1^-1 y1^-1 x2 y2^-1",
+                  "y2 " + w, "1"):
+        assert not conjugate_test(join, w, other)
+    assert calls == []
+    adj = join._adj_idx
+    for other in (w, "y0 " + w + " y0^-1", "x1 " + w + " x1^-1"):
+        cores = [_cyclic_core(adj, reduce_letters(adj, parse_word(x, join).idx))
+                 for x in (w, other)]
+        assert cores[0][1] == cores[1][1]
+        assert conjugate_test(join, w, other)
+    assert calls == []
+    swapped = "x0 y0 x0 x0 y0^-1 y0^-1 x1 x1 y1 x1 y1^-1 y1^-1 y2 x2"
+    assert not conjugate_test(join, w, swapped)
+    assert calls == [6]
+    rng = random.Random(72)
+    for _ in range(200):
+        g = random_graph(rng)
+        v = random_letters(rng, len(g), rng.randrange(1, 20))
+        p = rng.randrange(len(v))
+        flipped = v[:p] + (-v[p],) + v[p + 1:]
+        calls.clear()
+        assert not conjugate_test(g, word_from_idx(g, v),
+                                  word_from_idx(g, flipped))
+        assert calls == []
+    # rank 5000: g1 ... g5000 g1^-1 ... g5000^-1 against the same word
+    # with g1 inverted; projecting the block would pass CONJUGACY_BUDGET
+    # (1.25e11 units), but the letter counts differ
+    m = 5000
+    free = build_graph([f"g{i}" for i in range(1, m + 1)], [])
+    v = tuple(range(1, m + 1)) + tuple(range(-1, -m - 1, -1))
+    start = time.perf_counter()
+    assert not conjugate_test(free, Word(free, v),
+                              Word(free, (-1,) + v[1:]))
+    assert time.perf_counter() - start < 1.0
+    assert calls == []
 
 
 def test_conjugate_test_matches_the_reference_and_the_partition():
