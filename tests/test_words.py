@@ -479,6 +479,64 @@ def test_conjugate_test_on_the_wide_block():
             assert not _in_rotation_closure(g, twice, apart)
 
 
+def _free_block_cases(rng):
+    """(graph, cyclic core) pairs whose blocks all have an independent
+    support: random words over free groups of rank 1-5, over joins of
+    2-4 free pairs, and over the free group of rank 140, whose cores
+    hold more than 128 generators."""
+    for _ in range(300):
+        rank = rng.randint(1, 5)
+        g = build_graph([f"g{i}" for i in range(rank)], [])
+        yield g, random_letters(rng, rank, rng.randrange(1, 30))
+    for _ in range(80):
+        g = _block_join(rng.randint(2, 4))
+        yield g, random_letters(rng, len(g), rng.randrange(1, 40))
+    wide = build_graph([f"g{i}" for i in range(140)], [])
+    for _ in range(4):
+        yield wide, tuple(range(1, 141)) + random_letters(rng, 140, 200)
+
+
+def test_conjugate_test_on_free_blocks_matches_the_projections():
+    # each core against a rotation, a shuffle of its letters, a swap of
+    # two neighbouring letters, a reversed segment and an inverted run of
+    # one letter, each conjugated by a random word: conjugate_test agrees
+    # with conjugate_test_reference, which runs _block_conjugate on every
+    # block, and on short cores with the rotation closure
+    rng = random.Random(49)
+    answers = []
+    wide_seen = 0
+    for g, w in _free_block_cases(rng):
+        adj = g._adj_idx
+        core = _cyclic_core(adj, reduce_letters(adj, w))[1]
+        if not core:
+            continue
+        wide_seen += len({abs(x) for x in core}) > 128
+        r, p, q = (rng.randrange(len(core)) for _ in range(3))
+        turned = core[r:] + core[:r]
+        shuffled = list(core)
+        rng.shuffle(shuffled)
+        p, q = min(p, q), max(p, q) + 1
+        run = p
+        while run < len(turned) and turned[run] == turned[p]:
+            run += 1
+        u = random_letters(rng, len(g), rng.randrange(0, 5))
+        for other in (turned, tuple(shuffled),
+                      turned[:p] + turned[p + 1:p + 2] + turned[p:p + 1]
+                      + turned[p + 2:],
+                      turned[:p] + turned[p:q][::-1] + turned[q:],
+                      turned[:p] + invert_letters(turned[p:run])
+                      + turned[run:]):
+            v1 = Word(g, core)
+            v2 = Word(g, invert_letters(u) + other + u)
+            claimed = conjugate_test(g, v1, v2)
+            assert claimed == conjugate_test_reference(g, v1, v2), (g, core)
+            if len(core) <= 12:
+                assert claimed == _in_rotation_closure(g, v1, v2)
+            answers.append(claimed)
+    assert wide_seen == 4
+    assert 0.25 * len(answers) <= answers.count(True) < len(answers)
+
+
 def _in_rotation_closure(g, w1, w2):
     """Whether the canonical core of w2 is in the rotation closure of
     the canonical core of w1."""
