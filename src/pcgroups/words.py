@@ -27,6 +27,9 @@ computes it and serves every layer above:
   maximal left and right divisors over a vertex subset (the parabolic
   double-coset split), and linearises the core again only after an
   interior hole;
+* conjugate_test: the cyclic cores, split into blocks; a free block
+  (independent support) is decided by one substring test, any other by
+  its dependent-pair projections (_block_conjugate);
 
 All geodesics of one element differ only by commutations, so the
 canonical form is a class invariant.
@@ -71,13 +74,14 @@ from .graphs import CommutationGraph, _complement_components, _is_name
 MAX_WORD_LETTERS = 10**6
 
 # Most work units conjugate_test spends on dependent-pair projections:
-# each block it must project costs its dependent pairs {a, b} (a = b
-# included) times its length, one translate of the block per pair.  Over
-# the budget it raises BudgetExceeded before the first projection.  About
-# 50 ns a unit over str codes (blocks of more than 128 generators) and
-# 2-15 ns over bytes on a 2-CPU machine, so a block at the budget takes
-# at most about 1 s: the free group of rank 200 (g1...g200 g1^-1...g200^-1,
-# 8.0e6 units) takes 0.3 s, and rank 5000 (1.25e11 units) is refused.
+# each non-free block it must project costs its dependent pairs {a, b}
+# (a = b included) times its length, one translate of the block per pair.
+# Free blocks (independent support) take one substring test and are not
+# priced.  Over the budget it raises BudgetExceeded before the first
+# projection.  About 50 ns a unit over str codes (blocks of more than 128
+# generators) and 2-15 ns over bytes on a 2-CPU machine, so a block at the
+# budget takes at most about 1 s; g1...g5000 g1^-1...g5000^-1 with the one
+# edge g1-g2 (1.25e11 units) is refused.
 CONJUGACY_BUDGET = 20_000_000
 
 
@@ -367,6 +371,20 @@ def cyclic_core_letters(adj, w):
     return canon_letters(adj, invert_letters(ys)), canon_letters(adj, v)
 
 
+def _encode(u, v):
+    """(gens, code, pack, su, sv): the generators of the block u, sorted,
+    and u and v encoded one code per letter, code[a] = twice a's rank in
+    gens, code[-a] one more.  pack builds the encoding from codes: bytes
+    for a block of up to 128 generators, one str character each above
+    that.  supp(v) lies in supp(u)."""
+    gens = sorted({abs(x) for x in u})
+    code = {e * a: 2 * i + (e < 0)
+            for i, a in enumerate(gens) for e in (1, -1)}
+    pack = bytes if len(gens) <= 128 else (lambda c: "".join(map(chr, c)))
+    return (gens, code, pack, pack(map(code.__getitem__, u)),
+            pack(map(code.__getitem__, v)))
+
+
 def _pair_rules(adj, u, v):
     """For each generator a of the block u, the rules (b, A, B, P_a, P_b)
     of the dependent pairs {a, b} (b = a included), or None when some
@@ -379,34 +397,24 @@ def _pair_rules(adj, u, v):
     n_a = A + j P_a and n_b = B + j P_b over the integers j, where P_a
     and P_b count a and b in P, and A and B count them in P[:r].
 
-    Each letter has one code, twice its generator's rank in gens plus
-    one for an inverse, and u and v are encoded once.  A projection is
-    one translate that deletes every other code, find gives r and P,
-    and count gives A and P_a (B = r - A and P_b = |P| - P_a when
-    b != a, as P holds only a and b).  The codes are bytes for a block
-    of up to 128 generators, and one str character each above that.
+    u and v are encoded once (_encode).  A projection is one translate
+    that deletes every other code, find gives r and P, and count gives
+    A and P_a (B = r - A and P_b = |P| - P_a when b != a, as P holds
+    only a and b).
     """
-    gens = sorted({abs(x) for x in u})
-    code = {a: 2 * i for i, a in enumerate(gens)}  # a's; a^-1's is one more
-    cu = [code[abs(x)] + (x < 0) for x in u]
-    cv = [code[abs(x)] + (x < 0) for x in v]
+    gens, code, pack, su, sv = _encode(u, v)
     n = 2 * len(gens)
-    if n <= 256:
-        pack = bytes
-
+    if pack is bytes:
         def project(i, j):
             drop = every.translate(None, bytes((i, i + 1, j, j + 1)))
             return su.translate(None, drop), sv.translate(None, drop)
     else:
-        def pack(codes):
-            return "".join(map(chr, codes))
-
         def project(i, j):
             keep = [None] * n  # str.translate deletes a code mapped to None
             keep[i], keep[i + 1], keep[j], keep[j + 1] = i, i + 1, j, j + 1
             return su.translate(keep), sv.translate(keep)
 
-    su, sv, every = pack(cu), pack(cv), pack(range(n))
+    every = pack(range(n))
     rules = {a: [] for a in gens}
     for k, a in enumerate(gens):
         i = 2 * k
@@ -462,7 +470,8 @@ def _block_conjugate(adj, u, v):
     """Whether the block v is c^-1 u c for a cut c of the heap u^Z, that
     is, lies in the rotation closure of u.  u and v are geodesics,
     canonical or not, cyclically minimal, of one length and one support
-    S, and the complement graph on S is connected.
+    S, and the complement graph on S is connected.  conjugate_test calls
+    it on non-free blocks (some edge inside S) only.
 
     Two reduced words are equal iff their projections onto every
     dependent pair {a, b} (a = b included) are equal (Cori-Perrin 1985).
@@ -809,15 +818,24 @@ def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
     periodic heap, so it keeps every letter, and conjugate cores have
     equal letter counts.  So equal cores are conjugate, cores whose
     sorted letters differ are not, and otherwise the cores have one
-    support, hence the same blocks with the same lengths.  Each pair of
-    blocks that differ is decided by its dependent-pair projections
-    (_block_conjugate), without walking the closure; each projection is
-    one translate of the block's encoded letters (_pair_rules).  What it
-    reads (the core's letters, the dependent-pair projections) is the
-    same for every geodesic of an element, so it runs on geodesics and
-    never builds a canonical form: two passes of _cancel per word, one
-    for its geodesic and one over the square for its core.  The blocks
-    to project are priced against CONJUGACY_BUDGET first."""
+    support, hence the same blocks with the same lengths.
+
+    A block whose support S is independent in the graph (a free block)
+    is freely and cyclically reduced: were x and x^-1 adjacent in it,
+    cyclically, each letter between them in the core would lie in
+    another complement component and commute with all of S, so x and
+    x^-1 would cancel in the core.  Cyclically reduced words of a free group
+    are conjugate iff one is a cyclic permutation of the other
+    (Lyndon-Schupp I.1), so a pair of free blocks u, v that differ is
+    decided by one substring test, v in u.u, on their encoded letters
+    (_encode), in O(L).  Every other pair that differs is decided by its
+    dependent-pair projections (_block_conjugate), without walking the
+    closure; those blocks are priced against CONJUGACY_BUDGET first,
+    and free blocks are never priced.  What it reads (the core's
+    letters, the blocks' encodings and projections) is the same for
+    every geodesic of an element, so it runs on geodesics and never
+    builds a canonical form: two passes of _cancel per word, one for its
+    geodesic and one over the square for its core."""
     adj = g._adj_idx
 
     def geodesic(w):  # a NormalForm over g is one already
@@ -831,16 +849,24 @@ def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
     if sorted(c1) != sorted(c2):
         return False
     comps = _complement_components(adj, {abs(x) for x in c1})
-    b1, b2 = _blocks(c1, comps), _blocks(c2, comps)
+    pairs = [(comp, x, y, all(adj[a].isdisjoint(comp) for a in comp))
+             for comp, x, y in zip(comps, _blocks(c1, comps),
+                                   _blocks(c2, comps)) if x != y]
     # a block over S has at most |S|(|S| + 1)/2 dependent pairs, so over
     # m generators the work is at most m(m + 1)/2 times the core length:
     # count the pairs only when that bound passes the budget
     m = len(adj) - 1
     if m * (m + 1) // 2 * len(c1) > CONJUGACY_BUDGET:
         work = sum(_dependent_pairs(adj, comp) * len(x)
-                   for comp, x, y in zip(comps, b1, b2) if x != y)
+                   for comp, x, y, free in pairs if not free)
         if work > CONJUGACY_BUDGET:
             raise BudgetExceeded(f"conjugacy needs {work} work units, "
                                  f"over {CONJUGACY_BUDGET}")
-    return all(x == y or _block_conjugate(adj, x, y)
-               for x, y in zip(b1, b2))
+    for comp, x, y, free in pairs:
+        if free:
+            su, sv = _encode(x, y)[3:]
+            if sv not in su + su:
+                return False
+        elif not _block_conjugate(adj, x, y):
+            return False
+    return True

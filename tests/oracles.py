@@ -403,8 +403,9 @@ def conjugacy_class_closure(adj, core):
     """All canonical forms related to the cyclically minimal `core` by
     chains of rotations g = y . v -> v . y.  Single-letter rotations
     generate every split because u can be peeled one letter at a time.
-    The reference for conjugate_test, which decides each block by its
-    dependent-pair projections instead."""
+    The reference for conjugate_test, which decides a free block by one
+    substring test and every other block by its dependent-pair
+    projections instead."""
     start = lexmin_reference(adj, core)
     seen = {start}
     stack = [start]
@@ -445,7 +446,9 @@ def conjugate_test_reference(g, w1, w2):
     each word, its core by cyclic_core_reference, the blocks by
     complement_components, each block canonical, then a pairing by
     (support, length), which equal letter counts imply, and
-    words._block_conjugate on each pair."""
+    words._block_conjugate on each pair, free blocks included, so it
+    stays independent of conjugate_test's substring test on free
+    blocks."""
     adj = g._adj_idx
     found = []
     for w in (w1, w2):

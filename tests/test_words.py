@@ -873,20 +873,25 @@ def test_cancellation_over_many_generators_of_a_free_group_stays_fast():
 
 
 def test_conjugate_test_prices_its_dependent_pairs_before_projecting():
-    # g1 ... gm g1^-1 ... gm^-1 against its rotation by one letter over the
-    # free group of rank m: one block of m(m + 1)/2 dependent pairs, each
-    # one projection of its 2m letters.  Rank 200 (8.0e6 work units) is
-    # answered; rank 5000 (1.25e11), which did not finish in 60 s, is
-    # refused before its first projection.  A block equal on both sides
-    # needs no projection.
-    def rotated(m):
-        g = build_graph([f"g{i}" for i in range(1, m + 1)], [])
+    # g1 ... gm g1^-1 ... gm^-1 against its rotation by one letter: over
+    # the free group of rank m one free block, decided by one substring
+    # test at any rank.  With the one edge g1-g2 the block is not free,
+    # and at rank 5000 its m(m + 1)/2 - 1 dependent pairs, each one
+    # projection of its 2m letters (1.25e11 work units), are refused
+    # before the first projection.  A block equal on both sides needs no
+    # projection.
+    def rotated(m, edges=()):
+        g = build_graph([f"g{i}" for i in range(1, m + 1)], edges)
         w = tuple(range(1, m + 1)) + tuple(range(-1, -m - 1, -1))
         return g, Word(g, w), Word(g, w[1:] + w[:1])
 
-    g, w, turned = rotated(200)
-    assert conjugate_test(g, w, turned)
-    g, w, turned = rotated(5000)
+    for m in (200, 5000):
+        g, w, turned = rotated(m)
+        start = time.perf_counter()
+        assert conjugate_test(g, w, turned)
+        assert not conjugate_test(g, w, Word(g, w.idx[1::-1] + w.idx[2:]))
+        assert time.perf_counter() - start < 1.0, m
+    g, w, turned = rotated(5000, [("g1", "g2")])
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="conjugacy needs"):
         conjugate_test(g, w, turned)
@@ -900,6 +905,26 @@ def test_conjugate_test_prices_its_dependent_pairs_before_projecting():
         assert words._dependent_pairs(adj, supp) == sum(
             a == b or b not in adj[a]
             for a, b in itertools.combinations_with_replacement(supp, 2))
+
+
+def test_conjugate_test_on_a_long_free_core_stays_linear(monkeypatch):
+    # the cyclic core of a random 10^5-letter word over the free group of
+    # rank 50 against its rotation by half its length: one free block,
+    # decided by one substring test, where the projections would cost
+    # 1275 dependent pairs times the core's length.  About 0.25 s on a
+    # 2-CPU machine
+    calls = []
+    monkeypatch.setattr(words, "_pair_rules", lambda *args: calls.append(0))
+    g = build_graph([f"g{i}" for i in range(50)], [])
+    adj = g._adj_idx
+    w = reduce_letters(adj, random_letters(random.Random(73), 50, 10**5))
+    core = _cyclic_core(adj, w)[1]
+    h = len(core) // 2
+    assert len(core) > 90000
+    start = time.perf_counter()
+    assert conjugate_test(g, Word(g, core), Word(g, core[h:] + core[:h]))
+    assert time.perf_counter() - start < 1.0
+    assert calls == []
 
 
 def test_conjugate_test_projects_only_cores_with_the_same_letters(
@@ -931,9 +956,18 @@ def test_conjugate_test_projects_only_cores_with_the_same_letters(
         assert cores[0][1] == cores[1][1]
         assert conjugate_test(join, w, other)
     assert calls == []
+    # the blocks of a join are free: a same-letter negative is answered
+    # by a substring test, with no projection
     swapped = "x0 y0 x0 x0 y0^-1 y0^-1 x1 x1 y1 x1 y1^-1 y1^-1 y2 x2"
     assert not conjugate_test(join, w, swapped)
-    assert calls == [6]
+    assert calls == []
+    # the wide block b1...b40 a is not free (the b's commute): b1...b40 a a
+    # against b1 a b2...b40 a has the same letters and needs the projections
+    bs = [f"b{i}" for i in range(1, 41)]
+    wide = build_graph(["a"] + bs, list(itertools.combinations(bs, 2)))
+    assert not conjugate_test(wide, " ".join(bs + ["a", "a"]),
+                              " ".join(bs[:1] + ["a"] + bs[1:] + ["a"]))
+    assert len(calls) >= 1
     rng = random.Random(72)
     for _ in range(200):
         g = random_graph(rng)
@@ -945,8 +979,7 @@ def test_conjugate_test_projects_only_cores_with_the_same_letters(
                                   word_from_idx(g, flipped))
         assert calls == []
     # rank 5000: g1 ... g5000 g1^-1 ... g5000^-1 against the same word
-    # with g1 inverted; projecting the block would pass CONJUGACY_BUDGET
-    # (1.25e11 units), but the letter counts differ
+    # with g1 inverted; the letter counts differ, so no block is split
     m = 5000
     free = build_graph([f"g{i}" for i in range(1, m + 1)], [])
     v = tuple(range(1, m + 1)) + tuple(range(-1, -m - 1, -1))
