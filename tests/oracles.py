@@ -29,8 +29,9 @@ sets for every pair they peel, and test conjugacy over canonical forms
 of the words, cores and blocks.  The cancellation-pass reference reads
 every generator seen for each candidate letter, and the dependent-pair
 reference builds each projection one letter at a time as a string.  The
-t-root reference always builds sigma(h), strips its inverse end pairs
-one slice at a time and tests every rotation.
+symbol-map reference orients every chunk before one plain free
+reduction, and the t-root reference always builds it, strips its
+inverse end pairs one slice at a time and tests every rotation.
 """
 
 import math
@@ -56,7 +57,6 @@ from pcgroups.graphs import (
     cycle_with_chord,
     plain_cycle,
 )
-from pcgroups.hnn import sigma
 from pcgroups.words import (
     MAX_WORD_LETTERS,
     _block_conjugate,
@@ -356,8 +356,10 @@ def is_cyclically_minimal_reference(adj, w):
 
 
 def coset_symbol_reference(adj, u_idx, chunk):
-    """hnn.coset_symbol with every U-core linearised again and oriented
-    by comparing whole sort keys."""
+    """Signed double-coset symbol of a canonical chunk, None for a chunk
+    in U (generator indices u_idx): cosets.oriented_symbol of the core
+    words.canonical_split peels, with the U-core linearised again and
+    oriented by comparing whole sort keys."""
     core = lexmin_reference(adj, split_reference(adj, chunk, u_idx)[1])
     return oriented_symbol_reference(adj, core) if core else None
 
@@ -390,10 +392,32 @@ def cyclically_reduce_units_reference(units):
     return units
 
 
+def sigma_reference(g, t, h):
+    """hnn.sigma(g, t, h).units from the symbols alone: each chunk through
+    coset_symbol_reference, each t-letter as (None, e), then free
+    reduction on a plain stack."""
+    adj = g._adj_idx
+    u_idx = frozenset(adj[g.index(t)])
+    units = []
+    for e, chunk in zip((0,) + h.exps, h.chunks):
+        if e:
+            units.append((None, e))
+        sym = coset_symbol_reference(adj, u_idx, chunk)
+        if sym is not None:
+            units.append(sym)
+    out = []
+    for sym, sign in units:
+        if out and out[-1] == (sym, -sign):
+            out.pop()
+        else:
+            out.append((sym, sign))
+    return tuple(out)
+
+
 def is_t_root_reference(g, t, h):
-    """hnn.is_t_root from the symbols alone: sigma(h), cyclically
-    reduced, is not a proper power."""
-    units = cyclically_reduce_units_reference(sigma(g, t, h).units)
+    """hnn.is_t_root from the symbols alone: sigma_reference(h),
+    cyclically reduced, is not a proper power."""
+    units = cyclically_reduce_units_reference(sigma_reference(g, t, h))
     n = len(units)
     return not any(n % p == 0 and units == units[p:] + units[:p]
                    for p in range(1, n))

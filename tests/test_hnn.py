@@ -4,12 +4,12 @@ import time
 
 import pytest
 
-from pcgroups.cosets import in_maln, parabolic, parabolic_member
+from pcgroups.cosets import (in_maln, oriented_symbol, parabolic,
+                             parabolic_member)
 from pcgroups.errors import BadParameter, LinkNotClique, NoSplitFound
 from pcgroups.graphs import build_graph, cycle_with_chord, is_clique, plain_cycle
 from pcgroups.hnn import (
     HnnWord,
-    coset_symbol,
     cyclically_reduce_units,
     hnn_factorize,
     is_cyclically_reduced_hnn,
@@ -35,7 +35,7 @@ from pcgroups.words import (
 from oracles import (all_words, coset_symbol_reference,
                      cyclically_reduce_units_reference, is_t_root_reference,
                      lexmin_reference, random_graph, random_letters,
-                     split_reference)
+                     sigma_reference, split_reference)
 
 C5P = cycle_with_chord(5)
 
@@ -149,10 +149,11 @@ def test_sigma_orientation_pairs_inverses():
 
 
 def test_coset_symbol_matches_linearising_every_core():
-    # canonical chunks on seeded random graphs, every t, against a
-    # reference that linearises every U-core again; coset_symbol
-    # linearises a core again only after an interior hole (a left letter
-    # that comes after a kept letter)
+    # canonical chunks on seeded random graphs, every t: the symbol sigma
+    # gives a chunk, its canonical_split core oriented by oriented_symbol,
+    # against a reference that linearises every U-core again;
+    # canonical_split linearises a core again only after an interior hole
+    # (a left letter that comes after a kept letter)
     rng = random.Random(31)
     cases = set()
     for g in [C5P, cycle_with_chord(7)] + [random_graph(rng) for _ in range(25)]:
@@ -164,9 +165,9 @@ def test_coset_symbol_matches_linearising_every_core():
                 chunk = canon_letters(adj, tuple(
                     rng.choice(others) * rng.choice((1, -1))
                     for _ in range(rng.randint(0, 40))))
-                assert coset_symbol(adj, u_idx, chunk) \
-                    == coset_symbol_reference(adj, u_idx, chunk)
                 left, core, right = canonical_split(adj, chunk, u_idx)
+                assert (oriented_symbol(adj, core) if core else None) \
+                    == coset_symbol_reference(adj, u_idx, chunk)
                 parts = split_reference(adj, chunk, u_idx)
                 # left is lex-least as peeled, right is left as it lies
                 assert tuple(left) == lexmin_reference(adj, parts[0]) \
@@ -302,8 +303,62 @@ def test_t_root_matches_the_symbol_reference_on_random_words():
                     assert is_t_root(g, t, h) == want, (g, t, x)
                     answers.add(want)
                     units = sigma(g, t, h).units
+                    assert units == sigma_reference(g, t, h), (g, t, x)
                     stripped += len(cyclically_reduce_units(units)) < len(units)
     assert answers == {True, False} and stripped > 100
+
+
+def test_sigma_matches_the_symbol_reference_on_hand_built_words():
+    # hnn_factorize never makes a pinch t^e u t^-e (u in U): its t-units
+    # cancel in sigma, and the cores around it meet, as in
+    # a2 t a1 t^-1 a2^-1, whose sigma is empty
+    t, a1, a2, a3 = 1, 2, 3, 4
+    cases = {
+        "cores cancel": (((a2,), (a1,), (-a2,)), (1, -1), "1"),
+        "empty pinch": (((a2, a3), (), (-a3, -a2)), (-1, 1), "1"),
+        "U between t^-1 and t": (((a3,), (a1, a1), (a3,)), (-1, 1),
+                                  "[a3] [a3]"),
+        "pinch in a pinch": (((a2,), (a3,), (a1,), (-a3,), (a3,)),
+                             (1, 1, -1, -1), "[a2] [a3]"),
+    }
+    for name, (chunks, exps, want) in cases.items():
+        h = _hand_built(C5P, "t", chunks, exps)
+        assert sigma(C5P, "t", h).units == sigma_reference(C5P, "t", h), name
+        assert str(sigma(C5P, "t", h)) == want, name
+    # random chunks from two cores and their inverses, each between random
+    # U-elements, so cores that meet across a pinch often cancel
+    rng = random.Random(43)
+    met = 0
+    for g in [C5P, cycle_with_chord(6)] + [random_graph(rng) for _ in range(10)]:
+        adj = g._adj_idx
+        for t in g.vertices:
+            t_idx = g.index(t)
+            u_idx = frozenset(adj[t_idx])
+            u_letters = [s * i for i in u_idx for s in (1, -1)]
+            others = [s * i for i in range(1, len(g) + 1) if i != t_idx
+                      for s in (1, -1)]
+            cores = [tuple(rng.choice(others) for _ in range(rng.randint(1, 3)))
+                     for _ in range(2)]
+            cores += [invert_letters(c) for c in cores]
+
+            def u_element():
+                return tuple(rng.choice(u_letters) for _ in range(
+                    rng.randint(0, 2) if u_letters else 0))
+
+            for _ in range(30):
+                m = rng.randint(0, 8)
+                chunks = [canon_letters(adj, u_element() + (
+                    rng.choice(cores) if rng.random() < 0.6 else ())
+                    + u_element()) for _ in range(m + 1)]
+                exps = [rng.choice((1, -1)) for _ in range(m)]
+                h = _hand_built(g, t, chunks, exps)
+                want = sigma_reference(g, t, h)
+                assert sigma(g, t, h).units == want, (g, t, chunks, exps)
+                assert is_t_root(g, t, h) == is_t_root_reference(g, t, h)
+                cores_in = sum(coset_symbol_reference(adj, u_idx, c) is not None
+                               for c in chunks)
+                met += sum(sym is not None for sym, _ in want) < cores_in
+    assert met > 100
 
 
 def test_cyclically_reduce_units_strips_each_inverse_end_pair():
