@@ -19,10 +19,10 @@ rotating it by a period would map t-letters to t-letters, and exps
 would be the r-th power of the exponents of one period, with m/r < m
 letters: not primitive.  is_t_root uses the lemma to skip the symbols.
 
-Core lemma.  Where the exponents do not decide, is_t_root reads each
-symbol unit as the canonical U-core c of its chunk and never orients
-it.  The core of the chunk's inverse is c' = lexmin(c^-1), and the
-symbol of c is (c, +1) when c <= c' in the letter order, else (c', -1).
+Core lemma.  sigma and is_t_root read each symbol unit as the
+canonical U-core c of its chunk (_core_units).  The core of the chunk's
+inverse is c' = lexmin(c^-1), and the symbol of c is (c, +1) when
+c <= c' in the letter order, else (c', -1).
 * No nonempty core is its own inverse: c = c' would give c^2 = 1, and
   the group is torsion-free.  So c and c' get one symbol with opposite
   signs: the units of c and c' are inverse.
@@ -34,7 +34,10 @@ symbol of c is (c, +1) when c <= c' in the letter order, else (c', -1).
   by injectivity c1' is the one core with that unit.
 Free reduction, cyclic reduction and the period test read only which
 units are equal and which are inverse, so on the sequence of cores and
-t-units they give what they give on sigma(h).
+t-units they give what they give on sigma(h).  Free reduction is
+confluent, so orienting the cores after it gives exactly the units
+that orienting them before it gave: sigma orients only the cores that
+survive, and is_t_root orients none.
 """
 
 from __future__ import annotations
@@ -183,63 +186,53 @@ class SigmaWord(_Frozen):
         return " ".join(parts)
 
 
-def coset_symbol(adj, u_idx, chunk):
-    """Signed double-coset symbol of a canonical H-chunk, or None for
-    chunks in U (generator indices u_idx).
-
-    The positive orientation of each symbol is the lex-smaller of the
-    representative and its inverse, so symbols are identified up to the
-    D+/D- pairing; a letter comes before its inverse, so a one-letter
-    chunk outside U is its own core, oriented by its sign.
-
-    The core is canonical as words.canonical_split peels it, by two
-    lemmas on the forbidden factors b.u.a (a < b, a commuting with b and
-    with every letter of u) that a word is lex-least without
-    (Anisimov-Knuth 1979):
-    * deleting right-divisor letters from a lex-least word leaves it
-      lex-least: each of them commutes with every later letter that
-      stays, so a forbidden factor of what is left, with them put back
-      inside u, was one of the word;
-    * the kept letters of a left peel form a factor of the chunk, and so
-      are lex-least, unless a left letter comes after a kept letter (an
-      interior hole).
-    So the core is linearised again only after an interior hole.
-    """
-    if len(chunk) <= 1:
-        if not chunk or abs(chunk[0]) in u_idx:
-            return None
-        return (chunk, 1) if chunk[0] > 0 else ((-chunk[0],), -1)
-    core = canonical_split(adj, chunk, u_idx)[1]
-    if not core:
-        return None
-    return oriented_symbol(adj, core)
+def _inverse(adj, a, b) -> bool:
+    """Whether units a and b of _core_units are inverse: t-units of
+    opposite signs, or cores with b = lexmin(a^-1) (core lemma).  The
+    letters of lexmin(a^-1) are those of a negated, so it is built only
+    for a core b of a's length and negated letter sum."""
+    if a[0] is None:
+        return b == (None, -a[1])
+    return b[0] is not None and len(a) == len(b) and sum(a) == -sum(b) \
+        and b == canon_letters(adj, invert_letters(a))
 
 
-def _free_reduce_units(units):
-    out = []
-    for u in units:
-        if out and out[-1][0] == u[0] and out[-1][1] == -u[1]:
-            out.pop()
+def _core_units(adj, h) -> list:
+    """sigma(h) on canonical U-cores, freely reduced as it grows: a
+    t-letter is the unit (None, e), a chunk outside U its core, and a
+    chunk in U no unit."""
+    u_idx = h.u_idx
+    units = []
+    for e, chunk in zip((0,) + h.exps, h.chunks):
+        if e:  # g_0 has no t-letter before it
+            if units and units[-1] == (None, -e):
+                units.pop()
+            else:
+                units.append((None, e))
+        if len(chunk) > 1:
+            chunk = canonical_split(adj, chunk, u_idx)[1]
+        elif chunk and abs(chunk[0]) in u_idx:
+            continue  # a letter of U; a letter outside U is its own core
+        if not chunk:  # in U
+            continue
+        if units and units[-1][0] is not None \
+                and _inverse(adj, units[-1], chunk):
+            units.pop()
         else:
-            out.append(u)
-    return tuple(out)
+            units.append(chunk)
+    return units
 
 
 def sigma(g: CommutationGraph, t, h: HnnWord) -> SigmaWord:
     """sigma(p): chunks become double-coset symbols, t-powers expand to
-    unit letters, and the result is freely reduced in the free product."""
+    unit letters, and the result is freely reduced in the free product;
+    by the core lemma each core that survives the reduction is oriented
+    once."""
     _check_t(t, h)
-    adj, u_idx = g._adj_idx, h.u_idx
-    units = []
-    sym = coset_symbol(adj, u_idx, h.chunks[0])
-    if sym is not None:
-        units.append(sym)
-    for e, chunk in zip(h.exps, h.chunks[1:]):
-        units.append((None, e))
-        sym = coset_symbol(adj, u_idx, chunk)
-        if sym is not None:
-            units.append(sym)
-    return SigmaWord(g, t, _free_reduce_units(units))
+    adj = g._adj_idx
+    return SigmaWord(g, t, tuple([
+        u if u[0] is None else oriented_symbol(adj, u)
+        for u in _core_units(adj, h)]))
 
 
 def cyclically_reduce_units(units):
@@ -274,46 +267,19 @@ def is_t_root(g: CommutationGraph, t, h: HnnWord) -> bool:
     """True iff sigma(h), cyclically reduced, is not a proper power.
 
     By the t-root lemma (module docstring) the t-exponents decide when h
-    has no pinch, e_1 = e_m and exps is primitive.  Otherwise sigma(h) is
-    read on canonical U-cores by the core lemma: a t-letter is the unit
-    (None, e), a chunk outside U its core, and two cores are inverse iff
-    one is the canonical inverse of the other, built only for a pair of
-    one length that meets in the free or the cyclic reduction.
+    has no pinch, e_1 = e_m and exps is primitive.  Otherwise the stack
+    of _core_units, unoriented, is stripped of its inverse end pairs and
+    tested for a proper period (core lemma).
     """
     _check_t(t, h)
     exps = h.exps
     if exps and exps[0] == exps[-1] and not _has_pinch(h) \
             and smallest_period(exps) == len(exps):
         return True
-    adj, u_idx = g._adj_idx, h.u_idx
-    units = []  # freely reduced as it grows
-    for e, chunk in zip((0,) + exps, h.chunks):
-        if e:
-            if units and units[-1] == (None, -e):
-                units.pop()
-            else:
-                units.append((None, e))
-        if len(chunk) > 1:
-            chunk = canonical_split(adj, chunk, u_idx)[1]
-        elif chunk and abs(chunk[0]) in u_idx:
-            continue  # a letter of U; a letter outside U is its own core
-        if not chunk:  # in U
-            continue
-        top = units[-1] if units else (None,)
-        if top[0] is not None and len(top) == len(chunk) \
-                and top == canon_letters(adj, invert_letters(chunk)):
-            units.pop()
-        else:
-            units.append(chunk)
+    adj = g._adj_idx
+    units = _core_units(adj, h)
     i, j = 0, len(units) - 1
-    while i < j:  # strip the inverse end pairs
-        a, b = units[i], units[j]
-        if a[0] is None:
-            if b != (None, -a[1]):
-                break
-        elif b[0] is None or len(a) != len(b) \
-                or b != canon_letters(adj, invert_letters(a)):
-            break
+    while i < j and _inverse(adj, units[i], units[j]):  # inverse end pairs
         i += 1
         j -= 1
     n = j - i + 1

@@ -353,10 +353,10 @@ def test_one_canonical_form_per_graph_per_verdict(monkeypatch):
     calls = []  # holds each adjacency, so no id is reused during the test
     # canon_letters also linearises the geodesic pieces these callers
     # cut from a canonical form (cores, their inverses, right divisors);
-    # such a call does not canonicalise the root (is_t_root builds the
-    # canonical inverse of a U-core it compares)
+    # such a call does not canonicalise the root (hnn._inverse builds the
+    # canonical inverse of a U-core that sigma and is_t_root compare)
     pieces = {"canonical_split", "oriented_symbol", "cyclic_core_letters",
-              "block_decomposition", "strip_divisors", "is_t_root"}
+              "block_decomposition", "strip_divisors", "_inverse"}
 
     def counting(adj, w):
         if sys._getframe(1).f_code.co_name not in pieces:

@@ -21,7 +21,7 @@ from pcgroups.hnn import (
     t_length,
     unique_position_factorization,
 )
-from pcgroups import words
+from pcgroups import hnn, words
 from pcgroups.words import (
     canon_letters,
     canonical_split,
@@ -315,7 +315,7 @@ def test_sigma_matches_the_symbol_reference_on_hand_built_words():
     t, a1, a2, a3 = 1, 2, 3, 4
     cases = {
         "cores cancel": (((a2,), (a1,), (-a2,)), (1, -1), "1"),
-        "empty pinch": (((a2, a3), (), (-a3, -a2)), (-1, 1), "1"),
+        "empty pinch": (((a2, a3), (), (-a2, -a3)), (-1, 1), "1"),
         "U between t^-1 and t": (((a3,), (a1, a1), (a3,)), (-1, 1),
                                   "[a3] [a3]"),
         "pinch in a pinch": (((a2,), (a3,), (a1,), (-a3,), (a3,)),
@@ -359,6 +359,33 @@ def test_sigma_matches_the_symbol_reference_on_hand_built_words():
                                for c in chunks)
                 met += sum(sym is not None for sym, _ in want) < cores_in
     assert met > 100
+
+
+def test_sigma_orients_each_surviving_core_once(monkeypatch):
+    # [a2 a3] (t a1 t^-1 [a2 a3])^N [a2 a3]^-1, each t a1 t^-1 a pinch:
+    # sigma is [a2 a3]^(N - 1).  Orienting every chunk before the free
+    # reduction made N + 1 oriented_symbol calls; is_t_root orients none
+    t, a1, a2, a3 = 1, 2, 3, 4
+    n = 20000
+    h = _hand_built(C5P, "t", ((a2, a3), (a1,)) * n + ((-a2, -a3),),
+                    (1, -1) * n)
+    real, calls = hnn.oriented_symbol, []
+
+    def counting(adj, core):
+        calls.append(core)
+        return real(adj, core)
+
+    monkeypatch.setattr(hnn, "oriented_symbol", counting)
+    start = time.perf_counter()
+    units = sigma(C5P, "t", h).units
+    assert time.perf_counter() - start < 1.0
+    assert units == (((a2, a3), 1),) * (n - 1)
+    assert len(calls) == n - 1
+    calls.clear()
+    start = time.perf_counter()
+    assert not is_t_root(C5P, "t", h)
+    assert time.perf_counter() - start < 1.0
+    assert not calls
 
 
 def test_cyclically_reduce_units_strips_each_inverse_end_pair():
