@@ -852,16 +852,11 @@ def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
     pairs = [(comp, x, y, all(adj[a].isdisjoint(comp) for a in comp))
              for comp, x, y in zip(comps, _blocks(c1, comps),
                                    _blocks(c2, comps)) if x != y]
-    # a block over S has at most |S|(|S| + 1)/2 dependent pairs, so over
-    # m generators the work is at most m(m + 1)/2 times the core length:
-    # count the pairs only when that bound passes the budget
-    m = len(adj) - 1
-    if m * (m + 1) // 2 * len(c1) > CONJUGACY_BUDGET:
-        work = sum(_dependent_pairs(adj, comp) * len(x)
-                   for comp, x, y, free in pairs if not free)
-        if work > CONJUGACY_BUDGET:
-            raise BudgetExceeded(f"conjugacy needs {work} work units, "
-                                 f"over {CONJUGACY_BUDGET}")
+    work = sum(_dependent_pairs(adj, comp) * len(x)
+               for comp, x, y, free in pairs if not free)
+    if work > CONJUGACY_BUDGET:
+        raise BudgetExceeded(f"conjugacy needs {work} work units, "
+                             f"over {CONJUGACY_BUDGET}")
     for comp, x, y, free in pairs:
         if free:
             su, sv = _encode(x, y)[3:]
