@@ -42,6 +42,10 @@ from .words import canon_letters, canonical_split
 # automaton steps (states x letters, summed over levels) one system may
 # spend reaching its chunk budget d
 WORK_BUDGET = 3_000_000
+# steps one letter of the alphabet is priced at: its row of the letter
+# table and the state of level 1 it leads to, about 4 us on a 2-CPU
+# machine, where a step of upto takes about 0.13 us
+_LETTER_STEPS = 30
 
 
 def check_n(n):
@@ -210,7 +214,7 @@ class _Automaton:
     """
 
     def __init__(self, n, square):
-        if 2 * (n - 1) > WORK_BUDGET:  # level 1 alone takes every letter
+        if (_LETTER_STEPS + 1) * 2 * (n - 1) > WORK_BUDGET:  # level 1
             raise BudgetExceeded(
                 f"census needs more than {WORK_BUDGET} automaton steps")
         self.square = square
@@ -222,7 +226,7 @@ class _Automaton:
         self.moves, self.u_moves = {}, {}  # see successors
         self.frontier, self.level_states = {0: 1}, [(0,)]
         self.tallies = [{self.sigs[0]: 1}]
-        self.work = 0
+        self.work = _LETTER_STEPS * len(self.letters)
         self.paths = ({}, {})  # per slot kind: (state, j) -> completions
         self.ends = ({}, {})  # per slot kind: (state, j) -> cumulative
         self.slot_ends = ([0], [0])  # per slot kind: cumulative level sizes
@@ -249,7 +253,10 @@ class _Automaton:
         Level l + 1 costs (states at l) x (letters) steps, and every level
         past the first has a state per last letter; the sum to d is checked
         at that minimum before each level, so a d over WORK_BUDGET raises
-        BudgetExceeded before any work is wasted.
+        BudgetExceeded before any work is wasted.  The work starts at
+        _LETTER_STEPS per letter, the letter table and the states of
+        level 1, which __init__ refuses before building them when level 1
+        would not fit.
         """
         width = len(self.letters)
         while len(self.tallies) <= d:

@@ -639,16 +639,27 @@ def test_sample_mode_needs_seed_and_samples():
 
 def test_budget_guard():
     # the automaton work to reach d is checked before each level, so a
-    # hopeless request raises before any level is counted; an alphabet of
-    # 2(n - 1) letters over the budget raises before it is built, even at
-    # d = 0 (the cheap n = 1500002 comes first: without that check,
-    # n = 10^9 would build a 2 * 10^9-letter tuple)
+    # hopeless request raises before any level is counted; each of the
+    # 2(n - 1) letters is priced at _LETTER_STEPS steps for its row of the
+    # letter table and its state of level 1, and an alphabet whose level 1
+    # is over the budget raises before it is built, even at d = 0 (without
+    # that check, n = 10^9 would build a 2 * 10^9-letter tuple, and
+    # n = 10^6 at d = 1 ran for 13.7 s through two million states)
     for n, d in ((1200, 2), (6, 10 ** 6), (100_000, 2), (1_500_002, 0),
-                 (10 ** 9, 0), (10 ** 9, 1)):
+                 (10 ** 9, 0), (10 ** 9, 1), (10 ** 6, 1), (10 ** 6, 0)):
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
             C.census_row(n, d, 1)
         assert time.perf_counter() - start < 0.5, (n, d)
+    # the largest n whose level 1 fits is fast, and one more is refused
+    n = S.WORK_BUDGET // (2 * (S._LETTER_STEPS + 1)) + 1
+    start = time.perf_counter()
+    assert C.census_row(n, 1, 1).enumerated["l_HS"] == [1, 2 * (n - 1)]
+    assert time.perf_counter() - start < 1, n
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        C.census_row(n + 1, 1, 1)
+    assert time.perf_counter() - start < 0.1, n
     # within the budget, d reaches the tens
     row = C.census_row(6, 12, 2)
     assert row.enumerated["l2"] == row.formula["l2"]
@@ -674,10 +685,11 @@ def test_budget_guard():
 
 def _largest_admitted_d(n):
     """The largest d whose levels fit WORK_BUDGET, from the states each
-    level reaches: level l + 1 costs (states at l) x (letters) steps."""
+    level reaches: the work starts at _LETTER_STEPS per letter, and level
+    l + 1 costs (states at l) x (letters) steps."""
     auto = S._Automaton(n, False)
     width = len(auto.letters)
-    frontier, work, d = {0}, 0, 0
+    frontier, work, d = {0}, S._LETTER_STEPS * width, 0
     while work + len(frontier) * width <= S.WORK_BUDGET:
         work += len(frontier) * width
         frontier = {t for s in frontier for _, t in auto._successors(s)}
