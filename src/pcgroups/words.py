@@ -385,6 +385,84 @@ def _encode(u, v):
             pack(map(code.__getitem__, v)))
 
 
+def _eccentricity(adj, a, supp):
+    """Eccentricity of a in the complement graph on supp, which is
+    connected: a breadth-first search by levels, each generator of a
+    level taking from the rest those it does not commute with, as
+    _complement_components searches."""
+    rest = supp - {a}
+    level, ecc = [a], 0
+    while rest:
+        ecc += 1
+        reached = []
+        for b in level:
+            new = rest - adj[b]
+            rest -= new
+            reached += new
+        level = reached
+    return ecc
+
+
+def _slice_price(adj, supp, u):
+    """(a, work): the generator a that cuts the non-free block u of
+    support supp into slices (its rarest, the least on a tie), and the
+    work of _slices on u and on a block with u's letters, in generator
+    reads: ecc(a) + 2 passes over each, a pass reading one generator for
+    each letter and, for a letter that commutes with a, one for each
+    generator of supp it does not commute with."""
+    counts = Counter(map(abs, u))
+    a = min(counts, key=lambda b: (counts[b], b))
+    reads = len(u) + sum(counts[b] * (len(supp) - len(adj[b] & supp))
+                         for b in adj[a] & supp)
+    return a, 2 * (_eccentricity(adj, a, supp) + 2) * reads
+
+
+def _slices(adj, u, a, supp):
+    """The slices of the periodic heap u^Z cut at the letters of a, each
+    canonical, from the first a-letter of u on: slice j holds the
+    letters whose last a-letter below them in the heap is the j-th.
+    u is a cyclically minimal block over supp (a connected complement
+    graph) holding a.
+
+    One pass over u labels each letter, its label relative to the period:
+    a letter that does not commute with a (a included) takes the index of
+    the current a-letter, -1 before the period's first, and any other
+    letter takes the largest label among the last letters of the
+    generators it does not commute with, its own included, which the
+    pass before left shifted down by one period.  A chain of
+    non-commuting generators from a letter to a crosses at most one
+    period a step, so the labels are right from pass ecc(a) + 1 on, and
+    the passes repeat until the labels of the last letters repeat: at
+    most ecc(a) + 2 passes (see conjugate_test)."""
+    k = u.count(a) + u.count(-a)
+    dep = {b: list(supp - adj[b]) for b in adj[a] & supp}
+    labels = [0] * len(u)
+    ends = dict.fromkeys(supp, float("-inf"))
+    while True:
+        last = {b: n - k for b, n in ends.items()}
+        cur = -1
+        for i, x in enumerate(u):
+            b = abs(x)
+            if b in dep:
+                n = max(map(last.__getitem__, dep[b]))
+            else:
+                if b == a:
+                    cur += 1
+                n = cur
+            labels[i] = last[b] = n
+        if last == ends:
+            break
+        ends = last
+    # slice j takes the letters labelled j - p k from period p, in heap order
+    runs = {}
+    for x, n in zip(u, labels):
+        runs.setdefault(n, []).append(x)
+    slices = [[] for _ in range(k)]
+    for n in sorted(runs, reverse=True):
+        slices[n % k] += runs[n]
+    return [canon_letters(adj, tuple(s)) for s in slices]
+
+
 def _pair_rules(adj, u, v):
     """For each generator a of the block u, the rules (b, A, B, P_a, P_b)
     of the dependent pairs {a, b} (b = a included), or None when some

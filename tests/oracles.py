@@ -27,8 +27,11 @@ double-coset symbol by comparing whole sort keys, test cyclic minimality
 and cyclically reduce a canonical form by recomputing both divisor-letter
 sets for every pair they peel, and test conjugacy over canonical forms
 of the words, cores and blocks.  The cancellation-pass reference reads
-every generator seen for each candidate letter, and the dependent-pair
-reference builds each projection one letter at a time as a string.  The
+every generator seen for each candidate letter.  The conjugacy
+reference decides each pair of blocks by its dependent-pair projections
+(Cori-Perrin 1985) and a search over count vectors, the kernel the
+library used before its slice test, and the dependent-pair reference
+builds each projection one letter at a time as a string.  The
 symbol-map reference orients every chunk before one plain free
 reduction, and the t-root reference always builds it, strips its
 inverse end pairs one slice at a time and tests every rotation.
@@ -38,6 +41,7 @@ import math
 import random
 import re
 from bisect import bisect_right
+from collections import Counter
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import product
@@ -59,7 +63,6 @@ from pcgroups.graphs import (
 )
 from pcgroups.words import (
     MAX_WORD_LETTERS,
-    _block_conjugate,
     as_word,
     bounded_int,
     invert_letters,
@@ -291,8 +294,119 @@ def cancel_reference(adj, w):
     return out
 
 
+def pair_rules(adj, u, v):
+    """For each generator a of the block u, the rules (b, A, B, P_a, P_b)
+    of the dependent pairs {a, b} (b = a included), or None when some
+    projection of v is no rotation of u's.  supp(v) lies in supp(u).
+
+    A cut c of the periodic heap u^Z is fixed by its count vector (n_a),
+    and the {a, b} projection of c^-1 u c is pi_ab(u) rotated by
+    n_a + n_b.  With P the primitive root of pi_ab(u) and r the one
+    rotation of P that gives pi_ab(v), the pair allows exactly
+    n_a = A + j P_a and n_b = B + j P_b over the integers j, where P_a
+    and P_b count a and b in P, and A and B count them in P[:r].
+
+    u and v are encoded once, one code per letter (code[a] = twice a's
+    rank among the generators of u, code[-a] one more): bytes for a
+    block of up to 128 generators, one str character each above that.
+    A projection is one translate that deletes every other code, find
+    gives r and P, and count gives A and P_a (B = r - A and
+    P_b = |P| - P_a when b != a, as P holds only a and b).
+    """
+    gens = sorted({abs(x) for x in u})
+    code = {e * a: 2 * i + (e < 0)
+            for i, a in enumerate(gens) for e in (1, -1)}
+    pack = bytes if len(gens) <= 128 else (lambda c: "".join(map(chr, c)))
+    su, sv = (pack(map(code.__getitem__, w)) for w in (u, v))
+    n = 2 * len(gens)
+    if pack is bytes:
+        def project(i, j):
+            drop = every.translate(None, bytes((i, i + 1, j, j + 1)))
+            return su.translate(None, drop), sv.translate(None, drop)
+    else:
+        def project(i, j):
+            keep = [None] * n  # str.translate deletes a code mapped to None
+            keep[i], keep[i + 1], keep[j], keep[j + 1] = i, i + 1, j, j + 1
+            return su.translate(keep), sv.translate(keep)
+
+    every = pack(range(n))
+    rules = {a: [] for a in gens}
+    for k, a in enumerate(gens):
+        i = 2 * k
+        plus, minus = every[i:i + 1], every[i + 1:i + 2]
+        nbrs = adj[a]
+        for b in gens[k:]:
+            if b in nbrs:
+                continue
+            p, q = project(i, code[b])
+            pp = p + p
+            r = pp.find(q) if len(p) == len(q) else -1
+            if r < 0:
+                return None
+            root = p[:pp.find(p, 1)]
+            ra = root.count(plus, 0, r) + root.count(minus, 0, r)
+            pa = root.count(plus) + root.count(minus)
+            if b == a:
+                rules[a].append((a, ra, ra, pa, pa))
+            else:
+                rb, pb = r - ra, len(root) - pa
+                rules[a].append((b, ra, rb, pa, pb))
+                rules[b].append((a, rb, ra, pb, pa))
+    return rules
+
+
+def meets_rules(rules, a0, n0):
+    """Whether n_a0 = n0 extends, breadth first along dependent pairs, to
+    a count vector that meets every rule.  Each rule is read from both of
+    its ends (a self rule from its one end onto itself), so a count off
+    the rule's lattice comes back changed and fails the equality test."""
+    n = {a0: n0}
+    queue = [a0]
+    for a in queue:
+        for b, ra, rb, pa, pb in rules[a]:
+            nb = rb + (n[a] - ra) // pa * pb
+            if b not in n:
+                n[b] = nb
+                queue.append(b)
+            elif n[b] != nb:
+                return False
+    return True
+
+
+def dependent_pairs(adj, supp):
+    """Dependent pairs {a, b} over the generator set supp, a = b
+    included: every pair less the commuting ones, which one set
+    intersection per generator counts.  The projections build one rule
+    per pair, each a translate of the whole block."""
+    n = len(supp)
+    return n * (n + 1) // 2 - sum(len(adj[a] & supp) for a in supp) // 2
+
+
+def block_conjugate_reference(adj, u, v):
+    """Whether the block v is c^-1 u c for a cut c of the heap u^Z, that
+    is, lies in the rotation closure of u, by dependent-pair projections.
+    u and v are geodesics, canonical or not, cyclically minimal, of one
+    length and one support S, and the complement graph on S is
+    connected.
+
+    Two reduced words are equal iff their projections onto every
+    dependent pair {a, b} (a = b included) are equal (Cori-Perrin 1985).
+    So v is in the closure iff one count vector meets every rule of
+    pair_rules.  Counts are read modulo u's own count vector, so the
+    rarest generator a0 tries each n in [0, |u|_a0).
+    Cost: O(|S|^2 L) for the rules, the factor L inside translate, find
+    and count, and O(|S| L) for the search.
+    """
+    rules = pair_rules(adj, u, v)
+    if rules is None:
+        return False
+    counts = Counter(abs(x) for x in u)
+    a0 = min(counts, key=lambda a: (counts[a], a))
+    return any(meets_rules(rules, a0, n0) for n0 in range(counts[a0]))
+
+
 def pair_rules_reference(adj, u, v):
-    """words._pair_rules with every projection built one letter at a
+    """pair_rules with every projection built one letter at a
     time: one character per letter (twice its generator's rank, plus one
     for an inverse), so a projection is a string and str.find gives the
     rotation and the primitive root."""
@@ -470,9 +584,9 @@ def conjugate_test_reference(g, w1, w2):
     each word, its core by cyclic_core_reference, the blocks by
     complement_components, each block canonical, then a pairing by
     (support, length), which equal letter counts imply, and
-    words._block_conjugate on each pair, free blocks included, so it
-    stays independent of conjugate_test's substring test on free
-    blocks."""
+    block_conjugate_reference on each pair, free blocks included: the
+    dependent-pair projections, which share no code with
+    conjugate_test's rotation tests."""
     adj = g._adj_idx
     found = []
     for w in (w1, w2):
@@ -486,7 +600,7 @@ def conjugate_test_reference(g, w1, w2):
     if ([({abs(x) for x in b}, len(b)) for b in b1]
             != [({abs(x) for x in b}, len(b)) for b in b2]):
         return False
-    return all(x == y or _block_conjugate(adj, x, y)
+    return all(x == y or block_conjugate_reference(adj, x, y)
                for x, y in zip(b1, b2))
 
 

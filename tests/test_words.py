@@ -57,6 +57,7 @@ from pcgroups.words import (
 
 from oracles import (
     all_words,
+    block_conjugate_reference,
     cancel_reference,
     canon_reference,
     catalog,
@@ -65,8 +66,10 @@ from oracles import (
     conjugacy_partition,
     conjugate_test_reference,
     cyclic_core_reference,
+    dependent_pairs,
     is_cyclically_minimal_reference,
     lexmin_reference,
+    pair_rules,
     pair_rules_reference,
     parse_word_reference,
     peel_reference,
@@ -537,6 +540,69 @@ def test_conjugate_test_on_free_blocks_matches_the_projections():
     assert 0.25 * len(answers) <= answers.count(True) < len(answers)
 
 
+def _sliced_block_cases(rng):
+    """(graph, cyclic core) pairs whose cores mostly hold a non-free
+    block: random words over random graphs of up to 16 vertices and over
+    the catalog, and the wide block b1...b12 a over a random word."""
+    graphs = list(catalog().values())
+    for i in range(700):
+        g = random_graph(rng, 16) if i % 3 else graphs[i % len(graphs)]
+        yield g, random_letters(rng, len(g), rng.randrange(1, 60))
+    bs = [f"b{i}" for i in range(1, 13)]
+    wide = build_graph(["a"] + bs, list(itertools.combinations(bs, 2)))
+    for _ in range(40):
+        yield wide, (1,) + random_letters(rng, 13, rng.randrange(1, 30))
+
+
+def test_slices_match_the_projections():
+    # each core against a rotation, a rotation conjugated by a random
+    # word, a shuffle of its letters, a swap of two neighbouring letters
+    # and a reversed segment: on every pair of non-free blocks with the
+    # same letters, the slices of one are a rotation of the other's iff
+    # the dependent-pair projections say the blocks are conjugate;
+    # conjugate_test agrees with conjugate_test_reference, and on cores
+    # of up to 12 letters with the rotation closure
+    rng = random.Random(74)
+    positives = negatives = 0
+    for g, w in _sliced_block_cases(rng):
+        adj = g._adj_idx
+        core = _cyclic_core(adj, reduce_letters(adj, w))[1]
+        if not core:
+            continue
+        r, p, q = (rng.randrange(len(core)) for _ in range(3))
+        turned = core[r:] + core[:r]
+        shuffled = list(core)
+        rng.shuffle(shuffled)
+        p, q = min(p, q), max(p, q) + 1
+        u = random_letters(rng, len(g), rng.randrange(1, 6))
+        for other in (turned, invert_letters(u) + turned + u,
+                      tuple(shuffled),
+                      core[:p] + core[p + 1:p + 2] + core[p:p + 1]
+                      + core[p + 2:],
+                      core[:p] + core[p:q][::-1] + core[q:]):
+            v1, v2 = Word(g, core), Word(g, other)
+            claimed = conjugate_test(g, v1, v2)
+            assert claimed == conjugate_test_reference(g, v1, v2), (g, core)
+            if len(core) <= 12:
+                assert claimed == _in_rotation_closure(g, v1, v2)
+            c2 = _cyclic_core(adj, reduce_letters(adj, other))[1]
+            if sorted(c2) != sorted(core):
+                continue
+            comps = _complement_components(adj, {abs(x) for x in core})
+            for comp, x, y in zip(comps, words._blocks(core, comps),
+                                  words._blocks(c2, comps)):
+                if all(adj[b].isdisjoint(comp) for b in comp):
+                    continue
+                a = words._slice_price(adj, comp, x)[0]
+                sx, sy = (words._slices(adj, b, a, comp) for b in (x, y))
+                want = block_conjugate_reference(adj, x, y)
+                assert any(sy == sx[i:] + sx[:i] for i in range(len(sx))) \
+                    == want, (g, x, y)
+                positives += want
+                negatives += not want
+    assert positives > 900 and negatives > 400
+
+
 def _in_rotation_closure(g, w1, w2):
     """Whether the canonical core of w2 is in the rotation closure of
     the canonical core of w1."""
@@ -743,7 +809,7 @@ def test_pair_rules_match_the_string_reference():
     seen_none = seen_rules = 0
     for adj, u, v in _pair_rule_cases(rng):
         want = pair_rules_reference(adj, u, v)
-        assert words._pair_rules(adj, u, v) == want, (adj, u, v)
+        assert pair_rules(adj, u, v) == want, (adj, u, v)
         seen_none += want is None
         seen_rules += want is not None
     assert seen_none > 100 and seen_rules > 100
@@ -770,8 +836,8 @@ def test_pair_rules_past_the_byte_alphabet():
             turned = u[r:] + u[:r]
             for v in (turned, turned[:p] + (-turned[p],) + turned[p + 1:]):
                 want = pair_rules_reference(adj, u, v)
-                assert words._pair_rules(adj, u, v) == want
-        assert words._pair_rules(adj, u, u[1:] + u[:1]) is not None
+                assert pair_rules(adj, u, v) == want
+        assert pair_rules(adj, u, u[1:] + u[:1]) is not None
 
 
 def test_conjugate_test_of_a_long_cancelling_word_stays_fast():
