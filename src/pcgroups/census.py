@@ -585,20 +585,6 @@ def census_row(n, d, k, mode="exhaustive", samples=None, seed=None) -> CensusRow
     return row
 
 
-def _randbelow(getrandbits, n):
-    """The index random.Random.randrange(n) draws on CPython 3.10 to
-    3.13: n.bit_length() random bits, drawn again while they reach n.
-    _sample_zy makes this draw inline.  As in randrange, n <= 0 raises
-    ValueError: getrandbits(0) is 0, so the loop would never end."""
-    if n <= 0:
-        raise ValueError(f"empty range for randrange({n})")
-    bits = n.bit_length()
-    x = getrandbits(bits)
-    while x >= n:
-        x = getrandbits(bits)
-    return x
-
-
 def _t_level(x, f, m):
     """(l, start) for the type (ii) tuple at index x: its t-length l, the
     least with f _vector_sum(m, l) > x, and the start f _vector_sum(m,
@@ -629,8 +615,9 @@ def _sample_zy(n, d, k, samples, seed):
     comparison, and _t_level finds the others.  A slot is drawn as an
     index into the forms outside U (first slot) or the nontrivial ones
     without a left divisor in U (later slots), and census_slots.form
-    unranks it.  Every index is the draw of _randbelow, made inline: it
-    is randrange's, so the same as choice over the list of forms, and it
+    unranks it.  Every index is drawn inline as randrange draws it (the
+    draw tests/oracles.py's randbelow makes, tested against randrange),
+    so the same as choice over the list of forms, and it
     takes counts past the C size limit that len() of a range has.  A
     draw is decided, a miss, at its first non-thick slot: its remaining
     slot indices are then drawn and dropped, so the random stream is the

@@ -61,8 +61,11 @@ from .words import (
 class HnnWord(_Frozen):
     """Reduced factorisation g0 t^{e1} g1 ... t^{em} gm.
 
-    chunks are canonical letter tuples over A \\ {t}; exps are +-1, one
-    per t-letter; len(chunks) == len(exps) + 1.  u_idx is lk(t), the
+    chunks are canonical letter tuples over A \\ {t}, each a fixed point
+    of canon_letters as hnn_factorize builds them: nothing checks it, and
+    sigma and is_t_root are undefined for a hand-built factorisation with
+    a chunk that is not canonical.  exps are +-1, one per t-letter;
+    len(chunks) == len(exps) + 1.  u_idx is lk(t), the
     generators of U, as generator indices: hnn_factorize reads it once
     per HnnWord, and every check below reads it from there, so each
     raises BadParameter when asked about a t other than h.t.  It takes no
@@ -227,7 +230,9 @@ def sigma(g: CommutationGraph, t, h: HnnWord) -> SigmaWord:
     """sigma(p): chunks become double-coset symbols, t-powers expand to
     unit letters, and the result is freely reduced in the free product;
     by the core lemma each core that survives the reduction is oriented
-    once."""
+    once.  The chunks of h must be canonical, as hnn_factorize builds
+    them: two units are compared as letter tuples, so a non-canonical
+    chunk can leave a pair unreduced (see HnnWord)."""
     _check_t(t, h)
     adj = g._adj_idx
     return SigmaWord(g, t, tuple([

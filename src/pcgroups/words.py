@@ -28,8 +28,10 @@ computes it and serves every layer above:
   double-coset split), and linearises the core again only after an
   interior hole;
 * conjugate_test: the cyclic cores, split into blocks; a free block
-  (independent support) is decided by one substring test, any other by
-  its dependent-pair projections (_block_conjugate);
+  (independent support) is decided by one substring test on its
+  letters, any other by the same test on its slices (_slices): the
+  pieces of its periodic heap between consecutive letters of its rarest
+  generator, each canonicalised by canon_letters;
 
 All geodesics of one element differ only by commutations, so the
 canonical form is a class invariant.
@@ -73,15 +75,17 @@ from .graphs import CommutationGraph, _complement_components, _is_name
 # A longer word raises BudgetExceeded before its letters are built.
 MAX_WORD_LETTERS = 10**6
 
-# Most work units conjugate_test spends on dependent-pair projections:
-# each non-free block it must project costs its dependent pairs {a, b}
-# (a = b included) times its length, one translate of the block per pair.
-# Free blocks (independent support) take one substring test and are not
-# priced.  Over the budget it raises BudgetExceeded before the first
-# projection.  About 50 ns a unit over str codes (blocks of more than 128
-# generators) and 2-15 ns over bytes on a 2-CPU machine, so a block at the
-# budget takes at most about 1 s; g1...g5000 g1^-1...g5000^-1 with the one
-# edge g1-g2 (1.25e11 units) is refused.
+# Most generator reads conjugate_test spends on cutting non-free blocks
+# into slices: a pair of blocks costs ecc(a) + 2 label passes over each
+# block (_slice_price), a pass reading one generator a letter and, for a
+# letter that commutes with the cutting generator a, one for each
+# generator of the block it does not commute with.  Free blocks
+# (independent support) take one substring test and are not priced.
+# Over the budget it raises BudgetExceeded before the first pass.  About
+# 20-150 ns a read on a 2-CPU machine, so a pair at the budget takes up
+# to about 3 s.  g1...g5000 g1^-1...g5000^-1 with the one edge g1-g2
+# costs 1.6e5 reads; a c b1...b5000, with a commuting with each b_i,
+# costs 2.0e8 and is refused.
 CONJUGACY_BUDGET = 20_000_000
 
 
@@ -371,18 +375,14 @@ def cyclic_core_letters(adj, w):
     return canon_letters(adj, invert_letters(ys)), canon_letters(adj, v)
 
 
-def _encode(u, v):
-    """(gens, code, pack, su, sv): the generators of the block u, sorted,
-    and u and v encoded one code per letter, code[a] = twice a's rank in
-    gens, code[-a] one more.  pack builds the encoding from codes: bytes
-    for a block of up to 128 generators, one str character each above
-    that.  supp(v) lies in supp(u)."""
-    gens = sorted({abs(x) for x in u})
-    code = {e * a: 2 * i + (e < 0)
-            for i, a in enumerate(gens) for e in (1, -1)}
-    pack = bytes if len(gens) <= 128 else (lambda c: "".join(map(chr, c)))
-    return (gens, code, pack, pack(map(code.__getitem__, u)),
-            pack(map(code.__getitem__, v)))
+def _encode(xs, ys):
+    """xs and ys as two strs, one character per item, equal items
+    alike: the code of an item is its rank among the distinct items of
+    xs, then ys.  So a rotation test on the sequences is one substring
+    test."""
+    code = {x: chr(i) for i, x in enumerate(dict.fromkeys(xs + ys))}
+    return ("".join(map(code.__getitem__, xs)),
+            "".join(map(code.__getitem__, ys)))
 
 
 def _eccentricity(adj, a, supp):
@@ -429,20 +429,21 @@ def _slices(adj, u, a, supp):
     the current a-letter, -1 before the period's first, and any other
     letter takes the largest label among the last letters of the
     generators it does not commute with, its own included, which the
-    pass before left shifted down by one period.  A chain of
-    non-commuting generators from a letter to a crosses at most one
-    period a step, so the labels are right from pass ecc(a) + 1 on, and
-    the passes repeat until the labels of the last letters repeat: at
-    most ecc(a) + 2 passes (see conjugate_test)."""
+    pass before left shifted down by one period.  A pass is a function
+    of the labels it starts from, so once the labels of the last letters
+    repeat, every later pass repeats.  A chain of non-commuting
+    generators from a letter to a crosses at most one period a step, so
+    the labels are right from pass ecc(a) on, and the passes stop by
+    pass ecc(a) + 1; _slice_price allows ecc(a) + 2."""
     k = u.count(a) + u.count(-a)
     dep = {b: list(supp - adj[b]) for b in adj[a] & supp}
+    gens = list(map(abs, u))
     labels = [0] * len(u)
     ends = dict.fromkeys(supp, float("-inf"))
     while True:
         last = {b: n - k for b, n in ends.items()}
         cur = -1
-        for i, x in enumerate(u):
-            b = abs(x)
+        for i, b in enumerate(gens):
             if b in dep:
                 n = max(map(last.__getitem__, dep[b]))
             else:
@@ -461,110 +462,6 @@ def _slices(adj, u, a, supp):
     for n in sorted(runs, reverse=True):
         slices[n % k] += runs[n]
     return [canon_letters(adj, tuple(s)) for s in slices]
-
-
-def _pair_rules(adj, u, v):
-    """For each generator a of the block u, the rules (b, A, B, P_a, P_b)
-    of the dependent pairs {a, b} (b = a included), or None when some
-    projection of v is no rotation of u's.  supp(v) lies in supp(u).
-
-    A cut c of the periodic heap u^Z is fixed by its count vector (n_a),
-    and the {a, b} projection of c^-1 u c is pi_ab(u) rotated by
-    n_a + n_b.  With P the primitive root of pi_ab(u) and r the one
-    rotation of P that gives pi_ab(v), the pair allows exactly
-    n_a = A + j P_a and n_b = B + j P_b over the integers j, where P_a
-    and P_b count a and b in P, and A and B count them in P[:r].
-
-    u and v are encoded once (_encode).  A projection is one translate
-    that deletes every other code, find gives r and P, and count gives
-    A and P_a (B = r - A and P_b = |P| - P_a when b != a, as P holds
-    only a and b).
-    """
-    gens, code, pack, su, sv = _encode(u, v)
-    n = 2 * len(gens)
-    if pack is bytes:
-        def project(i, j):
-            drop = every.translate(None, bytes((i, i + 1, j, j + 1)))
-            return su.translate(None, drop), sv.translate(None, drop)
-    else:
-        def project(i, j):
-            keep = [None] * n  # str.translate deletes a code mapped to None
-            keep[i], keep[i + 1], keep[j], keep[j + 1] = i, i + 1, j, j + 1
-            return su.translate(keep), sv.translate(keep)
-
-    every = pack(range(n))
-    rules = {a: [] for a in gens}
-    for k, a in enumerate(gens):
-        i = 2 * k
-        plus, minus = every[i:i + 1], every[i + 1:i + 2]
-        nbrs = adj[a]
-        for b in gens[k:]:
-            if b in nbrs:
-                continue
-            p, q = project(i, code[b])
-            pp = p + p
-            r = pp.find(q) if len(p) == len(q) else -1
-            if r < 0:
-                return None
-            root = p[:pp.find(p, 1)]
-            ra = root.count(plus, 0, r) + root.count(minus, 0, r)
-            pa = root.count(plus) + root.count(minus)
-            if b == a:
-                rules[a].append((a, ra, ra, pa, pa))
-            else:
-                rb, pb = r - ra, len(root) - pa
-                rules[a].append((b, ra, rb, pa, pb))
-                rules[b].append((a, rb, ra, pb, pa))
-    return rules
-
-
-def _meets_rules(rules, a0, n0):
-    """Whether n_a0 = n0 extends, breadth first along dependent pairs, to
-    a count vector that meets every rule.  Each rule is read from both of
-    its ends (a self rule from its one end onto itself), so a count off
-    the rule's lattice comes back changed and fails the equality test."""
-    n = {a0: n0}
-    queue = [a0]
-    for a in queue:
-        for b, ra, rb, pa, pb in rules[a]:
-            nb = rb + (n[a] - ra) // pa * pb
-            if b not in n:
-                n[b] = nb
-                queue.append(b)
-            elif n[b] != nb:
-                return False
-    return True
-
-
-def _dependent_pairs(adj, supp) -> int:
-    """Dependent pairs {a, b} over the generator set supp, a = b
-    included: every pair less the commuting ones, which one set
-    intersection per generator counts."""
-    n = len(supp)
-    return n * (n + 1) // 2 - sum(len(adj[a] & supp) for a in supp) // 2
-
-
-def _block_conjugate(adj, u, v):
-    """Whether the block v is c^-1 u c for a cut c of the heap u^Z, that
-    is, lies in the rotation closure of u.  u and v are geodesics,
-    canonical or not, cyclically minimal, of one length and one support
-    S, and the complement graph on S is connected.  conjugate_test calls
-    it on non-free blocks (some edge inside S) only.
-
-    Two reduced words are equal iff their projections onto every
-    dependent pair {a, b} (a = b included) are equal (Cori-Perrin 1985).
-    So v is in the closure iff one count vector meets every rule of
-    _pair_rules.  Counts are read modulo u's own count vector, so the
-    rarest generator a0 tries each n in [0, |u|_a0).
-    Cost: O(|S|^2 L) for the rules, the factor L inside translate, find
-    and count, and O(|S| L) for the search.
-    """
-    rules = _pair_rules(adj, u, v)
-    if rules is None:
-        return False
-    counts = Counter(abs(x) for x in u)
-    a0 = min(counts, key=lambda a: (counts[a], a))
-    return any(_meets_rules(rules, a0, n0) for n0 in range(counts[a0]))
 
 
 # ---------------------------------------------------------------------------
@@ -906,14 +803,34 @@ def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
     are conjugate iff one is a cyclic permutation of the other
     (Lyndon-Schupp I.1), so a pair of free blocks u, v that differ is
     decided by one substring test, v in u.u, on their encoded letters
-    (_encode), in O(L).  Every other pair that differs is decided by its
-    dependent-pair projections (_block_conjugate), without walking the
-    closure; those blocks are priced against CONJUGACY_BUDGET first,
-    and free blocks are never priced.  What it reads (the core's
-    letters, the blocks' encodings and projections) is the same for
-    every geodesic of an element, so it runs on geodesics and never
-    builds a canonical form: two passes of _cancel per word, one for its
-    geodesic and one over the square for its core."""
+    (_encode), in O(L).
+
+    Any other block u is cut into slices (_slices).  Fix a in S, the
+    rarest generator, with k letters, and let a_j be the j-th a-letter
+    of the periodic heap u^Z.  Slice j holds the letters x of the heap
+    with a_j <= x and not a_(j+1) <= x, a convex piece, read as the word
+    of its letters in the order of u^Z and canonicalised.  Lemma (an
+    elementary form of the cut periodic heaps of Crisp, Godelle and
+    Wiest, J. Topology 2, 2009): two non-free blocks with the same
+    letters are conjugate iff their slice sequences agree up to
+    rotation.  The slices depend only on the heap and on a, and a
+    conjugate v = c^-1 u c cut from u^Z has the same heap, its a-letters
+    shifted by some r, so its slices are u's rotated by r.  Conversely,
+    slices j, ..., j + k - 1 are the letters above a_j and not above
+    a_(j+k), the up-set of a_j less its shift by one period, so any k
+    consecutive slices multiply to a cut of u^Z, a conjugate of u, and
+    rotations of one slice sequence give conjugate products.  The labels
+    of _slices become periodic within ecc(a) + 2 passes (ecc in the
+    complement graph on S), because each step of a chain of
+    non-commuting generators from a crosses at most one period.  So a
+    pair of non-free blocks costs ecc(a) + 2 passes over each, then the
+    canonical form of each slice and one substring test over slice ids
+    (_encode).  Those passes are priced (_slice_price) and checked
+    against CONJUGACY_BUDGET before the first; free blocks are never
+    priced.  What it reads (the core's letters, the blocks' heaps) is the
+    same for every geodesic of an element, so it runs on geodesics: two
+    passes of _cancel per word, one for its geodesic and one over the
+    square for its core, and canonical forms only of slices."""
     adj = g._adj_idx
 
     def geodesic(w):  # a NormalForm over g is one already
@@ -927,19 +844,23 @@ def conjugate_test(g: CommutationGraph, w1, w2) -> bool:
     if sorted(c1) != sorted(c2):
         return False
     comps = _complement_components(adj, {abs(x) for x in c1})
-    pairs = [(comp, x, y, all(adj[a].isdisjoint(comp) for a in comp))
-             for comp, x, y in zip(comps, _blocks(c1, comps),
-                                   _blocks(c2, comps)) if x != y]
-    work = sum(_dependent_pairs(adj, comp) * len(x)
-               for comp, x, y, free in pairs if not free)
+    pairs, work = [], 0
+    for comp, x, y in zip(comps, _blocks(c1, comps), _blocks(c2, comps)):
+        if x == y:
+            continue
+        if all(adj[a].isdisjoint(comp) for a in comp):
+            pairs.append((x, y, None))
+        else:
+            a, price = _slice_price(adj, comp, x)
+            pairs.append((x, y, (a, comp)))
+            work += price
     if work > CONJUGACY_BUDGET:
-        raise BudgetExceeded(f"conjugacy needs {work} work units, "
+        raise BudgetExceeded(f"conjugacy needs {work} generator reads, "
                              f"over {CONJUGACY_BUDGET}")
-    for comp, x, y, free in pairs:
-        if free:
-            su, sv = _encode(x, y)[3:]
-            if sv not in su + su:
-                return False
-        elif not _block_conjugate(adj, x, y):
+    for x, y, cut in pairs:
+        if cut:
+            x, y = (_slices(adj, b, *cut) for b in (x, y))
+        su, sv = _encode(x, y)
+        if sv not in su + su:
             return False
     return True

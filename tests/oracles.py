@@ -11,7 +11,8 @@ from the graph's letter table.  The census reference builds every normal form
 and walks every signed exponent vector one by one, or sums over every
 (t-length, block count) block, where the library counts both in closed
 form or over the normal-form automaton; its sampler reference calls
-randrange for every draw and bisects for the t-length, and its
+randrange for every draw and bisects for the t-length, randbelow is the
+draw the sampler makes inline, and its
 unranking references scan each state's successors letter by letter and
 walk every length p of the square system's first part.  The reference
 automaton keeps every component of the census state as the letters
@@ -29,8 +30,8 @@ sets for every pair they peel, and test conjugacy over canonical forms
 of the words, cores and blocks.  The cancellation-pass reference reads
 every generator seen for each candidate letter.  The conjugacy
 reference decides each pair of blocks by its dependent-pair projections
-(Cori-Perrin 1985) and a search over count vectors, the kernel the
-library used before its slice test, and the dependent-pair reference
+(Cori-Perrin 1985) and a search over count vectors, where the library
+cuts each block into slices, and the dependent-pair reference
 builds each projection one letter at a time as a string.  The
 symbol-map reference orients every chunk before one plain free
 reduction, and the t-root reference always builds it, strips its
@@ -1052,6 +1053,21 @@ def bisect_t_level(x, f, m, k):
     type (ii) tuples, by bisection over f _vector_sum(m, j)."""
     return bisect_right(range(k), x,
                         key=lambda j: f * census._vector_sum(m, j))
+
+
+def randbelow(getrandbits, n):
+    """The index random.Random.randrange(n) draws on CPython 3.10 to
+    3.13: n.bit_length() random bits, drawn again while they reach n.
+    census._sample_zy makes this draw inline.  As in randrange, n <= 0
+    raises ValueError: getrandbits(0) is 0, so the loop would never
+    end."""
+    if n <= 0:
+        raise ValueError(f"empty range for randrange({n})")
+    bits = n.bit_length()
+    x = getrandbits(bits)
+    while x >= n:
+        x = getrandbits(bits)
+    return x
 
 
 def square_unrank_reference(kind, ell, index):

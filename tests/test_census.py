@@ -33,6 +33,7 @@ from oracles import (
     iter_strict_composed,
     lexmin_reference,
     linear_unrank,
+    randbelow,
     randrange_sample_zy,
     reference_census_row,
     reference_e_prime,
@@ -496,7 +497,7 @@ def test_randbelow_matches_randrange():
         ours, theirs = random.Random(seed), random.Random(seed)
         for _ in range(20):
             for n in sizes:
-                assert C._randbelow(ours.getrandbits, n) == theirs.randrange(n)
+                assert randbelow(ours.getrandbits, n) == theirs.randrange(n)
         assert ours.getstate() == theirs.getstate()
     # an empty range raises, as randrange does, where a loop over
     # getrandbits(0) == 0 would never end (the stub stops such a loop)
@@ -509,7 +510,7 @@ def test_randbelow_matches_randrange():
     for n in (0, -1):
         calls = 0
         with pytest.raises(ValueError):
-            C._randbelow(zeros, n)
+            randbelow(zeros, n)
         with pytest.raises(ValueError):
             random.Random(1).randrange(n)
 

@@ -32,7 +32,7 @@ from pcgroups.words import (
     word_from_idx,
 )
 
-from oracles import (all_words, coset_symbol_reference,
+from oracles import (all_words, catalog, coset_symbol_reference,
                      cyclically_reduce_units_reference, is_t_root_reference,
                      lexmin_reference, random_graph, random_letters,
                      sigma_reference, split_reference)
@@ -42,6 +42,24 @@ C5P = cycle_with_chord(5)
 
 def fact(text, g=C5P, t="t"):
     return hnn_factorize(g, t, parse_word(text, g))
+
+
+def test_factorize_builds_canonical_chunks():
+    # sigma and is_t_root read the chunks as canonical letter tuples and
+    # do not check them: every chunk hnn_factorize builds, for every
+    # choice of t, is a fixed point of canon_letters
+    rng = random.Random(75)
+    seen = 0
+    for g in catalog().values():
+        adj = g._adj_idx
+        for _ in range(40):
+            w = word_from_idx(g, random_letters(rng, len(g),
+                                                rng.randrange(0, 40)))
+            for t in g.vertices:
+                for chunk in hnn_factorize(g, t, w).chunks:
+                    assert canon_letters(adj, chunk) == chunk, (g, t, w)
+                    seen += len(chunk) > 1
+    assert seen > 1000
 
 
 def test_factorize_pinches_through_link():

@@ -503,7 +503,7 @@ def test_conjugate_test_on_free_blocks_matches_the_projections():
     # each core against a rotation, a shuffle of its letters, a swap of
     # two neighbouring letters, a reversed segment and an inverted run of
     # one letter, each conjugated by a random word: conjugate_test agrees
-    # with conjugate_test_reference, which runs _block_conjugate on every
+    # with conjugate_test_reference, which runs the projections on every
     # block, and on short cores with the rotation closure
     rng = random.Random(49)
     answers = []
@@ -938,14 +938,17 @@ def test_cancellation_over_many_generators_of_a_free_group_stays_fast():
     assert time.perf_counter() - start < 0.2
 
 
-def test_conjugate_test_prices_its_dependent_pairs_before_projecting():
+def test_conjugate_test_prices_its_slice_passes_before_cutting():
     # g1 ... gm g1^-1 ... gm^-1 against its rotation by one letter: over
     # the free group of rank m one free block, decided by one substring
     # test at any rank.  With the one edge g1-g2 the block is not free,
-    # and at rank 5000 its m(m + 1)/2 - 1 dependent pairs, each one
-    # projection of its 2m letters (1.25e11 work units), are refused
-    # before the first projection.  A block equal on both sides needs no
-    # projection.
+    # and g1 cuts it into two slices, its passes priced at 1.6e5 reads
+    # (only the two g2-letters commute with g1, each reading 4999
+    # generators), where its 12.5 million dependent-pair projections were
+    # refused.  The block a c b1 ... bm, with a commuting with each b_i,
+    # costs about 8 m^2 reads (each b_i reads c and every b_j), 2e8 at
+    # m = 5000, and is refused before the first pass.  A block equal on
+    # both sides needs no pass.
     def rotated(m, edges=()):
         g = build_graph([f"g{i}" for i in range(1, m + 1)], edges)
         w = tuple(range(1, m + 1)) + tuple(range(-1, -m - 1, -1))
@@ -959,28 +962,90 @@ def test_conjugate_test_prices_its_dependent_pairs_before_projecting():
         assert time.perf_counter() - start < 1.0, m
     g, w, turned = rotated(5000, [("g1", "g2")])
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match="conjugacy needs"):
-        conjugate_test(g, w, turned)
+    assert conjugate_test(g, w, turned)
+    # g3 and g4 do not commute: the same letters, no conjugate
+    assert not conjugate_test(g, w, Word(g, w.idx[:2] + w.idx[3:1:-1]
+                                         + w.idx[4:]))
     assert conjugate_test(g, w, w)
     assert time.perf_counter() - start < 1.0
+    bs = [f"b{i}" for i in range(1, 5001)]
+    star = build_graph(["a", "c"] + bs, [("a", b) for b in bs])
+    u = tuple(range(1, 5003))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="conjugacy needs"):
+        conjugate_test(star, Word(star, u), Word(star, u[1:] + u[:1]))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_dependent_pairs_count_every_pair_less_the_commuting_ones():
     rng = random.Random(71)
     for _ in range(200):
         g = random_graph(rng)
         adj = g._adj_idx
         supp = set(rng.sample(range(1, len(g) + 1), rng.randint(1, len(g))))
-        assert words._dependent_pairs(adj, supp) == sum(
+        assert dependent_pairs(adj, supp) == sum(
             a == b or b not in adj[a]
             for a, b in itertools.combinations_with_replacement(supp, 2))
+
+
+def _count_slices(monkeypatch):
+    """A list that words._slices appends the length of each block it
+    cuts to, for the rest of the test."""
+    calls = []
+    slices = words._slices
+
+    def counted(adj, u, a, supp):
+        calls.append(len(u))
+        return slices(adj, u, a, supp)
+
+    monkeypatch.setattr(words, "_slices", counted)
+    return calls
+
+
+def _gnp_core(n, p, seed):
+    """A seeded G(n, p) on v0, v1, ... and the cyclic core of a random
+    2000-letter word over it."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    g = build_graph(names, [(names[i], names[j]) for i in range(n)
+                            for j in range(i + 1, n) if rng.random() < p])
+    adj = g._adj_idx
+    w = reduce_letters(adj, random_letters(rng, n, 2000))
+    return g, _cyclic_core(adj, w)[1]
+
+
+@pytest.mark.parametrize("n, p", [(300, 0.05), (1000, 0.01)])
+def test_conjugate_test_on_a_wide_random_core_answers_at_once(
+        monkeypatch, n, p):
+    # the core of a random 2000-letter word over G(300, 0.05) and over
+    # G(1000, 0.01), one non-free block of nearly 2000 letters over
+    # hundreds of generators, against its rotation by half its length and
+    # against the core with two neighbouring letters that do not commute
+    # swapped.  The dependent-pair projections were refused here (8.5e7
+    # and 7.4e8 units); the slices take about 0.02 s on a 2-CPU machine
+    calls = _count_slices(monkeypatch)
+    g, core = _gnp_core(n, p, n)
+    adj = g._adj_idx
+    h = len(core) // 2
+    i = next(i for i in range(len(core) - 1)
+             if abs(core[i]) != abs(core[i + 1])
+             and abs(core[i + 1]) not in adj[abs(core[i])])
+    swapped = core[:i] + (core[i + 1], core[i]) + core[i + 2:]
+    assert sorted(swapped) == sorted(core) and len(core) > 1900
+    for other, want in ((core[h:] + core[:h], True), (swapped, False)):
+        start = time.perf_counter()
+        assert conjugate_test(g, Word(g, core), Word(g, other)) == want
+        assert time.perf_counter() - start < 1.0, want
+    assert len(calls) == 4
 
 
 def test_conjugate_test_on_a_long_free_core_stays_linear(monkeypatch):
     # the cyclic core of a random 10^5-letter word over the free group of
     # rank 50 against its rotation by half its length: one free block,
-    # decided by one substring test, where the projections would cost
-    # 1275 dependent pairs times the core's length.  About 0.25 s on a
+    # decided by one substring test, with no slice.  About 0.25 s on a
     # 2-CPU machine
     calls = []
-    monkeypatch.setattr(words, "_pair_rules", lambda *args: calls.append(0))
+    monkeypatch.setattr(words, "_slices", lambda *args: calls.append(0))
     g = build_graph([f"g{i}" for i in range(50)], [])
     adj = g._adj_idx
     w = reduce_letters(adj, random_letters(random.Random(73), 50, 10**5))
@@ -993,20 +1058,12 @@ def test_conjugate_test_on_a_long_free_core_stays_linear(monkeypatch):
     assert calls == []
 
 
-def test_conjugate_test_projects_only_cores_with_the_same_letters(
-        monkeypatch):
-    # counts calls of _pair_rules, not seconds: cores that differ in
-    # their letter counts, or are equal, are answered before any block
-    # is projected; a pair with the same letters that is not conjugate
-    # is answered False by the projections
-    calls = []
-    pair_rules = words._pair_rules
-
-    def counted(adj, u, v):
-        calls.append(len(u))
-        return pair_rules(adj, u, v)
-
-    monkeypatch.setattr(words, "_pair_rules", counted)
+def test_conjugate_test_cuts_only_cores_with_the_same_letters(monkeypatch):
+    # counts calls of _slices, not seconds: cores that differ in their
+    # letter counts, or are equal, are answered before any block is cut;
+    # a pair with the same letters that is not conjugate is answered
+    # False by the slices
+    calls = _count_slices(monkeypatch)
     join = _block_join(3)
     w = "x0 x0 y0 x0 y0^-1 y0^-1 x1 x1 y1 x1 y1^-1 y1^-1 x2 y2"
     for other in ("x0^-1 x0^-1 y0 x0 y0^-1 y0^-1 x1 x1 y1 x1 y1^-1 y1^-1 "
@@ -1023,12 +1080,12 @@ def test_conjugate_test_projects_only_cores_with_the_same_letters(
         assert conjugate_test(join, w, other)
     assert calls == []
     # the blocks of a join are free: a same-letter negative is answered
-    # by a substring test, with no projection
+    # by a substring test, with no slice
     swapped = "x0 y0 x0 x0 y0^-1 y0^-1 x1 x1 y1 x1 y1^-1 y1^-1 y2 x2"
     assert not conjugate_test(join, w, swapped)
     assert calls == []
     # the wide block b1...b40 a is not free (the b's commute): b1...b40 a a
-    # against b1 a b2...b40 a has the same letters and needs the projections
+    # against b1 a b2...b40 a has the same letters and needs the slices
     bs = [f"b{i}" for i in range(1, 41)]
     wide = build_graph(["a"] + bs, list(itertools.combinations(bs, 2)))
     assert not conjugate_test(wide, " ".join(bs + ["a", "a"]),
