@@ -1,12 +1,14 @@
 import itertools
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from pcgroups.cosets import (in_maln, oriented_symbol, parabolic,
                              parabolic_member)
-from pcgroups.errors import BadParameter, LinkNotClique, NoSplitFound
+from pcgroups.errors import (BadParameter, LinkNotClique, NoSplitFound,
+                             PcgError)
 from pcgroups.graphs import build_graph, cycle_with_chord, is_clique, plain_cycle
 from pcgroups.hnn import (
     HnnWord,
@@ -226,6 +228,50 @@ def test_checks_refuse_a_t_other_than_the_factorisations():
         check(C5P, "t", h)
         with pytest.raises(BadParameter):
             check(C5P, "a2", h)
+
+
+def _answers(g, t, h):
+    """What each check answers on h, or the class of the error it raises."""
+    out = []
+    for check in (is_t_thick, is_cyclically_t_thick, is_t_root, sigma,
+                  is_cyclically_reduced_hnn):
+        try:
+            out.append(check(g, t, h))
+        except PcgError as exc:
+            out.append(exc.__class__)
+    return out
+
+
+def test_equal_factorisations_give_equal_answers():
+    # an HnnWord is its four fields: one built along another generator
+    # t2 and given h's t, chunks and exps equals h, and every check gives
+    # it h's answer.  C'5, w = a2 a3 t a1 a4 along a2: lk(a2) = {t, a3}
+    # is no clique, and the core of the chunk a4 is read against it
+    g = C5P
+    w = parse_word("a2 a3 t a1 a4", g)
+    h = hnn_factorize(g, "a2", w)
+    other = replace(hnn_factorize(g, "t", w), t="a2", chunks=h.chunks,
+                    exps=h.exps)
+    assert other == h and hash(other) == hash(h)
+    with pytest.raises(LinkNotClique):
+        is_t_thick(g, "a2", other)
+    assert str(sigma(g, "a2", other)) == str(sigma(g, "a2", h)) == "a2 [t a4]"
+    rng = random.Random(34)
+    answers = set()
+    for g in catalog().values():
+        for _ in range(25):
+            w = word_from_idx(g, random_letters(rng, len(g),
+                                                rng.randrange(0, 16)))
+            for t, t2 in itertools.permutations(g.vertices, 2):
+                h = hnn_factorize(g, t, w)
+                assert HnnWord(g, t, h.chunks, h.exps) == h
+                other = replace(hnn_factorize(g, t2, w), t=t,
+                                chunks=h.chunks, exps=h.exps)
+                assert other == h and hash(other) == hash(h)
+                want = _answers(g, t, h)
+                assert _answers(g, t, other) == want, (g, t, t2, w)
+                answers.add(want[0])
+    assert answers == {True, False, LinkNotClique}
 
 
 def test_thickness_empty_link():
