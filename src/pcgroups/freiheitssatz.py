@@ -11,9 +11,8 @@ magnus_verdict validates the root once (canonical over the graph,
 cyclically minimal, n >= 1), takes its support once, and hands both to
 the private helpers _theorem_main and _amalgam, which take a validated
 root as it is.  _theorem_main calls the public hnn checks on one HnnWord
-per candidate t; lk(t) is read once per HnnWord, by hnn_factorize.  The
-public check_theorem_main and check_amalgam validate and call the same
-helpers.
+per candidate t.  The public check_theorem_main and check_amalgam
+validate and call the same helpers.
 The chord advisories of a plain cycle run only when n >= 3, since the
 main theorem's EMBEDS needs n >= 3, and only for candidates t with
 supp(s) outside st(t).  magnus_verdict computes the candidate list once:
@@ -361,9 +360,13 @@ def _theorem_main(g, nf, supp, t, n):
     h = hnn_factorize(g, t, nf)
     assert is_cyclically_reduced_hnn(g, t, h)
     try:
-        # h is cyclically t-thick iff it is t-thick: it is cyclically
-        # reduced, its wrap chunk g_m g_0 does not cancel (nf is
-        # cyclically minimal), and a union of thick supports is thick
+        # h is cyclically t-thick, as is_cyclically_t_thick defines it
+        # (each chunk and the wrap chunk g_m g_0 thick), iff it is
+        # t-thick: it is cyclically reduced, its wrap chunk does not
+        # cancel (nf is cyclically minimal), and a union of thick
+        # supports is thick.  Under the paper's reading, which takes
+        # g_m g_0 as one chunk in place of g_m and g_0, t-thick implies
+        # cyclically t-thick but not conversely (ROADMAP item 13)
         thick = cyc_thick = is_t_thick(g, t, h)
         lk_clique = True
     except LinkNotClique:

@@ -65,23 +65,19 @@ class HnnWord(_Frozen):
     of canon_letters as hnn_factorize builds them: nothing checks it, and
     sigma and is_t_root are undefined for a hand-built factorisation with
     a chunk that is not canonical.  exps are +-1, one per t-letter;
-    len(chunks) == len(exps) + 1.  u_idx is lk(t), the
-    generators of U, as generator indices: hnn_factorize reads it once
-    per HnnWord, and every check below reads it from there, so each
-    raises BadParameter when asked about a t other than h.t.  It takes no
-    part in equality, hashing or repr.
+    len(chunks) == len(exps) + 1.  These four fields are the whole
+    value: every check below reads lk(t) from the graph it is given,
+    and raises BadParameter when asked about a t other than h.t.
     """
 
-    __slots__ = ("graph", "t", "chunks", "exps", "u_idx")
-    _HIDDEN = ("u_idx",)
+    __slots__ = ("graph", "t", "chunks", "exps")
 
     def __init__(self, graph: CommutationGraph, t: str, chunks: tuple,
-                 exps: tuple, u_idx: frozenset):
+                 exps: tuple):
         _set_field(self, "graph", graph)
         _set_field(self, "t", t)
         _set_field(self, "chunks", chunks)
         _set_field(self, "exps", exps)
-        _set_field(self, "u_idx", u_idx)
 
     def to_word(self) -> Word:
         t_idx = self.graph.index(self.t)
@@ -108,10 +104,11 @@ def _u_indices(g: CommutationGraph, t) -> frozenset:
     return g._adj_idx[g.index(t)]
 
 
-def _check_t(t, h):
-    """The checks below read lk(t) from h, so they answer for h.t alone."""
+def _check_t(g, t, h):
+    """lk(t) for the checks below, which answer for h.t alone."""
     if t != h.t:
         raise BadParameter(f"{t!r} is not the factorisation's letter {h.t!r}")
+    return _u_indices(g, t)
 
 
 def _wrap_support(adj, h) -> set:
@@ -138,8 +135,7 @@ def hnn_factorize(g: CommutationGraph, t, w) -> HnnWord:
             chunks.append([])
         else:
             chunks[-1].append(x)
-    return HnnWord(g, t, tuple(map(tuple, chunks)), tuple(exps),
-                   _u_indices(g, t))
+    return HnnWord(g, t, tuple(map(tuple, chunks)), tuple(exps))
 
 
 def t_length(h: HnnWord) -> int:
@@ -148,10 +144,10 @@ def t_length(h: HnnWord) -> int:
 
 def is_cyclically_reduced_hnn(g: CommutationGraph, t, h: HnnWord) -> bool:
     """True iff h.h is reduced: m <= 1, or g_m g_0 not in U, or e_m = e_1."""
-    _check_t(t, h)
+    u_idx = _check_t(g, t, h)
     if len(h.exps) <= 1 or h.exps[-1] == h.exps[0]:
         return True
-    return not _wrap_support(g._adj_idx, h) <= h.u_idx
+    return not _wrap_support(g._adj_idx, h) <= u_idx
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +196,10 @@ def _inverse(adj, a, b) -> bool:
         and b == canon_letters(adj, invert_letters(a))
 
 
-def _core_units(adj, h) -> list:
+def _core_units(adj, h, u_idx) -> list:
     """sigma(h) on canonical U-cores, freely reduced as it grows: a
-    t-letter is the unit (None, e), a chunk outside U its core, and a
-    chunk in U no unit."""
-    u_idx = h.u_idx
+    t-letter is the unit (None, e), a chunk outside U (generator indices
+    u_idx) its core, and a chunk in U no unit."""
     units = []
     for e, chunk in zip((0,) + h.exps, h.chunks):
         if e:  # g_0 has no t-letter before it
@@ -233,11 +228,11 @@ def sigma(g: CommutationGraph, t, h: HnnWord) -> SigmaWord:
     once.  The chunks of h must be canonical, as hnn_factorize builds
     them: two units are compared as letter tuples, so a non-canonical
     chunk can leave a pair unreduced (see HnnWord)."""
-    _check_t(t, h)
+    u_idx = _check_t(g, t, h)
     adj = g._adj_idx
     return SigmaWord(g, t, tuple([
         u if u[0] is None else oriented_symbol(adj, u)
-        for u in _core_units(adj, h)]))
+        for u in _core_units(adj, h, u_idx)]))
 
 
 def cyclically_reduce_units(units):
@@ -261,9 +256,8 @@ def smallest_period(seq) -> int:
     return n
 
 
-def _has_pinch(h) -> bool:
+def _has_pinch(h, u_idx) -> bool:
     """Some inner chunk lies in U between t-letters of opposite signs."""
-    u_idx = h.u_idx
     return any(e != f and all(abs(x) in u_idx for x in c)
                for e, f, c in zip(h.exps, h.exps[1:], h.chunks[1:]))
 
@@ -276,13 +270,13 @@ def is_t_root(g: CommutationGraph, t, h: HnnWord) -> bool:
     of _core_units, unoriented, is stripped of its inverse end pairs and
     tested for a proper period (core lemma).
     """
-    _check_t(t, h)
+    u_idx = _check_t(g, t, h)
     exps = h.exps
-    if exps and exps[0] == exps[-1] and not _has_pinch(h) \
+    if exps and exps[0] == exps[-1] and not _has_pinch(h, u_idx) \
             and smallest_period(exps) == len(exps):
         return True
     adj = g._adj_idx
-    units = _core_units(adj, h)
+    units = _core_units(adj, h, u_idx)
     i, j = 0, len(units) - 1
     while i < j and _inverse(adj, units[i], units[j]):  # inverse end pairs
         i += 1
@@ -309,8 +303,8 @@ def is_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     Needs lk(t) to be a clique so the support criterion for Maln applies;
     an empty link makes U trivial and every chunk thick.
     """
-    _check_t(t, h)
-    adj, u_idx = g._adj_idx, h.u_idx
+    u_idx = _check_t(g, t, h)
+    adj = g._adj_idx
     if any(len(u_idx - adj[i]) != 1 for i in u_idx):
         raise LinkNotClique(f"lk({t}) is not a clique")
     return all(is_thick_support(adj, u_idx, {abs(x) for x in c})
@@ -322,7 +316,7 @@ def is_cyclically_t_thick(g: CommutationGraph, t, h: HnnWord) -> bool:
     if not is_t_thick(g, t, h) or not is_cyclically_reduced_hnn(g, t, h):
         return False
     adj = g._adj_idx
-    return not h.exps or is_thick_support(adj, h.u_idx,
+    return not h.exps or is_thick_support(adj, _check_t(g, t, h),
                                           _wrap_support(adj, h))
 
 

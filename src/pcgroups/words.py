@@ -473,10 +473,10 @@ _set_field = object.__setattr__
 
 class _DataclassFields:
     """__dataclass_fields__ of a value class, built on first read: the
-    fields of a make_dataclass twin with the same field names, order,
-    defaults and compare/repr flags, cached on the class.  So
-    dataclasses.fields, asdict, replace and is_dataclass work on the
-    class, and only they import dataclasses."""
+    fields of a make_dataclass twin with the same field names, order and
+    defaults, cached on the class.  So dataclasses.fields, asdict,
+    replace and is_dataclass work on the class, and only they import
+    dataclasses."""
 
     def __get__(self, obj, cls):
         if not cls.__slots__:  # the base itself has no fields
@@ -490,14 +490,10 @@ class _DataclassFields:
                             defaults))
         spec = []
         for name in cls.__slots__:
-            shown = name not in cls._HIDDEN
-            kw = {"compare": shown, "repr": shown}
-            if name in defaults:
-                value = defaults[name]
-                kw["default_factory" if isinstance(value, type)
-                   else "default"] = value
+            value = defaults.get(name, dataclasses.MISSING)
+            kw = "default_factory" if isinstance(value, type) else "default"
             spec.append((name, init.__annotations__.get(name, object),
-                         dataclasses.field(**kw)))
+                         dataclasses.field(**{kw: value})))
         twin = dataclasses.make_dataclass(cls.__name__, spec,
                                           frozen=cls.__hash__ is not None)
         cls.__dataclass_fields__ = twin.__dataclass_fields__
@@ -518,22 +514,19 @@ class _Frozen:
     """A slotted value class that compares, hashes, prints and refuses
     assignment as the frozen dataclass of its __slots__ would.
 
-    _HIDDEN names the fields left out of comparison, hashing and repr
-    (field(compare=False, repr=False)).  A subclass declared with
-    frozen=False is a mutable record instead: it takes assignment to
-    its fields and is unhashable, as a plain @dataclass.  Each subclass
-    has its own __init__, taking the fields in __slots__ order."""
+    A subclass declared with frozen=False is a mutable record instead:
+    it takes assignment to its fields and is unhashable, as a plain
+    @dataclass.  Each subclass has its own __init__, taking the fields
+    in __slots__ order."""
 
     __slots__ = ()
-    _HIDDEN = ()
     __dataclass_fields__ = _DataclassFields()
 
     def __init_subclass__(cls, frozen=True, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._COMPARED = names = tuple([f for f in cls.__slots__
-                                       if f not in cls._HIDDEN])
-        # _key(obj) is the tuple of the compared fields; an attrgetter is
-        # no descriptor, so self._key(self) calls it
+        # _key(obj) is the tuple of the fields; an attrgetter is no
+        # descriptor, so self._key(self) calls it
+        names = cls.__slots__
         get = attrgetter(*names)
         cls._key = get if len(names) > 1 else staticmethod(
             lambda obj: (get(obj),))
@@ -554,7 +547,7 @@ class _Frozen:
 
     def __repr__(self):
         return f"{self.__class__.__qualname__}(" + ", ".join(
-            [f"{f}={getattr(self, f)!r}" for f in self._COMPARED]) + ")"
+            [f"{f}={getattr(self, f)!r}" for f in self.__slots__]) + ")"
 
     def __reduce__(self):
         return self.__class__, tuple([getattr(self, f)

@@ -91,12 +91,10 @@ def test_factorize_invariants_on_random_graphs():
         u_idx = {g.index(v) for v in g.neighbours(t)}
         w = random_letters(rng, len(g), rng.randrange(0, 61))
         h = hnn_factorize(g, t, word_from_idx(g, w))
-        # lk(t) is read into the factorisation, which it leaves equal,
-        # equally hashed and equally printed
+        # two factorisations of one word are equal, equally hashed and
+        # equally printed
         again = hnn_factorize(g, t, word_from_idx(g, w))
         assert h == again and hash(h) == hash(again) and str(h) == str(again)
-        assert h.u_idx == g._adj_idx[g.index(t)]
-        assert "u_idx" not in repr(h)
         assert len(h.chunks) == len(h.exps) + 1
         for chunk in h.chunks:
             assert canon_letters(g._adj_idx, chunk) == chunk
@@ -219,8 +217,8 @@ def test_thickness_needs_clique_link():
 
 
 def test_checks_refuse_a_t_other_than_the_factorisations():
-    # each check reads lk(t) from the HnnWord, so asked about a2 it would
-    # answer for t: is_t_thick returned True here, where lk(a2) is no clique
+    # each check answers for h.t alone: asked about a2, is_t_thick once
+    # answered for t with True, where lk(a2) is no clique
     h = fact("a2 a3 t")
     checks = (is_t_thick, is_t_root, is_cyclically_reduced_hnn,
               is_cyclically_t_thick, sigma)
@@ -319,8 +317,7 @@ def test_t_root_examples():
 def _hand_built(g, t, chunks, exps):
     """An HnnWord as given, reduced or not; hnn_factorize never makes a
     pinch, so these reach the paths it cannot."""
-    return HnnWord(g, t, tuple(tuple(c) for c in chunks), tuple(exps),
-                   g._adj_idx[g.index(t)])
+    return HnnWord(g, t, tuple(tuple(c) for c in chunks), tuple(exps))
 
 
 def test_t_root_reads_the_exponents_only_where_they_decide():

@@ -1756,8 +1756,7 @@ def _twin(cls, names, frozen=True, **special):
 # Each value class and the dataclass it must behave as: field names,
 # order, defaults and compare/repr flags, frozen or not.
 _VALUE_TWINS = {
-    HnnWord: _twin(HnnWord, ["graph", "t", "chunks", "exps", "u_idx"],
-                   u_idx=field(compare=False, repr=False)),
+    HnnWord: _twin(HnnWord, ["graph", "t", "chunks", "exps"]),
     SigmaWord: _twin(SigmaWord, ["graph", "t", "units"]),
     UniquePositionSplit: _twin(UniquePositionSplit, ["a", "b", "rotation"]),
     ParabolicContext: _twin(ParabolicContext, ["graph", "subset"]),
@@ -1843,7 +1842,7 @@ def test_value_classes_keep_their_dataclass_behaviour():
                 with pytest.raises(AttributeError):
                     delattr(obj, name)
         assert not hasattr(obj, "__dict__")
-        # copies keep every field, the hidden ones too
+        # copies keep every field
         for copied in (copy.copy(obj), copy.deepcopy(obj),
                        pickle.loads(pickle.dumps(obj))):
             assert copied == obj and copied.__class__ is cls
@@ -1873,7 +1872,7 @@ def test_value_classes_keep_their_dataclass_behaviour():
             assert cls(*least).advisories is not cls(*least).advisories
     # field types are the annotations, as the dataclasses declared them
     assert [f.type for f in fields(HnnWord)] == [
-        "CommutationGraph", "str", "tuple", "tuple", "frozenset"]
+        "CommutationGraph", "str", "tuple", "tuple"]
     assert [f.type for f in fields(TheoremMainRecord)][2:4] == [
         "bool | None", "bool | None"]
     assert fields(FreiReport)[6].type == "object"
