@@ -28,7 +28,9 @@ double-coset symbol by comparing whole sort keys, test cyclic minimality
 and cyclically reduce a canonical form by recomputing both divisor-letter
 sets for every pair they peel, and test conjugacy over canonical forms
 of the words, cores and blocks.  The cancellation-pass reference reads
-every generator seen for each candidate letter.  The conjugacy
+every generator seen for each candidate letter, and the heap-walk
+reference links each letter to the last letter of every generator seen,
+after the library's own cancellation pass.  The conjugacy
 reference decides each pair of blocks by its dependent-pair projections
 (Cori-Perrin 1985) and a search over count vectors, where the library
 cuts each block into slices, and the dependent-pair reference
@@ -67,6 +69,7 @@ from pcgroups.words import (
     as_word,
     bounded_int,
     invert_letters,
+    reduce_letters,
 )
 
 
@@ -430,6 +433,35 @@ def pair_rules_reference(adj, u, v):
             if b != a:
                 rules[b].append((a, rb, ra, pb, pa))
     return rules
+
+
+def canon_heap_reference(adj, w):
+    """words._canon_heap as it read every generator seen for each letter:
+    the geodesic reduce_letters gives, and each letter linked to the
+    last earlier letter of every generator seen that equals its own or
+    does not commute with it, then the same greedy heap walk."""
+    w = reduce_letters(adj, w)
+    last = {}  # generator -> its last position so far
+    succ = [[] for _ in w]
+    npred = [0] * len(w)
+    for q, x in enumerate(w):
+        nbrs = adj[abs(x)]
+        deps = [p for k, p in last.items() if k not in nbrs]
+        for p in deps:
+            succ[p].append(q)
+        npred[q] = len(deps)
+        last[abs(x)] = q
+    heap = [(abs(x), x < 0, q) for q, x in enumerate(w) if not npred[q]]
+    heapify(heap)
+    out = []
+    while heap:
+        p = heappop(heap)[2]
+        out.append(w[p])
+        for q in succ[p]:
+            npred[q] -= 1
+            if not npred[q]:
+                heappush(heap, (abs(w[q]), w[q] < 0, q))
+    return tuple(out)
 
 
 def canon_reference(adj, w):

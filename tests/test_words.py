@@ -59,6 +59,7 @@ from oracles import (
     all_words,
     block_conjugate_reference,
     cancel_reference,
+    canon_heap_reference,
     canon_reference,
     catalog,
     closure_canonical,
@@ -1585,6 +1586,28 @@ def test_canon_heap_matches_the_references_on_unreduced_words():
                 assert c == closure_canonical(adj, w)
                 closures += 1
     assert closures >= 300 and cancelled >= 500
+    # long runs behind a wide prefix, some of them inverse runs that
+    # cancel: the walk reads back to the previous letter of each
+    # letter's own generator, the reference every generator seen
+    runs = 0
+    for _ in range(60):
+        g = random_graph(rng, 40)
+        adj = g._adj_idx
+        gens = list(range(1, len(g) + 1))
+        rng.shuffle(gens)
+        w = tuple(x * rng.choice((1, -1)) for x in gens)
+        for _ in range(rng.randrange(1, 6)):
+            x = rng.choice(gens) * rng.choice((1, -1))
+            w += (x,) * rng.randrange(1, 300)
+            if rng.random() < 0.3:
+                w += random_letters(rng, len(g), rng.randrange(0, 4))
+        if rng.random() < 0.5:
+            w += invert_letters(w[rng.randrange(len(w)):])
+        c = _canon_heap(adj, w)
+        assert c == canon_heap_reference(adj, w) == canon_reference(adj, w), \
+            (g.vertices, w)
+        runs += len(w) > 4 * len(g)
+    assert runs >= 30
     # a^k b^k a^-k and its interleaved kin on the free-abelian pair: the
     # a letters cancel across b blocks, and the insertion scans pass
     # their budget, so canon_letters answers through the heap walk
