@@ -204,26 +204,40 @@ def _insert(adj, w):
 
 def _canon_heap(adj, w):
     """Canonical form of any word w, by a heap walk of its geodesic
-    reduce_letters(adj, w): the fallback of canon_letters, linear in
-    |w| times the generators seen.
+    reduce_letters(adj, w): the fallback of canon_letters.
 
     Each letter depends on the last earlier letter of every generator
     that equals its own or does not commute with it.  Popping the least
     ready letter from a heap keyed by (generator, sign) linearises this
     partial order greedily, which gives the lexicographic minimum over
     the class.  Equal letters are dependent, so no two ready letters tie.
+
+    A letter is linked only to the last letters placed after the
+    previous letter p of its own generator, and to p: a last letter of
+    a generator it does not commute with that lies before p is one that
+    p already depends on, so the order and the walk are unchanged.  last
+    keeps the generators in order of their last letters and is read
+    from the newest back to the letter's own generator.  So a letter
+    costs one read for each generator placed since its generator last
+    occurred, and a first occurrence one for each generator seen.
     """
     w = reduce_letters(adj, w)
-    last = {}  # generator -> its last position so far
+    last = {}  # generator -> its last position so far, oldest first
     succ = [[] for _ in w]
     npred = [0] * len(w)
     for q, x in enumerate(w):
-        nbrs = adj[abs(x)]
-        deps = [p for k, p in last.items() if k not in nbrs]
-        for p in deps:
-            succ[p].append(q)
-        npred[q] = len(deps)
-        last[abs(x)] = q
+        gen = abs(x)
+        nbrs = adj[gen]
+        n = 0
+        for k, p in reversed(last.items()):
+            if k not in nbrs:  # gen itself is no neighbour of gen
+                succ[p].append(q)
+                n += 1
+                if k == gen:
+                    break
+        npred[q] = n
+        last.pop(gen, None)
+        last[gen] = q
     heap = [(abs(x), x < 0, q) for q, x in enumerate(w) if not npred[q]]
     heapify(heap)
     out = []
