@@ -228,14 +228,12 @@ def _canon_heap(adj, w):
     for q, x in enumerate(w):
         gen = abs(x)
         nbrs = adj[gen]
-        n = 0
         for k, p in reversed(last.items()):
             if k not in nbrs:  # gen itself is no neighbour of gen
                 succ[p].append(q)
-                n += 1
+                npred[q] += 1
                 if k == gen:
                     break
-        npred[q] = n
         last.pop(gen, None)
         last[gen] = q
     heap = [(abs(x), x < 0, q) for q, x in enumerate(w) if not npred[q]]
